@@ -40,13 +40,19 @@ EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    sub.add_argument("--workers", type=int, default=None, help="process count")
+def _add_common(
+    sub: argparse.ArgumentParser, *, seed: bool = False, workers: bool = False
+) -> None:
+    """Register --out, plus --seed and --workers where the subcommand reads them.
+
+    A flag a subcommand would ignore is left unregistered, so argparse
+    refuses it with exit code 2.
+    """
     sub.add_argument("--out", type=str, default=None, help="output path (prefix for estimate)")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="summary format"
-    )
+    if seed:
+        sub.add_argument("--seed", type=int, default=None, help="master seed (u64)")
+    if workers:
+        sub.add_argument("--workers", type=int, default=None, help="process count")
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
@@ -305,7 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     est = subs.add_parser("estimate", help="Monte Carlo corank estimation over a grid")
-    _add_common(est)
+    _add_common(est, seed=True, workers=True)
+    est.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="summary format"
+    )
     est.add_argument("--config", type=str, default=None, help="GridSpec JSON file")
     est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
     est.add_argument("--trials", type=int, default=None)
@@ -328,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(fn=_cmd_verify)
 
     st = subs.add_parser("sampler-test", help="uniformity diagnostics against full enumeration")
-    _add_common(st)
+    _add_common(st, seed=True)
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--samples", type=int, required=True)
@@ -340,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.set_defaults(fn=_cmd_sampler_test)
 
     dl = subs.add_parser("deloc-stats", help="kernel level-set statistics of singular samples")
-    _add_common(dl)
+    _add_common(dl, seed=True, workers=True)
     dl.add_argument("--n", type=int, required=True)
     dl.add_argument("--d", type=int, required=True)
     dl.add_argument("--trials", type=int, required=True)

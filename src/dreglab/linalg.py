@@ -3,11 +3,17 @@
 Everything here is exact: ranks are computed modulo random 62-bit primes
 (fast, one-sided — a modular rank can only undershoot) and confirmed by
 fraction-free integer elimination (Bareiss) at moderate sizes, so reported
-ranks are never floating-point guesses.  Kernels and orthogonal complements
-are returned over the rationals in a canonical form: the reduced row
-echelon basis of the space, leading coefficients 1, entries in lowest
-terms.  Two spans are equal iff their canonical bases are identical, which
-makes subspace equality a tuple comparison.
+ranks are never floating-point guesses.
+
+Kernels stay in the integers from the Bareiss echelon on: integer
+back-substitution gives primitive integer vectors, and one fraction-free
+Gauss-Jordan reduction turns integer vectors into the canonical basis of
+their span (reduced row echelon rows scaled to coprime integers, leading
+entries positive).  ``Fraction``s are made only at the API boundary:
+:class:`KernelBasis` and :class:`SubspaceBasis` hold the reduced row
+echelon basis over Q (leading coefficients 1, entries in lowest terms),
+and :func:`spaces_equal` and :func:`in_span` clear denominators before
+reducing.  Two spans are equal iff their canonical bases are identical.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DimensionError
@@ -33,6 +41,7 @@ __all__ = [
     "kernel",
     "f_perp",
     "spaces_equal",
+    "span_basis",
     "in_span",
     "matvec",
     "format_vector",
@@ -200,53 +209,103 @@ def _kernel_from_echelon(
     pivot_cols: Sequence[int],
     pivot_rows: Sequence[tuple[int, Sequence[int]]],
     ncols: int,
-) -> list[list[Fraction]]:
-    """Back-substitute one kernel vector per free column."""
+) -> list[list[int]]:
+    """Back-substitute one primitive integer kernel vector per free column.
+
+    The vector for free column ``fc`` is the rational solution with
+    ``x[fc] = 1`` scaled to coprime integers.  Whenever a pivot does not
+    divide the partial sum, the whole vector is scaled by
+    ``|pivot / gcd(sum, pivot)|`` so the division is exact; the content is
+    divided out at the end.  The entry at ``fc`` stays positive.
+    """
     pivot_set = set(pivot_cols)
-    zero = Fraction(0)
-    basis: list[list[Fraction]] = []
+    basis: list[list[int]] = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        x = [zero] * ncols
-        x[fc] = Fraction(1)
+        x = [0] * ncols
+        x[fc] = 1
         for t in range(len(pivot_cols) - 1, -1, -1):
             pc, row = pivot_rows[t]
-            s = zero
-            for u in range(1, len(row)):
-                xv = x[pc + u]
-                if xv:
-                    s += row[u] * xv
+            # x[pc] is still 0, so the pivot term adds nothing to the sum
+            s = sum(map(mul, row, x[pc:]))
             if s:
-                x[pc] = -s / row[0]
-        basis.append(x)
+                piv = row[0]
+                scale = abs(piv) // gcd(s, piv)
+                if scale != 1:
+                    x = [v * scale for v in x]
+                    s *= scale
+                x[pc] = -s // piv
+        content = gcd(*x)
+        basis.append(x if content == 1 else [v // content for v in x])
     return basis
 
 
-def _rref_fractions(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Unique reduced row echelon basis of the span of ``vectors``."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by its content, leading entry made positive."""
+    g = gcd(*row)
+    if g == 0:
+        return row
+    if next(v for v in row if v) < 0:
+        g = -g
+    return row if g == 1 else [v // g for v in row]
+
+
+def _int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Canonical integer basis of the span of integer ``rows``.
+
+    Fraction-free Gauss-Jordan: row s is cleared against pivot row r as
+    ``lead * row_s - f * row_r`` (both factors divided by their gcd), and
+    every row is kept primitive with a positive leading entry.  The result
+    is the reduced row echelon basis with each row scaled to coprime
+    integers, so two spans are equal iff their results are equal.
+    """
+    work = [_primitive(list(row)) for row in rows]
+    work = [row for row in work if any(row)]
+    if not work:
+        return []
+    ncols = len(work[0])
     r = 0
     for c in range(ncols):
-        piv = next((s for s in range(r, len(rows)) if rows[s][c]), None)
+        piv = next((s for s in range(r, len(work)) if work[s][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [v / lead for v in rows[r]]
-        for s in range(len(rows)):
-            if s != r and rows[s][c]:
-                f = rows[s][c]
-                rows[s] = [a - f * b for a, b in zip(rows[s], rows[r])]
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        lead = prow[c]
+        for s, row in enumerate(work):
+            f = row[c]
+            if f and s != r:
+                g = gcd(lead, f)
+                lg, fg = lead // g, f // g
+                work[s] = _primitive([lg * a - fg * b for a, b in zip(row, prow)])
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
-    return tuple(tuple(row) for row in rows[:r] if any(row))
+    return [tuple(row) for row in work[:r]]
+
+
+def _fraction_rows(int_rref: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The RREF over Q: each canonical integer row divided by its lead."""
+    out = []
+    for row in int_rref:
+        lead = next(v for v in row if v)
+        out.append(tuple(Fraction(v, lead) for v in row))
+    return tuple(out)
+
+
+def _integer_rows(space) -> list[list[int]]:
+    """Vectors of ``space`` (a basis or vector list) with denominators cleared.
+
+    Each rational vector is scaled by the lcm of its denominators, which
+    leaves every span unchanged.
+    """
+    rows = []
+    for vec in getattr(space, "vectors", space):
+        vals = [Fraction(v) for v in vec]
+        den = lcm(*(v.denominator for v in vals))
+        rows.append([v.numerator * (den // v.denominator) for v in vals])
+    return rows
 
 
 # ─── public API ─────────────────────────────────────────────────────────────
@@ -362,7 +421,7 @@ def kernel(a: BiregularMatrix, side: str = "right") -> KernelBasis:
     m = a if side == "right" else a.transpose()
     pivot_cols, pivot_rows = _echelon_of(m)
     vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return KernelBasis(side=side, vectors=_rref_fractions(vectors))
+    return KernelBasis(side=side, vectors=_fraction_rows(_int_rref(vectors)))
 
 
 def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
@@ -381,12 +440,12 @@ def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
     rows.append([x + y for x, y in zip(dense[i], dense[j])])
     pivot_cols, pivot_rows = _int_echelon(rows)
     vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return SubspaceBasis(vectors=_rref_fractions(vectors))
+    return SubspaceBasis(vectors=_fraction_rows(_int_rref(vectors)))
 
 
-def _vectors_of(space) -> tuple[tuple[Fraction, ...], ...]:
-    vecs = getattr(space, "vectors", space)
-    return tuple(tuple(Fraction(v) for v in vec) for vec in vecs)
+def span_basis(vectors: Iterable[Sequence[Fraction]]) -> SubspaceBasis:
+    """Canonical (RREF) basis of the span of rational vectors."""
+    return SubspaceBasis(vectors=_fraction_rows(_int_rref(_integer_rows(vectors))))
 
 
 def spaces_equal(first, second) -> bool:
@@ -394,27 +453,27 @@ def spaces_equal(first, second) -> bool:
 
     Raises :class:`DimensionError` when the ambient dimensions differ.
     """
-    u = _vectors_of(first)
-    v = _vectors_of(second)
+    u = _integer_rows(first)
+    v = _integer_rows(second)
     if u and v and len(u[0]) != len(v[0]):
         raise DimensionError(
             f"ambient dimensions differ: {len(u[0])} vs {len(v[0])}"
         )
-    return _rref_fractions(u) == _rref_fractions(v)
+    return _int_rref(u) == _int_rref(v)
 
 
 def in_span(vector: Sequence[Fraction], space) -> bool:
     """Whether ``vector`` lies in the span of ``space`` (a basis or vector list)."""
-    basis = _vectors_of(space)
-    v = tuple(Fraction(t) for t in vector)
+    basis = _integer_rows(space)
+    (v,) = _integer_rows([vector])
     if not any(v):
         return True
     if basis and len(basis[0]) != len(v):
         raise DimensionError(
             f"ambient dimensions differ: {len(basis[0])} vs {len(v)}"
         )
-    rref = _rref_fractions(basis)
-    return _rref_fractions(rref + (v,)) == rref
+    rref = _int_rref(basis)
+    return _int_rref(rref + [v]) == rref
 
 
 def matvec(a: BiregularMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -48,6 +48,7 @@ from .linalg import (
     rational_rank,
     rational_rank_rows,
     spaces_equal,
+    span_basis,
 )
 from .matrix import BiregularMatrix, serialize
 from .switching import (
@@ -131,9 +132,6 @@ class DelocParams:
             return float(n)
         raw = float(self.C) * n * math.log(d) ** 2 / math.log(n)
         return min(float(n), raw)
-
-    # theta is the name the event definition uses; same capped quantity.
-    theta = beta
 
 
 @dataclass(frozen=True)
@@ -386,8 +384,6 @@ def _left_vector_vanishing_at(
     Exists whenever the basis has at least two vectors; deterministic via
     RREF of the eliminated set.
     """
-    from .linalg import _rref_fractions  # shared canonicalizer
-
     pivot = next((u for u in basis if u[i] != 0), None)
     if pivot is None:
         return tuple(basis[0])
@@ -396,7 +392,7 @@ def _left_vector_vanishing_at(
         for w in basis
         if w is not pivot
     ]
-    canon = _rref_fractions(reduced)
+    canon = span_basis(reduced).vectors
     if not canon:
         raise WitnessConstructionError(
             f"no nonzero left-kernel vector vanishes at row {i}"

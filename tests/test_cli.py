@@ -120,6 +120,25 @@ def test_verify_small_sweep(capsys):
             assert isinstance(check["wall_time_ms"], int)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "2", "--d-max", "1", "--workers", "2"],
+        ["verify", "--n-max", "2", "--d-max", "1", "--seed", "1"],
+        ["sampler-test", "--n", "3", "--d", "1", "--samples", "6", "--workers", "2"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--format", "json"],
+        ["enumerate", "--n", "2", "--d", "1", "--seed", "1"],
+        ["rank", "m.txt", "--workers", "2"],
+    ],
+)
+def test_ignored_flags_are_refused(argv, capsys):
+    # a flag the subcommand would not read is a usage error, not a no-op
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_size_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "30", "--d-max", "3")
     assert code == 3 and "guard" in err.lower()

@@ -1,5 +1,6 @@
 """Exact rank, kernels, and the row-span functionals, against a naive oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,15 +26,17 @@ from dreglab import (
     rank_exact,
     rank_mod_p,
     rational_rank,
+    sample_stub,
     spaces_equal,
+    span_basis,
 )
 
-# ─── independent oracle: plain Fraction Gauss elimination ────────────────────
+# ─── independent oracle: plain Fraction Gauss-Jordan elimination ───────────
 
 
-def oracle_rank(rows) -> int:
+def oracle_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Nonzero rows of the reduced row echelon form, leading entries 1."""
     work = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
     cols = len(work[0]) if work else 0
     r = 0
     for c in range(cols):
@@ -46,10 +49,29 @@ def oracle_rank(rows) -> int:
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
         r += 1
-        rank += 1
-    return rank
+    return tuple(tuple(row) for row in work[:r])
+
+
+def oracle_rank(rows) -> int:
+    return len(oracle_rref(rows))
+
+
+def oracle_nullspace(rows, ncols) -> tuple[tuple[Fraction, ...], ...]:
+    """RREF basis of {x : row . x = 0 for every row}."""
+    reduced = oracle_rref(rows)
+    pivots = [next(c for c, v in enumerate(row) if v != 0) for row in reduced]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            x[pc] = -row[fc]
+        basis.append(x)
+    return oracle_rref(basis)
 
 
 FIXTURES = [
@@ -177,6 +199,83 @@ def test_spaces_equal_and_in_span():
         spaces_equal(s1, f_perp(identity(5), 0, 1))
     with pytest.raises(DimensionError):
         matvec(b, (one, zero))
+
+
+SMALL_FAMILIES = [(n, d) for n in range(1, 5) for d in range(1, n + 1)]
+
+
+def test_kernel_matches_oracle_on_small_families():
+    for n, d in SMALL_FAMILIES:
+        for m in enumerate_all(n, d):
+            assert kernel(m, "right").vectors == oracle_nullspace(m.dense_rows(), n), m
+            assert kernel(m, "left").vectors == oracle_nullspace(
+                m.transpose().dense_rows(), n
+            ), m
+
+
+# d = 3 is where a pivot often fails to divide the back-substitution sum,
+# so the integer path has to rescale the vector; at d = 2 it never does.
+@pytest.mark.parametrize("n, d", [(40, 2), (60, 2), (12, 3)])
+def test_kernel_matches_oracle_on_stub_samples(n, d):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(200):
+        a = None
+        while a is None:
+            a = sample_stub(n, d, rng)
+        assert kernel(a, "right").vectors == oracle_nullspace(a.dense_rows(), n)
+        assert kernel(a, "left").vectors == oracle_nullspace(a.transpose().dense_rows(), n)
+
+
+def test_f_perp_matches_oracle_on_small_families():
+    for n, d in SMALL_FAMILIES:
+        for m in enumerate_all(n, d):
+            dense = m.dense_rows()
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    rows = [dense[s] for s in range(n) if s not in (i, j)]
+                    rows.append([x + y for x, y in zip(dense[i], dense[j])])
+                    assert f_perp(m, i, j).vectors == oracle_nullspace(rows, n), (m, i, j)
+
+
+def _disguised(vectors, rng):
+    """The same span: vectors scaled, mixed, reordered, and duplicated."""
+    def scalar():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    out = []
+    for vec in vectors:
+        c = scalar()
+        out.append(tuple(c * v for v in vec))
+    if len(vectors) >= 2:
+        c = scalar()
+        out.append(tuple(a + c * b for a, b in zip(vectors[0], vectors[1])))
+    out += out[:2]
+    rng.shuffle(out)
+    return out
+
+
+def test_spaces_equal_and_in_span_canonical_under_disguise():
+    rng = random.Random(0)
+    for n, d in SMALL_FAMILIES:
+        for m in enumerate_all(n, d):
+            spaces = [kernel(m, "right")] + ([f_perp(m, 0, 1)] if n >= 2 else [])
+            for space in spaces:
+                if not space.vectors:
+                    continue
+                disguised = _disguised(space.vectors, rng)
+                assert span_basis(disguised).vectors == space.vectors
+                assert spaces_equal(disguised, space) and spaces_equal(space, disguised)
+                assert all(in_span(v, space) and in_span(v, disguised) for v in disguised)
+                if space.dim == n:
+                    continue
+                # a unit vector outside the span stays outside, however disguised
+                units = (tuple(Fraction(int(t == k)) for t in range(n)) for k in range(n))
+                unit = next(e for e in units if oracle_rank(space.vectors + (e,)) > space.dim)
+                assert not in_span(unit, disguised)
+                assert not in_span(tuple(3 * t for t in unit), space)
+                assert not spaces_equal(disguised + [unit], space)
 
 
 def test_vector_text_round_trip():
