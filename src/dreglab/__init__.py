@@ -8,218 +8,29 @@ uniform and Markov-chain samplers plus exhaustive enumeration
 (:mod:`dreglab.linalg`), checkable statements about how switchings move
 rank (:mod:`dreglab.verifiers`), and seeded Monte Carlo grids with a CLI
 (:mod:`dreglab.experiment`, :mod:`dreglab.cli`).
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .errors import (
-    BoundViolation,
-    ColDegreeError,
-    ConsistencyError,
-    DimensionError,
-    DreglabError,
-    DuplicateIndexError,
-    InfeasibleSwitchError,
-    MatrixValidationError,
-    NoSwitchError,
-    NotSingularError,
-    ParseError,
-    PreconditionError,
-    RejectionBudgetExceeded,
-    RowDegreeError,
-    SizeGuardError,
-    WitnessConstructionError,
-)
-from .matrix import (
-    BiregularMatrix,
-    all_ones,
-    block_diagonal,
-    build,
-    circulant,
-    identity,
-    matrix_from_id,
-    matrix_id,
-    parse,
-    serialize,
-)
-from .switching import (
-    Switch,
-    SwitchCount,
-    SwitchSession,
-    apply_switch,
-    can_perform,
-    count_with_bounds,
-    dedup_switches,
-    enumerate_switches,
-    format_switch,
-    parse_switch,
-    per_entry_counts,
-    random_switch,
-)
-from .linalg import (
-    RATIONAL_THRESHOLD,
-    KernelBasis,
-    RankReport,
-    SubspaceBasis,
-    f_perp,
-    format_vector,
-    in_span,
-    kernel,
-    matvec,
-    parse_vector,
-    rank_exact,
-    rank_mod_p,
-    rational_rank,
-    spaces_equal,
-    span_basis,
-)
-from .sampler import (
-    SamplerConfig,
-    burn_in_default,
-    count_all,
-    draw_sample,
-    enumerate_all,
-    mcmc_stream,
-    sample_mcmc,
-    sample_stub,
-    sample_uniform,
-)
-from .verifiers import (
-    CheckReport,
-    DelocParams,
-    DelocResult,
-    KASet,
-    LevelSetProfile,
-    MechanismReport,
-    QrStatsReport,
-    ReplayReport,
-    ReplayWitness,
-    compute_KA,
-    count_x_bad,
-    deloc_event,
-    double_count_check,
-    is_x_bad,
-    level_sets,
-    qr_relation_stats,
-    rank_delta_check,
-    rank_increasing_switchings,
-    replay_KA_bound,
-    run_family_checks,
-    verify_increase_mechanism,
-)
-from .experiment import (
-    GridSpec,
-    TrialRecord,
-    run_grid,
-    run_trial,
-    summarize,
-    trial_rng,
-    wilson_interval,
-    write_records,
-    write_summary_csv,
-    write_summary_json,
-)
+from . import errors, experiment, linalg, matrix, sampler, switching, verifiers
+from .errors import *
+from .matrix import *
+from .switching import *
+from .linalg import *
+from .sampler import *
+from .verifiers import *
+from .experiment import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "BoundViolation",
-    "ColDegreeError",
-    "ConsistencyError",
-    "DimensionError",
-    "DreglabError",
-    "DuplicateIndexError",
-    "InfeasibleSwitchError",
-    "MatrixValidationError",
-    "NoSwitchError",
-    "NotSingularError",
-    "ParseError",
-    "PreconditionError",
-    "RejectionBudgetExceeded",
-    "RowDegreeError",
-    "SizeGuardError",
-    "WitnessConstructionError",
-    # matrix
-    "BiregularMatrix",
-    "all_ones",
-    "block_diagonal",
-    "build",
-    "circulant",
-    "identity",
-    "matrix_from_id",
-    "matrix_id",
-    "parse",
-    "serialize",
-    # switching
-    "Switch",
-    "SwitchCount",
-    "SwitchSession",
-    "apply_switch",
-    "can_perform",
-    "count_with_bounds",
-    "dedup_switches",
-    "enumerate_switches",
-    "format_switch",
-    "parse_switch",
-    "per_entry_counts",
-    "random_switch",
-    # linalg
-    "RATIONAL_THRESHOLD",
-    "KernelBasis",
-    "RankReport",
-    "SubspaceBasis",
-    "f_perp",
-    "format_vector",
-    "in_span",
-    "kernel",
-    "matvec",
-    "parse_vector",
-    "rank_exact",
-    "rank_mod_p",
-    "rational_rank",
-    "spaces_equal",
-    "span_basis",
-    # sampler
-    "SamplerConfig",
-    "burn_in_default",
-    "count_all",
-    "draw_sample",
-    "enumerate_all",
-    "mcmc_stream",
-    "sample_mcmc",
-    "sample_stub",
-    "sample_uniform",
-    # verifiers
-    "CheckReport",
-    "DelocParams",
-    "DelocResult",
-    "KASet",
-    "LevelSetProfile",
-    "MechanismReport",
-    "QrStatsReport",
-    "ReplayReport",
-    "ReplayWitness",
-    "compute_KA",
-    "count_x_bad",
-    "deloc_event",
-    "double_count_check",
-    "is_x_bad",
-    "level_sets",
-    "qr_relation_stats",
-    "rank_delta_check",
-    "rank_increasing_switchings",
-    "replay_KA_bound",
-    "run_family_checks",
-    "verify_increase_mechanism",
-    # experiment
-    "GridSpec",
-    "TrialRecord",
-    "run_grid",
-    "run_trial",
-    "summarize",
-    "trial_rng",
-    "wilson_interval",
-    "write_records",
-    "write_summary_csv",
-    "write_summary_json",
+    *errors.__all__,
+    *matrix.__all__,
+    *switching.__all__,
+    *linalg.__all__,
+    *sampler.__all__,
+    *verifiers.__all__,
+    *experiment.__all__,
 ]

@@ -29,7 +29,7 @@ from .experiment import (
 )
 from .linalg import RATIONAL_THRESHOLD, format_vector, kernel, rank_exact
 from .matrix import parse, serialize
-from .sampler import SamplerConfig, draw_sample, enumerate_all, sample_stub
+from .sampler import SamplerConfig, chi_square_uniform, draw_sample, enumerate_all, sample_stub
 from .verifiers import DelocParams, level_sets, run_family_checks
 
 __all__ = ["main"]
@@ -61,8 +61,6 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
         kwargs["max_rejections"] = args.max_rejections
     if getattr(args, "burn_in", None) is not None:
         kwargs["burn_in_steps"] = args.burn_in
-    if getattr(args, "spacing", None) is not None:
-        kwargs["steps_between_samples"] = args.spacing
     return SamplerConfig(**kwargs)
 
 
@@ -164,61 +162,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sampler_test(args: argparse.Namespace) -> int:
-    from scipy.stats import chi2
-
     config = _sampler_config(args)
     master_seed = _resolve_seed(args, config)
     support = list(enumerate_all(args.n, args.d))
     rng = trial_rng(master_seed, args.n, args.d, 0)
-
-    tallies: dict = {m: 0 for m in support}
-    unknown = 0
-
-    def record(m) -> None:
-        nonlocal unknown
-        if m in tallies:
-            tallies[m] += 1
-        else:
-            unknown += 1
-
     attempts = 0
-    accepted = 0
-    if config.kind == "stub_rejection":
-        while accepted < args.samples:
-            attempts += 1
-            m = sample_stub(args.n, args.d, rng)
-            if m is None:
-                continue
-            accepted += 1
-            record(m)
-        acceptance_rate = accepted / attempts
-    else:
-        for _ in range(args.samples):
-            record(draw_sample(args.n, args.d, config, rng))
-        acceptance_rate = None
 
-    samples = args.samples
-    dof = len(support) - 1
-    expected = samples / len(support)
-    stat = sum((count - expected) ** 2 / expected for count in tallies.values())
-    if dof == 0:
-        critical = 0.0
-        passed = unknown == 0
+    def stub_draws():
+        nonlocal attempts
+        for _ in range(args.samples):
+            m = None
+            while m is None:
+                attempts += 1
+                m = sample_stub(args.n, args.d, rng)
+            yield m
+
+    if config.kind == "stub_rejection":
+        draws = stub_draws()
     else:
-        critical = float(chi2.ppf(1.0 - args.significance, dof))
-        passed = stat <= critical and unknown == 0
+        draws = (draw_sample(args.n, args.d, config, rng) for _ in range(args.samples))
+    stat, critical, strays = chi_square_uniform(support, draws, args.significance)
+    passed = stat <= critical and strays == 0
 
     payload = {
         "n": args.n,
         "d": args.d,
         "kind": config.kind,
-        "samples": samples,
+        "samples": args.samples,
         "support_size": len(support),
         "chi_square": stat,
-        "dof": dof,
+        "dof": len(support) - 1,
         "critical_value": critical,
         "significance": args.significance,
-        "acceptance_rate": acceptance_rate,
+        "acceptance_rate": args.samples / attempts if attempts else None,
         "passed": passed,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -321,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
     est.add_argument("--max-rejections", type=int, default=None)
     est.add_argument("--burn-in", type=int, default=None)
-    est.add_argument("--spacing", type=int, default=None)
     est.add_argument(
         "--timings",
         action="store_true",
@@ -344,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
     st.add_argument("--max-rejections", type=int, default=None)
     st.add_argument("--burn-in", type=int, default=None)
-    st.add_argument("--spacing", type=int, default=None)
     st.add_argument("--significance", type=float, default=1e-3)
     st.set_defaults(fn=_cmd_sampler_test)
 

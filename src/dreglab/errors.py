@@ -7,6 +7,25 @@ invariant broke" (the latter always indicates a bug, never bad input).
 
 from __future__ import annotations
 
+__all__ = [
+    "DreglabError",
+    "MatrixValidationError",
+    "RowDegreeError",
+    "ColDegreeError",
+    "DuplicateIndexError",
+    "ParseError",
+    "InfeasibleSwitchError",
+    "NoSwitchError",
+    "BoundViolation",
+    "ConsistencyError",
+    "RejectionBudgetExceeded",
+    "SizeGuardError",
+    "NotSingularError",
+    "WitnessConstructionError",
+    "DimensionError",
+    "PreconditionError",
+]
+
 
 class DreglabError(Exception):
     """Base class for all package-specific errors."""

@@ -195,7 +195,6 @@ def run_trial(
     master_seed: int,
     trial_index: int,
     *,
-    rational_threshold: int = RATIONAL_THRESHOLD,
     timings: bool = False,
 ) -> TrialRecord:
     """Sample one matrix and reduce it to a :class:`TrialRecord`."""
@@ -210,9 +209,9 @@ def run_trial(
         elapsed = int((time.perf_counter() - start) * 1000) if timings else None
         return TrialRecord(**base, error=str(exc), wall_time_ms=elapsed)
 
-    report = rank_exact(a, rational_threshold=rational_threshold)
+    report = rank_exact(a)
     max_level: int | None = None
-    if report.corank >= 1 and n <= rational_threshold:
+    if report.corank >= 1 and n <= RATIONAL_THRESHOLD:
         sizes = [
             level_sets(v).max_size
             for side in ("right", "left")

@@ -362,10 +362,7 @@ def rational_rank_rows(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank_exact(
-    a: BiregularMatrix,
-    *,
-    rational_threshold: int = RATIONAL_THRESHOLD,
-    prime_seed: int | None = None,
+    a: BiregularMatrix, *, prime_seed: int | None = None
 ) -> RankReport:
     """Exact rank via two-prime modular consensus plus rational confirmation.
 
@@ -374,7 +371,7 @@ def rank_exact(
     matrices replay identical primes).  If the two modular ranks disagree,
     two more primes are drawn, the maximum is kept, and rational
     confirmation is forced; otherwise rational elimination runs whenever
-    ``n <= rational_threshold``.  The rational rank is authoritative: it can
+    ``n <= RATIONAL_THRESHOLD``.  The rational rank is authoritative: it can
     never be smaller than a modular rank, and a larger modular rank raises
     :class:`ConsistencyError`.
     """
@@ -389,7 +386,7 @@ def rank_exact(
         ranks.extend(_rank_rows_mod_p(a.dense_rows(), p) for p in extra)
     modular = max(ranks)
 
-    if forced or a.n <= rational_threshold:
+    if forced or a.n <= RATIONAL_THRESHOLD:
         r = rational_rank(a)
         if r < modular:
             raise ConsistencyError(

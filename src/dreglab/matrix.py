@@ -39,7 +39,6 @@ __all__ = [
     "serialize",
     "parse",
     "matrix_id",
-    "matrix_from_id",
 ]
 
 
@@ -246,16 +245,3 @@ def matrix_id(a: BiregularMatrix) -> bytes:
         raise ValueError(f"matrix_id supports n < 65536, got n={a.n}")
     flat = [t for support in a.row_supports for t in support]
     return _ID_HEADER.pack(a.n, a.d) + struct.pack(f">{len(flat)}H", *flat)
-
-
-def matrix_from_id(blob: bytes) -> BiregularMatrix:
-    """Inverse of :func:`matrix_id` (validates like :func:`build`)."""
-    if len(blob) < _ID_HEADER.size:
-        raise ParseError(f"MatrixId too short: {len(blob)} bytes")
-    n, d = _ID_HEADER.unpack_from(blob, 0)
-    expect = _ID_HEADER.size + 2 * n * d
-    if len(blob) != expect:
-        raise ParseError(f"MatrixId length {len(blob)}, expected {expect} for n={n}, d={d}")
-    flat = struct.unpack_from(f">{n * d}H", blob, _ID_HEADER.size)
-    rows = [flat[s * d : (s + 1) * d] for s in range(n)]
-    return build(n, d, rows)

@@ -24,29 +24,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import RejectionBudgetExceeded, SizeGuardError
 from .matrix import BiregularMatrix, build, circulant
-from .switching import SwitchSession
 
 __all__ = [
     "SamplerConfig",
+    "burn_in_default",
     "sample_stub",
     "sample_uniform",
     "sample_mcmc",
-    "mcmc_stream",
     "draw_sample",
     "enumerate_all",
     "count_all",
+    "chi_square_uniform",
 ]
 
 _KINDS = ("stub_rejection", "mcmc", "exhaustive")
 
 # JSON field order is fixed so serialized configs are byte-stable.
-_CONFIG_FIELDS = ("kind", "max_rejections", "burn_in_steps", "steps_between_samples", "seed")
+_CONFIG_FIELDS = ("kind", "max_rejections", "burn_in_steps", "seed")
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,13 @@ class SamplerConfig:
     """Serializable description of how matrices are drawn.
 
     ``burn_in_steps = None`` means the scale-aware default 10 * n * d^2
-    proposals; ``steps_between_samples = None`` means n * d^2.  A burn-in of
-    0 is allowed and returns the start state unchanged.
+    proposals.  A burn-in of 0 is allowed and returns the start state
+    unchanged.
     """
 
     kind: str = "stub_rejection"
     max_rejections: int = 10_000
     burn_in_steps: int | None = None
-    steps_between_samples: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,10 +70,6 @@ class SamplerConfig:
             raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
         if self.burn_in_steps is not None and self.burn_in_steps < 0:
             raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
-        if self.steps_between_samples is not None and self.steps_between_samples < 1:
-            raise ValueError(
-                f"steps_between_samples must be >= 1, got {self.steps_between_samples}"
-            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -131,22 +126,27 @@ def sample_uniform(
     )
 
 
-def _walk(session: SwitchSession, steps: int, rng: np.random.Generator) -> None:
-    """Advance the lazy switching walk by ``steps`` proposals, in place."""
+def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
+    """Advance the lazy switching walk on mutable row supports by ``steps``
+    proposals, in place.
+
+    Column regularity is preserved automatically: every switching moves
+    column k from row i to row j and column l the other way.
+    """
     if steps <= 0:
         return
-    n, d = session.n, session.d
-    row_lists, row_sets = session.row_lists, session.row_sets
+    n, d = len(rows), len(rows[0])
+    row_sets = [set(r) for r in rows]
     draws = rng.integers(0, (n, d, n, d), size=(steps, 4))
     for i, ki, j, lj in draws.tolist():
-        k = row_lists[i][ki]
-        l = row_lists[j][lj]
+        k = rows[i][ki]
+        l = rows[j][lj]
         si, sj = row_sets[i], row_sets[j]
         if l in si or k in sj:
             continue  # infeasible proposal: lazy step, stay in place
-        rl = row_lists[i]
+        rl = rows[i]
         rl[rl.index(k)] = l
-        rl = row_lists[j]
+        rl = rows[j]
         rl[rl.index(l)] = k
         si.discard(k)
         si.add(l)
@@ -161,27 +161,9 @@ def sample_mcmc(
     burn = config.burn_in_steps
     if burn is None:
         burn = burn_in_default(n, d)
-    session = SwitchSession(circulant(n, d))
-    _walk(session, burn, rng)
-    return session.freeze()
-
-
-def mcmc_stream(
-    n: int, d: int, config: SamplerConfig, rng: np.random.Generator
-) -> Iterator[BiregularMatrix]:
-    """Endless stream of walk states: burn-in once, then one matrix every
-    ``steps_between_samples`` proposals (consecutive samples stay correlated)."""
-    burn = config.burn_in_steps
-    if burn is None:
-        burn = burn_in_default(n, d)
-    spacing = config.steps_between_samples
-    if spacing is None:
-        spacing = max(1, n * d * d)
-    session = SwitchSession(circulant(n, d))
-    _walk(session, burn, rng)
-    while True:
-        yield session.freeze()
-        _walk(session, spacing, rng)
+    rows = [list(r) for r in circulant(n, d).row_supports]
+    _walk(rows, burn, rng)
+    return build(n, d, [sorted(r) for r in rows])
 
 
 def draw_sample(
@@ -249,3 +231,37 @@ def enumerate_all(
 def count_all(n: int, d: int, *, size_guard: bool = True) -> int:
     """Number of d-biregular 0/1 matrices of size n (full enumeration)."""
     return sum(1 for _ in enumerate_all(n, d, size_guard=size_guard))
+
+
+def chi_square_uniform(
+    support: Sequence[BiregularMatrix],
+    draws: Iterable[BiregularMatrix],
+    significance: float,
+) -> tuple[float, float, int]:
+    """Pearson chi-square of ``draws`` against the uniform law on ``support``.
+
+    Returns ``(stat, critical, strays)``: the statistic over the members of
+    ``support`` (in its order), the upper-``significance`` quantile of the
+    chi-square law with ``len(support) - 1`` degrees of freedom (0.0 for a
+    one-member family), and the number of draws outside ``support``.  Every
+    draw counts towards the expected count, strays included.  Uniformity is
+    accepted iff ``stat <= critical`` and ``strays == 0``.
+    """
+    tallies = dict.fromkeys(support, 0)
+    samples = strays = 0
+    for m in draws:
+        samples += 1
+        if m in tallies:
+            tallies[m] += 1
+        else:
+            strays += 1
+    if samples == 0:
+        raise ValueError("chi-square needs at least one draw")
+    expected = samples / len(tallies)
+    stat = sum((count - expected) ** 2 / expected for count in tallies.values())
+    dof = len(tallies) - 1
+    if dof == 0:
+        return stat, 0.0, strays
+    from scipy.stats import chi2  # lazy: nothing else in the package needs scipy
+
+    return stat, float(chi2.ppf(1.0 - significance, dof)), strays

@@ -33,9 +33,6 @@ __all__ = [
     "count_with_bounds",
     "per_entry_counts",
     "random_switch",
-    "format_switch",
-    "parse_switch",
-    "SwitchSession",
 ]
 
 
@@ -181,73 +178,3 @@ def random_switch(
             # l != k and j != i are implied: (j, l) is a one-entry.
             return Switch(i, j, k, l)
     raise NoSwitchError(f"no feasible switching found in {max_tries} tries (n={n}, d={d})")
-
-
-def format_switch(sw: Switch) -> str:
-    """Single-line text form ``"i j k l"``."""
-    return f"{sw.i} {sw.j} {sw.k} {sw.l}"
-
-
-def parse_switch(text: str) -> Switch:
-    """Inverse of :func:`format_switch` (whitespace-tolerant)."""
-    parts = text.split()
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 tokens, got {len(parts)} in {text!r}")
-    return Switch(*(int(p) for p in parts))
-
-
-class SwitchSession:
-    """Mutable switching session over a fixed matrix, with an undo log.
-
-    Holds row supports as mutable lists/sets so a long random walk does not
-    pay matrix re-validation per step; :meth:`freeze` validates once at the
-    end.  Column regularity is preserved automatically because every
-    switching moves column k from row i to row j and column l the other way.
-    """
-
-    def __init__(self, a: BiregularMatrix):
-        self.n = a.n
-        self.d = a.d
-        self.row_lists: list[list[int]] = [list(s) for s in a.row_supports]
-        self.row_sets: list[set[int]] = [set(s) for s in a.row_supports]
-        self._log: list[Switch] = []
-
-    def can_perform(self, sw: Switch) -> bool:
-        i, j, k, l = sw
-        if not all(0 <= v < self.n for v in sw):
-            raise IndexError(f"switch index outside [0, {self.n}) in {sw}")
-        ri, rj = self.row_sets[i], self.row_sets[j]
-        return k in ri and l in rj and l not in ri and k not in rj
-
-    def _flip(self, sw: Switch) -> None:
-        i, j, k, l = sw
-        rl_i, rl_j = self.row_lists[i], self.row_lists[j]
-        rl_i[rl_i.index(k)] = l
-        rl_j[rl_j.index(l)] = k
-        si, sj = self.row_sets[i], self.row_sets[j]
-        si.discard(k)
-        si.add(l)
-        sj.discard(l)
-        sj.add(k)
-
-    def apply(self, sw: Switch) -> None:
-        if not self.can_perform(sw):
-            raise InfeasibleSwitchError(f"{sw} is not feasible in session state")
-        self._flip(sw)
-        self._log.append(sw)
-
-    def undo(self) -> Switch:
-        """Reverse the most recently applied switching; IndexError if none."""
-        if not self._log:
-            raise IndexError("nothing to undo")
-        sw = self._log.pop()
-        self._flip(sw.reverse())
-        return sw
-
-    @property
-    def steps_applied(self) -> int:
-        return len(self._log)
-
-    def freeze(self) -> BiregularMatrix:
-        """Validate and return the current state as an immutable matrix."""
-        return build(self.n, self.d, [sorted(r) for r in self.row_lists])

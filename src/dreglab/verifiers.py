@@ -99,8 +99,12 @@ class LevelSetProfile:
 
 
 def level_sets(x: Sequence[Fraction]) -> LevelSetProfile:
-    """Group coordinates by exact rational value."""
-    counts = Counter(Fraction(v) for v in x)
+    """Group coordinates by exact rational value.
+
+    Coordinates are counted as given (Fractions or ints, which hash and
+    compare by value).
+    """
+    counts = Counter(x)
     sizes = tuple(sorted(counts.values(), reverse=True))
     return LevelSetProfile(
         sizes=sizes,
@@ -170,22 +174,20 @@ class KASet:
         return iter(sorted(self.pairs))
 
 
-def _guard(n: int, rational_threshold: int) -> None:
-    if n > rational_threshold:
+def _guard(n: int) -> None:
+    if n > RATIONAL_THRESHOLD:
         raise SizeGuardError(
-            f"n={n} exceeds the exact-arithmetic guard {rational_threshold}"
+            f"n={n} exceeds the exact-arithmetic guard {RATIONAL_THRESHOLD}"
         )
 
 
-def compute_KA(
-    a: BiregularMatrix, *, rational_threshold: int = RATIONAL_THRESHOLD
-) -> KASet:
+def compute_KA(a: BiregularMatrix) -> KASet:
     """Brute-force K_A over all ordered pairs via f_perp and spaces_equal.
 
     F(A; i, j) = F(A; j, i), so the subspace test runs once per unordered
     pair and membership is recorded symmetrically.
     """
-    _guard(a.n, rational_threshold)
+    _guard(a.n)
     ker = kernel(a, "right")
     pairs: set[tuple[int, int]] = set()
     for i in range(a.n):
@@ -244,15 +246,13 @@ def count_x_bad(a: BiregularMatrix, x: Sequence[Fraction]) -> int:
     return count
 
 
-def rank_increasing_switchings(
-    a: BiregularMatrix, *, rational_threshold: int = RATIONAL_THRESHOLD
-) -> list[Switch]:
+def rank_increasing_switchings(a: BiregularMatrix) -> list[Switch]:
     """All feasible ordered tuples whose application raises the rank by one.
 
     Mirror tuples produce the same matrix, so the rank is evaluated once
     per canonical representative and both orders are emitted.
     """
-    _guard(a.n, rational_threshold)
+    _guard(a.n)
     r0 = rational_rank(a)
     out: list[Switch] = []
     for sw in dedup_switches(enumerate_switches(a)):
@@ -284,9 +284,7 @@ class MechanismReport:
     violations: tuple[dict, ...]
 
 
-def verify_increase_mechanism(
-    a: BiregularMatrix, *, rational_threshold: int = RATIONAL_THRESHOLD
-) -> MechanismReport:
+def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
     """Check, for every canonical right-kernel vector x and every feasible
     ordered switching with (i, j) in K_A: not x-bad implies rank goes up
     by exactly one.
@@ -294,12 +292,12 @@ def verify_increase_mechanism(
     Raises :class:`NotSingularError` on full-rank input (the mechanism has
     nothing to say there; K_A is empty anyway).
     """
-    _guard(a.n, rational_threshold)
+    _guard(a.n)
     r0 = rational_rank(a)
     corank = a.n - r0
     if corank == 0:
         raise NotSingularError(f"matrix has full rank {r0}")
-    ka = compute_KA(a, rational_threshold=rational_threshold)
+    ka = compute_KA(a)
     basis = kernel(a, "right").vectors
 
     rank_after: dict[Switch, int] = {}
@@ -400,9 +398,7 @@ def _left_vector_vanishing_at(
     return canon[0]
 
 
-def replay_KA_bound(
-    a: BiregularMatrix, *, rational_threshold: int = RATIONAL_THRESHOLD
-) -> ReplayReport:
+def replay_KA_bound(a: BiregularMatrix) -> ReplayReport:
     """Re-run the K_A lower-bound proof on a concrete singular matrix.
 
     Constructs y (left kernel), I = supp(y), and per i in I the partner
@@ -411,7 +407,7 @@ def replay_KA_bound(
     ``|K_A| >= |I| * min_i |partners(i)|``.  Failures of steps the proof
     guarantees raise :class:`WitnessConstructionError`.
     """
-    _guard(a.n, rational_threshold)
+    _guard(a.n)
     r0 = rational_rank(a)
     corank = a.n - r0
     if corank == 0:
@@ -427,7 +423,7 @@ def replay_KA_bound(
     if not support:
         raise WitnessConstructionError("left-kernel vector with empty support")
 
-    ka = compute_KA(a, rational_threshold=rational_threshold)
+    ka = compute_KA(a)
     dense = a.dense_rows()
 
     witnesses: list[ReplayWitness] = []
@@ -483,12 +479,7 @@ def replay_KA_bound(
 # ─── the delocalization event ───────────────────────────────────────────────
 
 
-def deloc_event(
-    a: BiregularMatrix,
-    params: DelocParams,
-    *,
-    rational_threshold: int = RATIONAL_THRESHOLD,
-) -> DelocResult:
+def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
     """Level-set bound over the certified subset of kernel vectors.
 
     Checks every canonical basis vector of both kernels and, when the
@@ -498,7 +489,7 @@ def deloc_event(
     finite subset the proofs consume, which is why reports label it a
     certified subset.
     """
-    _guard(a.n, rational_threshold)
+    _guard(a.n)
     theta = params.beta(a.n, a.d)
     candidates: list[tuple[str, tuple[Fraction, ...]]] = []
     right = kernel(a, "right")
@@ -506,7 +497,7 @@ def deloc_event(
     candidates.extend(("right-kernel-basis", v) for v in right.vectors)
     candidates.extend(("left-kernel-basis", v) for v in left.vectors)
     if right.dim > 0:
-        replay = replay_KA_bound(a, rational_threshold=rational_threshold)
+        replay = replay_KA_bound(a)
         candidates.append(("replay-y", replay.y))
         candidates.extend(
             (f"replay-row-{w.row}", w.vector) for w in replay.witnesses
@@ -608,8 +599,6 @@ def qr_relation_stats(
     r: int,
     matrices: Iterable[BiregularMatrix],
     params: DelocParams,
-    *,
-    rational_threshold: int = RATIONAL_THRESHOLD,
 ) -> QrStatsReport:
     """Build the rank-r to rank-(r+1) switching relation explicitly.
 
@@ -623,7 +612,7 @@ def qr_relation_stats(
     if not pool:
         raise ValueError("empty matrix family")
     n, d = pool[0].n, pool[0].d
-    _guard(n, rational_threshold)
+    _guard(n)
     if any(m.n != n or m.d != d for m in pool):
         raise ValueError("matrix family mixes different (n, d)")
     if not (1 <= r <= n - 2):
@@ -638,7 +627,7 @@ def qr_relation_stats(
     sources: list[BiregularMatrix] = []
     skipped = 0
     for m in classes.get(r, []):
-        if deloc_event(m, params, rational_threshold=rational_threshold).holds:
+        if deloc_event(m, params).holds:
             sources.append(m)
         else:
             skipped += 1
@@ -719,7 +708,6 @@ def run_family_checks(
     matrices: Iterable[BiregularMatrix],
     params: DelocParams | None = None,
     *,
-    rational_threshold: int = RATIONAL_THRESHOLD,
     max_witnesses: int = 10,
 ) -> list[CheckReport]:
     """Run every lemma-level check across one (n, d) family of matrices.
@@ -756,7 +744,7 @@ def run_family_checks(
             try:
                 count_with_bounds(m)
             except BoundViolation as exc:
-                _witness(rep, {"matrix": _ser(m), "error": str(exc)})
+                _witness(rep, {"matrix": serialize(m), "error": str(exc)})
                 continue
             lo = (m.n - m.d) * m.d - (m.d - 1) * (m.d - 1)
             hi = (m.n - m.d) * m.d
@@ -764,7 +752,7 @@ def run_family_checks(
                 if not (lo <= q <= hi):
                     _witness(
                         rep,
-                        {"matrix": _ser(m), "entry": [i, k], "count": q},
+                        {"matrix": serialize(m), "entry": [i, k], "count": q},
                     )
 
     def check_rank_delta(rep: CheckReport) -> None:
@@ -802,7 +790,7 @@ def run_family_checks(
                         _witness(
                             rep,
                             {
-                                "matrix": _ser(m),
+                                "matrix": serialize(m),
                                 "pair": [i, j],
                                 "vector": format_vector(bad[0]),
                             },
@@ -820,7 +808,7 @@ def run_family_checks(
                 except BoundViolation as exc:
                     _witness(
                         rep,
-                        {"matrix": _ser(m), "x": format_vector(x), "error": str(exc)},
+                        {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)},
                     )
 
     def check_mechanism(rep: CheckReport) -> None:
@@ -828,9 +816,9 @@ def run_family_checks(
             if rational_rank(m) == m.n:
                 continue
             rep.instances_checked += 1
-            mech = verify_increase_mechanism(m, rational_threshold=rational_threshold)
+            mech = verify_increase_mechanism(m)
             for v in mech.violations:
-                _witness(rep, {"matrix": _ser(m), **v})
+                _witness(rep, {"matrix": serialize(m), **v})
 
     def check_replay(rep: CheckReport) -> None:
         for m in pool:
@@ -838,21 +826,16 @@ def run_family_checks(
                 continue
             rep.instances_checked += 1
             try:
-                replay_KA_bound(m, rational_threshold=rational_threshold)
+                replay_KA_bound(m)
             except WitnessConstructionError as exc:
-                _witness(rep, {"matrix": _ser(m), "error": str(exc)})
+                _witness(rep, {"matrix": serialize(m), "error": str(exc)})
 
     def check_qr(rep: CheckReport) -> None:
         for r in range(1, n - 1):
             rep.instances_checked += 1
-            stats = qr_relation_stats(
-                r, pool, params, rational_threshold=rational_threshold
-            )
+            stats = qr_relation_stats(r, pool, params)
             if not stats.double_count_ok:
                 _witness(rep, {"r": r, "note": "double count failed"})
-
-    def _ser(m: BiregularMatrix) -> str:
-        return serialize(m)
 
     _report("switch-count-bounds", check_switch_counts)
     _report("rank-delta-law", check_rank_delta)

@@ -12,13 +12,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
 
 from dreglab import (
     GridSpec,
     SamplerConfig,
     apply_switch,
     block_diagonal,
+    chi_square_uniform,
     compute_KA,
     count_all,
     count_with_bounds,
@@ -34,7 +34,7 @@ from dreglab import (
     rational_rank,
     replay_KA_bound,
     run_grid,
-    sample_stub,
+    sample_uniform,
     summarize,
     verify_increase_mechanism,
 )
@@ -212,30 +212,17 @@ def test_criterion_06_x_bad_chain():
 # ─── 7. sampler exactness ────────────────────────────────────────────────────
 
 
-def _chi_square_uniform(n, d, samples, seed) -> tuple[float, float, int]:
-    support = list(enumerate_all(n, d))
-    tallies = {m: 0 for m in support}
-    rng = np.random.default_rng(seed)
-    accepted = 0
-    while accepted < samples:
-        m = sample_stub(n, d, rng)
-        if m is None:
-            continue
-        tallies[m] += 1  # KeyError would mean a non-member: instant failure
-        accepted += 1
-    expected = samples / len(support)
-    stat = sum((c - expected) ** 2 / expected for c in tallies.values())
-    critical = float(chi2.ppf(1 - 1e-3, len(support) - 1))
-    return stat, critical, len(support)
-
-
 def test_criterion_07_sampler_exactness():
     ok = True
     details = []
+    cfg = SamplerConfig()
     for n, d in [(4, 2), (5, 2), (4, 1)]:
-        stat, critical, size = _chi_square_uniform(n, d, 100_000, seed=300 + n)
-        ok = ok and stat <= critical
-        details.append(f"({n},{d}) X2={stat:.1f}<={critical:.1f} over {size}")
+        support = list(enumerate_all(n, d))
+        rng = np.random.default_rng(300 + n)
+        draws = (sample_uniform(n, d, cfg, rng) for _ in range(100_000))
+        stat, critical, strays = chi_square_uniform(support, draws, 1e-3)
+        ok = ok and stat <= critical and strays == 0
+        details.append(f"({n},{d}) X2={stat:.1f}<={critical:.1f} over {len(support)}")
     assert count_all(4, 1) == 24  # the d=1 support is the permutation family
     report(7, "sampler-exactness", ok, "; ".join(details))
 

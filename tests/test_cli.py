@@ -73,6 +73,20 @@ def test_estimate_config_file(tmp_path, capsys):
     assert '"frac_full_rank": 1.0' in out
 
 
+def test_estimate_config_refuses_unknown_sampler_field(tmp_path, capsys):
+    # the walk has no thinning knob, so a config asking for one is refused
+    cfg = {
+        "pairs": [[5, 2]],
+        "trials": 3,
+        "sampler": {"kind": "mcmc", "steps_between_samples": 3},
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "unknown sampler config fields" in err
+
+
 def test_estimate_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--pairs", "5:1", "--trials", "2", "--seed", "0",
@@ -129,6 +143,10 @@ def test_verify_small_sweep(capsys):
         ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--format", "json"],
         ["enumerate", "--n", "2", "--d", "1", "--seed", "1"],
         ["rank", "m.txt", "--workers", "2"],
+        ["estimate", "--pairs", "5:2", "--trials", "2", "--kind", "mcmc",
+         "--spacing", "3"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "6", "--kind", "mcmc",
+         "--spacing", "3"],
     ],
 )
 def test_ignored_flags_are_refused(argv, capsys):

@@ -16,7 +16,6 @@ from dreglab import (
     build,
     circulant,
     identity,
-    matrix_from_id,
     matrix_id,
     parse,
     serialize,
@@ -173,7 +172,8 @@ def test_matrix_id_round_trip_and_uniqueness():
     blobs = {matrix_id(a) for a in SAMPLES}
     assert len(blobs) == len(SAMPLES)
     for a in SAMPLES:
-        assert matrix_from_id(matrix_id(a)) == a
+        # an equal matrix rebuilt from its text form encodes identically
+        assert matrix_id(parse(serialize(a))) == matrix_id(a)
 
 
 def test_equality_is_structural():
@@ -187,7 +187,6 @@ def test_permutation_matrices_round_trip(perm):
     a = build(8, 1, [[p] for p in perm])
     assert dense_ok(a)
     assert parse(serialize(a)) == a
-    assert matrix_from_id(matrix_id(a)) == a
     # transpose of a permutation matrix is its inverse permutation
     inv = [0] * 8
     for s, p in enumerate(perm):

@@ -15,11 +15,11 @@ from dreglab import (
     all_ones,
     build,
     burn_in_default,
+    chi_square_uniform,
     circulant,
     count_all,
     draw_sample,
     enumerate_all,
-    mcmc_stream,
     sample_mcmc,
     sample_stub,
     sample_uniform,
@@ -148,22 +148,12 @@ def test_mcmc_terminal_family():
     assert sample_mcmc(3, 3, cfg, np.random.default_rng(0)) == all_ones(3)
 
 
-def test_mcmc_stream_spacing():
-    cfg = SamplerConfig(kind="mcmc", burn_in_steps=0, steps_between_samples=1)
-    stream = mcmc_stream(5, 2, cfg, np.random.default_rng(5))
-    first = next(stream)
-    assert first == circulant(5, 2)
-    rest = [next(stream) for _ in range(50)]
-    assert all(m.n == 5 and m.d == 2 for m in rest)
-
-
 def test_mcmc_visits_whole_small_family():
-    # ergodicity spot check: the walk on (4,2) reaches all 90 members
-    cfg = SamplerConfig(kind="mcmc", burn_in_steps=0, steps_between_samples=3)
-    stream = mcmc_stream(4, 2, cfg, np.random.default_rng(13))
-    seen = set()
-    for _ in range(6000):
-        seen.add(next(stream))
+    # ergodicity spot check: short walks from the circulant on (4,2) reach
+    # all 90 members
+    cfg = SamplerConfig(kind="mcmc", burn_in_steps=12)
+    rng = np.random.default_rng(13)
+    seen = {sample_mcmc(4, 2, cfg, rng) for _ in range(3000)}
     assert seen == set(enumerate_all(4, 2))
 
 
@@ -185,18 +175,36 @@ def test_config_validation_and_json():
     with pytest.raises(ValueError):
         SamplerConfig(max_rejections=0)
     with pytest.raises(ValueError):
-        SamplerConfig(steps_between_samples=0)
-    with pytest.raises(ValueError):
         SamplerConfig(burn_in_steps=-1)
     SamplerConfig(burn_in_steps=0)  # explicit zero is meaningful and allowed
 
-    cfg = SamplerConfig(kind="mcmc", burn_in_steps=12, steps_between_samples=3, seed=9)
+    cfg = SamplerConfig(kind="mcmc", burn_in_steps=12, seed=9)
     again = SamplerConfig.from_json(cfg.to_json())
     assert again == cfg
     with pytest.raises(ValueError):
         SamplerConfig.from_dict({"kind": "mcmc", "bogus_field": 1})
     payload = json.loads(cfg.to_json())
     assert payload["kind"] == "mcmc"
+
+
+def test_chi_square_uniform_counts_strays():
+    support = list(enumerate_all(3, 2))
+    draws = support * 4 + [circulant(4, 2)]  # one draw from another family
+    stat, critical, strays = chi_square_uniform(support, draws, 1e-3)
+    assert strays == 1
+    # 25 draws over 6 members: every tally is 4 against 25/6 expected
+    expected = 25 / 6
+    assert stat == pytest.approx(6 * (4 - expected) ** 2 / expected)
+    assert critical > stat
+
+
+def test_chi_square_uniform_single_member_family():
+    support = list(enumerate_all(3, 3))
+    assert support == [all_ones(3)]
+    draws = [all_ones(3)] * 10
+    assert chi_square_uniform(support, draws, 1e-3) == (0.0, 0.0, 0)
+    with pytest.raises(ValueError):
+        chi_square_uniform(support, [], 1e-3)
 
 
 def test_same_seed_same_draws():

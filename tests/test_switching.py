@@ -1,4 +1,4 @@
-"""The simple switching move: feasibility, counting bounds, sessions."""
+"""The simple switching move: feasibility, counting bounds, random draws."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from dreglab import (
     InfeasibleSwitchError,
     NoSwitchError,
     Switch,
-    SwitchSession,
     all_ones,
     apply_switch,
     block_diagonal,
@@ -20,9 +19,7 @@ from dreglab import (
     count_with_bounds,
     dedup_switches,
     enumerate_switches,
-    format_switch,
     identity,
-    parse_switch,
     per_entry_counts,
     random_switch,
 )
@@ -153,13 +150,6 @@ def test_circulant_5_2_total_frozen():
     assert c.total == len(brute_force_switches(circulant(5, 2))) == 50
 
 
-def test_switch_text_round_trip():
-    sw = Switch(3, 1, 4, 0)
-    assert parse_switch(format_switch(sw)) == sw
-    with pytest.raises(ValueError):
-        parse_switch("1 2 3")
-
-
 def test_random_switch_is_feasible_and_covers():
     rng = np.random.default_rng(5)
     a = circulant(6, 2)
@@ -174,31 +164,6 @@ def test_random_switch_is_feasible_and_covers():
 def test_random_switch_none_available():
     with pytest.raises(NoSwitchError):
         random_switch(all_ones(3), np.random.default_rng(0), max_tries=50)
-
-
-def test_session_apply_undo_freeze():
-    b = circulant(6, 2)
-    session = SwitchSession(b)
-    moves = []
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        sw = random_switch(session.freeze(), rng)
-        session.apply(sw)
-        moves.append(sw)
-    assert session.steps_applied == 10
-    frozen = session.freeze()
-    assert frozen.n == 6 and frozen.d == 2
-    for _ in moves:
-        session.undo()
-    assert session.freeze() == b
-    with pytest.raises(IndexError):
-        session.undo()
-
-
-def test_session_rejects_infeasible():
-    session = SwitchSession(block_diagonal(2, 2))
-    with pytest.raises(InfeasibleSwitchError):
-        session.apply(Switch(0, 1, 0, 1))
 
 
 @settings(max_examples=25, deadline=None)
