@@ -56,11 +56,16 @@ def _add_common(
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    kwargs: dict = {"kind": args.kind}
-    if getattr(args, "max_rejections", None) is not None:
-        kwargs["max_rejections"] = args.max_rejections
-    if getattr(args, "burn_in", None) is not None:
-        kwargs["burn_in_steps"] = args.burn_in
+    """The sampler the flags name; a flag that sampler would not read is refused."""
+    kind = args.kind or "stub_rejection"
+    max_rejections = getattr(args, "max_rejections", None)
+    if kind == "stub_rejection" and args.burn_in is not None:
+        raise ValueError("--burn-in applies only to --kind mcmc")
+    if kind == "mcmc" and max_rejections is not None:
+        raise ValueError("--max-rejections applies only to --kind stub_rejection")
+    kwargs: dict = {"kind": kind, "burn_in_steps": args.burn_in}
+    if max_rejections is not None:
+        kwargs["max_rejections"] = max_rejections
     return SamplerConfig(**kwargs)
 
 
@@ -83,8 +88,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.config is not None:
-        if args.pairs is not None or args.trials is not None:
-            raise ValueError("--config excludes --pairs/--trials")
+        flags = (args.pairs, args.trials, args.kind, args.max_rejections, args.burn_in)
+        if any(v is not None for v in flags):
+            raise ValueError(
+                "--config excludes --pairs/--trials/--kind/--max-rejections/--burn-in"
+            )
         grid = GridSpec.from_json(Path(args.config).read_text())
     else:
         if args.pairs is None or args.trials is None:
@@ -252,6 +260,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _rref_text(row: tuple[int, ...]) -> str:
+    """A canonical integer basis row printed as its RREF row over Q (lead 1)."""
+    lead = next(v for v in row if v)
+    return format_vector([Fraction(v, lead) for v in row])
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     text = Path(args.matrix_file).read_text()
     a = parse(text)
@@ -267,8 +281,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if report.corank >= 1 and a.n <= RATIONAL_THRESHOLD:
         right = kernel(a, "right")
         left = kernel(a, "left")
-        payload["right_kernel"] = [format_vector(v) for v in right.vectors]
-        payload["left_kernel"] = [format_vector(v) for v in left.vectors]
+        payload["right_kernel"] = [_rref_text(v) for v in right.vectors]
+        payload["left_kernel"] = [_rref_text(v) for v in left.vectors]
         payload["max_kernel_level_set"] = max(
             level_sets(v).max_size for v in right.vectors + left.vectors
         )
@@ -294,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", type=str, default=None, help="GridSpec JSON file")
     est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
     est.add_argument("--trials", type=int, default=None)
-    est.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
+    est.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
     est.add_argument("--max-rejections", type=int, default=None)
     est.add_argument("--burn-in", type=int, default=None)
     est.add_argument(
@@ -316,8 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--samples", type=int, required=True)
-    st.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
-    st.add_argument("--max-rejections", type=int, default=None)
+    st.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
     st.add_argument("--burn-in", type=int, default=None)
     st.add_argument("--significance", type=float, default=1e-3)
     st.set_defaults(fn=_cmd_sampler_test)
@@ -328,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--d", type=int, required=True)
     dl.add_argument("--trials", type=int, required=True)
     dl.add_argument("--C", type=str, default="1", help="deloc constant (rational)")
-    dl.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
+    dl.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
     dl.add_argument("--max-rejections", type=int, default=None)
     dl.add_argument("--burn-in", type=int, default=None)
     dl.set_defaults(fn=_cmd_deloc_stats)

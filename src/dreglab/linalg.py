@@ -5,15 +5,14 @@ Everything here is exact: ranks are computed modulo random 62-bit primes
 fraction-free integer elimination (Bareiss) at moderate sizes, so reported
 ranks are never floating-point guesses.
 
-Kernels stay in the integers from the Bareiss echelon on: integer
+Vectors are integers from the Bareiss echelon to the caller: integer
 back-substitution gives primitive integer vectors, and one fraction-free
-Gauss-Jordan reduction turns integer vectors into the canonical basis of
-their span (reduced row echelon rows scaled to coprime integers, leading
-entries positive).  ``Fraction``s are made only at the API boundary:
-:class:`KernelBasis` and :class:`SubspaceBasis` hold the reduced row
-echelon basis over Q (leading coefficients 1, entries in lowest terms),
-and :func:`spaces_equal` and :func:`in_span` clear denominators before
-reducing.  Two spans are equal iff their canonical bases are identical.
+Gauss-Jordan reduction turns them into the canonical basis of their span
+(reduced row echelon rows scaled to coprime integers, leading entries
+positive).  :class:`SubspaceBasis` holds that basis, so two spans are equal
+iff their ``vectors`` are equal.  Vectors from outside may be ints or
+``Fraction``s; :func:`spaces_equal`, :func:`in_span` and :func:`span_basis`
+clear their denominators before reducing.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .matrix import BiregularMatrix, matrix_id
 
 __all__ = [
     "RankReport",
-    "KernelBasis",
     "SubspaceBasis",
     "rank_mod_p",
     "rational_rank",
@@ -285,26 +283,16 @@ def _int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row) for row in work[:r]]
 
 
-def _fraction_rows(int_rref: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The RREF over Q: each canonical integer row divided by its lead."""
-    out = []
-    for row in int_rref:
-        lead = next(v for v in row if v)
-        out.append(tuple(Fraction(v, lead) for v in row))
-    return tuple(out)
-
-
 def _integer_rows(space) -> list[list[int]]:
     """Vectors of ``space`` (a basis or vector list) with denominators cleared.
 
-    Each rational vector is scaled by the lcm of its denominators, which
-    leaves every span unchanged.
+    Entries may be ints or ``Fraction``s; each vector is scaled by the lcm
+    of its denominators, which leaves every span unchanged.
     """
     rows = []
     for vec in getattr(space, "vectors", space):
-        vals = [Fraction(v) for v in vec]
-        den = lcm(*(v.denominator for v in vals))
-        rows.append([v.numerator * (den // v.denominator) for v in vals])
+        den = lcm(*(v.denominator for v in vec))
+        rows.append([v.numerator * (den // v.denominator) for v in vec])
     return rows
 
 
@@ -322,22 +310,14 @@ class RankReport:
 
 
 @dataclass(frozen=True)
-class KernelBasis:
-    """Canonical (RREF) basis of ker A (side="right") or ker A^T (side="left")."""
-
-    side: str
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
 class SubspaceBasis:
-    """Canonical (RREF) basis of a rational subspace of Q^n."""
+    """Canonical basis of a subspace of Q^n.
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    The rows are the reduced row echelon basis, each scaled to coprime
+    integers with a positive leading entry.
+    """
+
+    vectors: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -406,7 +386,7 @@ def rank_exact(
     )
 
 
-def kernel(a: BiregularMatrix, side: str = "right") -> KernelBasis:
+def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
     """Canonical basis of the right kernel {x : Ax = 0} or left kernel.
 
     The left kernel is computed as the right kernel of the transpose.  The
@@ -418,7 +398,7 @@ def kernel(a: BiregularMatrix, side: str = "right") -> KernelBasis:
     m = a if side == "right" else a.transpose()
     pivot_cols, pivot_rows = _echelon_of(m)
     vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return KernelBasis(side=side, vectors=_fraction_rows(_int_rref(vectors)))
+    return SubspaceBasis(vectors=tuple(_int_rref(vectors)))
 
 
 def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
@@ -437,12 +417,12 @@ def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
     rows.append([x + y for x, y in zip(dense[i], dense[j])])
     pivot_cols, pivot_rows = _int_echelon(rows)
     vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return SubspaceBasis(vectors=_fraction_rows(_int_rref(vectors)))
+    return SubspaceBasis(vectors=tuple(_int_rref(vectors)))
 
 
-def span_basis(vectors: Iterable[Sequence[Fraction]]) -> SubspaceBasis:
-    """Canonical (RREF) basis of the span of rational vectors."""
-    return SubspaceBasis(vectors=_fraction_rows(_int_rref(_integer_rows(vectors))))
+def span_basis(vectors: Iterable[Sequence[int | Fraction]]) -> SubspaceBasis:
+    """Canonical basis of the span of rational (int or Fraction) vectors."""
+    return SubspaceBasis(vectors=tuple(_int_rref(_integer_rows(vectors))))
 
 
 def spaces_equal(first, second) -> bool:
@@ -459,7 +439,7 @@ def spaces_equal(first, second) -> bool:
     return _int_rref(u) == _int_rref(v)
 
 
-def in_span(vector: Sequence[Fraction], space) -> bool:
+def in_span(vector: Sequence[int | Fraction], space) -> bool:
     """Whether ``vector`` lies in the span of ``space`` (a basis or vector list)."""
     basis = _integer_rows(space)
     (v,) = _integer_rows([vector])
@@ -473,14 +453,14 @@ def in_span(vector: Sequence[Fraction], space) -> bool:
     return _int_rref(rref + [v]) == rref
 
 
-def matvec(a: BiregularMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def matvec(a: BiregularMatrix, x: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
     """Exact product A x for a rational vector x (row-support dot products)."""
     if len(x) != a.n:
         raise DimensionError(f"vector length {len(x)} != n = {a.n}")
-    return tuple(sum((x[t] for t in support), Fraction(0)) for support in a.row_supports)
+    return tuple(sum(x[t] for t in support) for support in a.row_supports)
 
 
-def format_vector(x: Sequence[Fraction]) -> str:
+def format_vector(x: Sequence[int | Fraction]) -> str:
     """Space-separated ``num/den`` tokens in lowest terms."""
     return " ".join(
         f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in x

@@ -17,7 +17,10 @@ computation on concrete matrices:
 * the double-counting claim and the explicit rank-class relation Q_r
   built from deduped switchings.
 
-Everything is exact (rational arithmetic); there is no tolerance anywhere.
+Everything is exact: kernel vectors are the canonical integer bases of
+:mod:`dreglab.linalg`, and the questions asked of them (span equality,
+x_k = x_l, level-set sizes) do not depend on how a vector is scaled.
+There is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -95,13 +98,13 @@ class LevelSetProfile:
 
     sizes: tuple[int, ...]  # descending
     max_size: int
-    by_value: tuple[tuple[Fraction, int], ...]  # (value, size), value-sorted
+    by_value: tuple[tuple[int | Fraction, int], ...]  # (value, size), value-sorted
 
 
-def level_sets(x: Sequence[Fraction]) -> LevelSetProfile:
-    """Group coordinates by exact rational value.
+def level_sets(x: Sequence[int | Fraction]) -> LevelSetProfile:
+    """Group coordinates by exact value.
 
-    Coordinates are counted as given (Fractions or ints, which hash and
+    Coordinates are counted as given (ints or Fractions, which hash and
     compare by value).
     """
     counts = Counter(x)
@@ -146,8 +149,8 @@ class DelocResult:
     theta: float
     C: Fraction
     vectors_checked: int
-    witness_vector: tuple[Fraction, ...] | None = None
-    witness_value: Fraction | None = None
+    witness_vector: tuple[int | Fraction, ...] | None = None
+    witness_value: int | Fraction | None = None
     witness_size: int | None = None
     witness_source: str | None = None
 
@@ -207,7 +210,7 @@ def rank_delta_check(a: BiregularMatrix, sw: Switch) -> int:
     return rational_rank(bar) - rational_rank(a)
 
 
-def is_x_bad(a: BiregularMatrix, sw: Switch, x: Sequence[Fraction]) -> bool:
+def is_x_bad(a: BiregularMatrix, sw: Switch, x: Sequence[int | Fraction]) -> bool:
     """Whether the switching is x-bad: x_k = x_l exactly.
 
     For any x this is equivalent to "the switched matrix maps x the same
@@ -218,10 +221,10 @@ def is_x_bad(a: BiregularMatrix, sw: Switch, x: Sequence[Fraction]) -> bool:
         raise DimensionError(f"vector length {len(x)} != n = {a.n}")
     if not can_perform(a, sw):
         raise InfeasibleSwitchError(f"{sw} is not feasible")
-    return Fraction(x[sw.k]) == Fraction(x[sw.l])
+    return x[sw.k] == x[sw.l]
 
 
-def count_x_bad(a: BiregularMatrix, x: Sequence[Fraction]) -> int:
+def count_x_bad(a: BiregularMatrix, x: Sequence[int | Fraction]) -> int:
     """Number of feasible ordered switchings that are x-bad.
 
     Asserts the unconditional chain
@@ -232,9 +235,8 @@ def count_x_bad(a: BiregularMatrix, x: Sequence[Fraction]) -> int:
     """
     if len(x) != a.n:
         raise DimensionError(f"vector length {len(x)} != n = {a.n}")
-    vals = [Fraction(v) for v in x]
-    count = sum(1 for sw in enumerate_switches(a) if vals[sw.k] == vals[sw.l])
-    profile = level_sets(vals)
+    count = sum(1 for sw in enumerate_switches(a) if x[sw.k] == x[sw.l])
+    profile = level_sets(x)
     d2 = a.d * a.d
     middle = d2 * sum(s * s for s in profile.sizes)
     top = a.n * profile.max_size * d2
@@ -345,7 +347,7 @@ def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
 class ReplayWitness:
     """Witness constructed for one row i in the support of y.
 
-    For corank >= 2, ``vector`` is a left-kernel z with z_i = 0 and
+    For corank >= 2, ``vector`` is an integer left-kernel z with z_i = 0 and
     ``partners`` = supp(z) (the set J(i)); for corank = 1 it is the
     coefficient vector x = -y / y_i (so x_i = -1) and ``partners`` =
     {j : x_j != -1}.  ``zeroed_row_rank`` is the rank of A with row i
@@ -353,7 +355,7 @@ class ReplayWitness:
     """
 
     row: int
-    vector: tuple[Fraction, ...]
+    vector: tuple[int, ...] | tuple[Fraction, ...]
     partners: tuple[int, ...]
     zeroed_row_rank: int
 
@@ -366,7 +368,7 @@ class ReplayReport:
     d: int
     rank: int
     corank: int
-    y: tuple[Fraction, ...]
+    y: tuple[int, ...]
     support: tuple[int, ...]  # I = supp(y)
     witnesses: tuple[ReplayWitness, ...]
     certified_pairs: tuple[tuple[int, int], ...]
@@ -375,18 +377,19 @@ class ReplayReport:
 
 
 def _left_vector_vanishing_at(
-    basis: Sequence[Sequence[Fraction]], i: int
-) -> tuple[Fraction, ...]:
+    basis: Sequence[Sequence[int]], i: int
+) -> tuple[int, ...]:
     """A nonzero combination of left-kernel basis vectors with coordinate i = 0.
 
     Exists whenever the basis has at least two vectors; deterministic via
-    RREF of the eliminated set.
+    the canonical basis of the eliminated set.
     """
     pivot = next((u for u in basis if u[i] != 0), None)
     if pivot is None:
         return tuple(basis[0])
+    p = pivot[i]
     reduced = [
-        tuple(w[t] - (w[i] / pivot[i]) * pivot[t] for t in range(len(pivot)))
+        tuple(p * wt - w[i] * pt for wt, pt in zip(w, pivot))
         for w in basis
         if w is not pivot
     ]
@@ -443,7 +446,7 @@ def replay_KA_bound(a: BiregularMatrix) -> ReplayReport:
             partners = tuple(j for j in range(a.n) if z[j] != 0)
             vec = z
         else:
-            vec = tuple(-v / y[i] for v in y)
+            vec = tuple(Fraction(-v, y[i]) for v in y)
             partners = tuple(j for j in range(a.n) if vec[j] != -1)
         if not partners:
             raise WitnessConstructionError(f"no partner columns for row {i}")
@@ -491,7 +494,7 @@ def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
     """
     _guard(a.n)
     theta = params.beta(a.n, a.d)
-    candidates: list[tuple[str, tuple[Fraction, ...]]] = []
+    candidates: list[tuple[str, tuple[int | Fraction, ...]]] = []
     right = kernel(a, "right")
     left = kernel(a, "left")
     candidates.extend(("right-kernel-basis", v) for v in right.vectors)
@@ -799,8 +802,8 @@ def run_family_checks(
     def check_x_bad_chain(rep: CheckReport) -> None:
         for m in pool:
             vectors = list(kernel(m, "right").vectors)
-            vectors.append(tuple(Fraction(1) for _ in range(m.n)))  # constant
-            vectors.append(tuple(Fraction(s) for s in range(m.n)))  # distinct
+            vectors.append((1,) * m.n)  # constant
+            vectors.append(tuple(range(m.n)))  # distinct
             for x in vectors:
                 rep.instances_checked += 1
                 try:

@@ -147,6 +147,7 @@ def test_verify_small_sweep(capsys):
          "--spacing", "3"],
         ["sampler-test", "--n", "3", "--d", "2", "--samples", "6", "--kind", "mcmc",
          "--spacing", "3"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--max-rejections", "5"],
     ],
 )
 def test_ignored_flags_are_refused(argv, capsys):
@@ -155,6 +156,34 @@ def test_ignored_flags_are_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--pairs", "5:2", "--trials", "2", "--burn-in", "5"],
+        ["estimate", "--pairs", "5:2", "--trials", "2", "--kind", "mcmc",
+         "--max-rejections", "5"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--burn-in", "7"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "60",
+         "--kind", "stub_rejection", "--burn-in", "7"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--burn-in", "5"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--kind", "mcmc",
+         "--max-rejections", "5"],
+        ["estimate", "--config", "GRID", "--kind", "mcmc"],
+        ["estimate", "--config", "GRID", "--burn-in", "5"],
+        ["estimate", "--config", "GRID", "--max-rejections", "5"],
+    ],
+)
+def test_sampler_flags_without_effect_are_refused(argv, tmp_path, capsys):
+    # the stub sampler reads no burn-in, the walk no rejection budget, and a
+    # grid file names its own sampler
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"pairs": [[5, 2]], "trials": 2}))
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_size_guard(capsys):
@@ -248,6 +277,17 @@ def test_rank_singular_includes_kernels(tmp_path, capsys):
     assert payload["corank"] == 2
     assert payload["right_kernel"] == ["1/1 -1/1 0/1 0/1", "0/1 0/1 1/1 -1/1"]
     assert payload["max_kernel_level_set"] == 2
+
+
+def test_rank_prints_rational_rref(tmp_path, capsys):
+    # kernel rows print as the RREF over Q, whatever form the library holds
+    path = tmp_path / "m.txt"
+    path.write_text("6 3\n0 1 2\n0 1 3\n0 2 3\n1 4 5\n2 4 5\n3 4 5\n")
+    code, out, _ = run_cli(capsys, "rank", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["right_kernel"] == ["1/1 -1/2 -1/2 -1/2 0/1 1/2", "0/1 0/1 0/1 0/1 1/1 -1/1"]
+    assert payload["max_kernel_level_set"] == 4
 
 
 def test_rank_bad_file(tmp_path, capsys):

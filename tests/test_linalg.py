@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def oracle_nullspace(rows, ncols) -> tuple[tuple[Fraction, ...], ...]:
     return oracle_rref(basis)
 
 
+def integer_form(rref) -> tuple[tuple[int, ...], ...]:
+    """Each RREF row scaled to coprime integers (its lead is 1, so it stays positive)."""
+    out = []
+    for row in rref:
+        den = lcm(*(v.denominator for v in row))
+        ints = [int(v * den) for v in row]
+        g = gcd(*ints)
+        out.append(tuple(v // g for v in ints))
+    return tuple(out)
+
+
+# its right kernel has the non-integral RREF row (1, -1/2, -1/2, -1/2, 0, 1/2)
+HALVES = build(6, 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 4, 5], [2, 4, 5], [3, 4, 5]])
+
 FIXTURES = [
     identity(1),
     identity(6),
@@ -145,14 +160,18 @@ def test_kernel_vectors_annihilate():
 
 def test_kernel_canonical_form():
     k = kernel(block_diagonal(2, 2), "right")
-    assert k.vectors == (
-        (Fraction(1), Fraction(-1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-    )
-    # leading entries are 1 and each pivot column is otherwise zero
-    for v in kernel(circulant(6, 2), "right").vectors:
-        lead = next(ix for ix, val in enumerate(v) if val != 0)
-        assert v[lead] == 1
+    assert k.vectors == ((1, -1, 0, 0), (0, 0, 1, -1))
+    assert kernel(HALVES, "right").vectors == ((2, -1, -1, -1, 0, 1), (0, 0, 0, 0, 1, -1))
+    # integer entries, coprime rows, positive leads, pivot columns otherwise zero
+    for a in FIXTURES + [HALVES]:
+        for side in ("right", "left"):
+            vectors = kernel(a, side).vectors
+            leads = [next(ix for ix, val in enumerate(v) if val != 0) for v in vectors]
+            assert leads == sorted(set(leads))
+            for v, lead in zip(vectors, leads):
+                assert all(type(val) is int for val in v)
+                assert gcd(*v) == 1 and v[lead] > 0
+                assert all(w[lead] == 0 for w in vectors if w is not v)
 
 
 def test_kernel_side_validation():
@@ -207,9 +226,11 @@ SMALL_FAMILIES = [(n, d) for n in range(1, 5) for d in range(1, n + 1)]
 def test_kernel_matches_oracle_on_small_families():
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
-            assert kernel(m, "right").vectors == oracle_nullspace(m.dense_rows(), n), m
-            assert kernel(m, "left").vectors == oracle_nullspace(
-                m.transpose().dense_rows(), n
+            assert kernel(m, "right").vectors == integer_form(
+                oracle_nullspace(m.dense_rows(), n)
+            ), m
+            assert kernel(m, "left").vectors == integer_form(
+                oracle_nullspace(m.transpose().dense_rows(), n)
             ), m
 
 
@@ -222,8 +243,10 @@ def test_kernel_matches_oracle_on_stub_samples(n, d):
         a = None
         while a is None:
             a = sample_stub(n, d, rng)
-        assert kernel(a, "right").vectors == oracle_nullspace(a.dense_rows(), n)
-        assert kernel(a, "left").vectors == oracle_nullspace(a.transpose().dense_rows(), n)
+        assert kernel(a, "right").vectors == integer_form(oracle_nullspace(a.dense_rows(), n))
+        assert kernel(a, "left").vectors == integer_form(
+            oracle_nullspace(a.transpose().dense_rows(), n)
+        )
 
 
 def test_f_perp_matches_oracle_on_small_families():
@@ -236,7 +259,9 @@ def test_f_perp_matches_oracle_on_small_families():
                         continue
                     rows = [dense[s] for s in range(n) if s not in (i, j)]
                     rows.append([x + y for x, y in zip(dense[i], dense[j])])
-                    assert f_perp(m, i, j).vectors == oracle_nullspace(rows, n), (m, i, j)
+                    assert f_perp(m, i, j).vectors == integer_form(
+                        oracle_nullspace(rows, n)
+                    ), (m, i, j)
 
 
 def _disguised(vectors, rng):
