@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import NoSwitchError, RejectionBudgetExceeded
+from .errors import RejectionBudgetExceeded
 from .linalg import RATIONAL_THRESHOLD, kernel, rank_exact
 from .sampler import SamplerConfig, draw_sample
 from .verifiers import level_sets
@@ -205,7 +205,7 @@ def run_trial(
     )
     try:
         a = draw_sample(n, d, config, rng)
-    except (RejectionBudgetExceeded, NoSwitchError) as exc:
+    except RejectionBudgetExceeded as exc:
         elapsed = int((time.perf_counter() - start) * 1000) if timings else None
         return TrialRecord(**base, error=str(exc), wall_time_ms=elapsed)
 

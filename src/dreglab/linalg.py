@@ -1,6 +1,6 @@
 """Exact rank and kernel computations for 0/1 matrices.
 
-Everything here is exact: ranks are computed modulo random 62-bit primes
+Everything here is exact: ranks are computed modulo two fixed 62-bit primes
 (fast, one-sided — a modular rank can only undershoot) and confirmed by
 fraction-free integer elimination (Bareiss) at moderate sizes, so reported
 ranks are never floating-point guesses.
@@ -17,8 +17,6 @@ clear their denominators before reducing.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +25,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DimensionError
-from .matrix import BiregularMatrix, matrix_id
+from .matrix import BiregularMatrix
 
 __all__ = [
     "RankReport",
@@ -51,58 +49,9 @@ __all__ = [
 # modular consensus stands alone unless the primes disagree.
 RATIONAL_THRESHOLD = 128
 
-_PRIME_LOW = (1 << 61) + 1
-_PRIME_HIGH = 1 << 62
-
-_SMALL_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-# Deterministic Miller-Rabin base set, valid for all candidates below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_u64(x: int) -> bool:
-    """Deterministic primality test for odd x in the 62-bit window."""
-    for p in _SMALL_PRIMES:
-        if x % p == 0:
-            return x == p
-    d = x - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        v = pow(a, d, x)
-        if v == 1 or v == x - 1:
-            continue
-        for _ in range(r - 1):
-            v = (v * v) % x
-            if v == x - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_stream(seed: int):
-    """Deterministic stream of distinct random 62-bit primes."""
-    gen = random.Random(seed)
-    seen: set[int] = set()
-    while True:
-        c = gen.randrange(_PRIME_LOW, _PRIME_HIGH, 2)
-        if c in seen:
-            continue
-        seen.add(c)
-        if _is_prime_u64(c):
-            yield c
-
-
-def _default_prime_seed(a: BiregularMatrix) -> int:
-    # Derived from the matrix bytes so reruns on the same matrix replay the
-    # same primes without any global state.
-    digest = hashlib.blake2b(matrix_id(a), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+# Two fixed primes just below 2^62 (2^62 - 57 and 2^62 - 87).  A modular
+# rank can only undershoot, so their maximum is a lower bound on the rank.
+_PRIMES = (4611686018427387847, 4611686018427387817)
 
 
 # ─── elimination cores ──────────────────────────────────────────────────────
@@ -341,32 +290,19 @@ def rational_rank_rows(rows: Sequence[Sequence[int]]) -> int:
     return len(_int_echelon(rows)[0])
 
 
-def rank_exact(
-    a: BiregularMatrix, *, prime_seed: int | None = None
-) -> RankReport:
+def rank_exact(a: BiregularMatrix) -> RankReport:
     """Exact rank via two-prime modular consensus plus rational confirmation.
 
-    Two distinct random 62-bit primes are drawn from a deterministic stream
-    seeded by ``prime_seed`` (default: a hash of the matrix bytes, so equal
-    matrices replay identical primes).  If the two modular ranks disagree,
-    two more primes are drawn, the maximum is kept, and rational
-    confirmation is forced; otherwise rational elimination runs whenever
-    ``n <= RATIONAL_THRESHOLD``.  The rational rank is authoritative: it can
-    never be smaller than a modular rank, and a larger modular rank raises
+    The rank is computed modulo both primes in ``_PRIMES``.  Rational
+    elimination runs whenever ``n <= RATIONAL_THRESHOLD`` or the two modular
+    ranks disagree.  The rational rank is authoritative: it can never be
+    smaller than a modular rank, and a larger modular rank raises
     :class:`ConsistencyError`.
     """
-    seed = _default_prime_seed(a) if prime_seed is None else prime_seed
-    stream = _prime_stream(seed)
-    primes = [next(stream), next(stream)]
-    ranks = [_rank_rows_mod_p(a.dense_rows(), p) for p in primes]
-    forced = ranks[0] != ranks[1]
-    if forced:
-        extra = [next(stream), next(stream)]
-        primes.extend(extra)
-        ranks.extend(_rank_rows_mod_p(a.dense_rows(), p) for p in extra)
+    ranks = [_rank_rows_mod_p(a.dense_rows(), p) for p in _PRIMES]
     modular = max(ranks)
 
-    if forced or a.n <= RATIONAL_THRESHOLD:
+    if ranks[0] != ranks[1] or a.n <= RATIONAL_THRESHOLD:
         r = rational_rank(a)
         if r < modular:
             raise ConsistencyError(
@@ -375,13 +311,13 @@ def rank_exact(
         return RankReport(
             rank=r,
             corank=a.n - r,
-            primes_used=tuple(primes),
+            primes_used=_PRIMES,
             rationally_confirmed=True,
         )
     return RankReport(
         rank=modular,
         corank=a.n - modular,
-        primes_used=tuple(primes),
+        primes_used=_PRIMES,
         rationally_confirmed=False,
     )
 

@@ -18,7 +18,6 @@ The identity at n=2 serializes as ``"2 1\\n0\\n1\\n"``.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -38,7 +37,6 @@ __all__ = [
     "block_diagonal",
     "serialize",
     "parse",
-    "matrix_id",
 ]
 
 
@@ -233,15 +231,3 @@ def parse(text: str) -> BiregularMatrix:
         rows.append(tuple(support))
     return build(n, d, rows)
 
-
-# MatrixId layout: big-endian u32 n, u32 d, then n*d u16 column indices in
-# row-major order.  Fixed width for given (n, d); usable as a dict key.
-_ID_HEADER = struct.Struct(">II")
-
-
-def matrix_id(a: BiregularMatrix) -> bytes:
-    """Compact canonical byte encoding; equal matrices encode identically."""
-    if a.n >= 1 << 16:
-        raise ValueError(f"matrix_id supports n < 65536, got n={a.n}")
-    flat = [t for support in a.row_supports for t in support]
-    return _ID_HEADER.pack(a.n, a.d) + struct.pack(f">{len(flat)}H", *flat)

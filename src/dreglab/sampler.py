@@ -245,8 +245,11 @@ def chi_square_uniform(
     chi-square law with ``len(support) - 1`` degrees of freedom (0.0 for a
     one-member family), and the number of draws outside ``support``.  Every
     draw counts towards the expected count, strays included.  Uniformity is
-    accepted iff ``stat <= critical`` and ``strays == 0``.
+    accepted iff ``stat <= critical`` and ``strays == 0``.  ``significance``
+    must lie strictly between 0 and 1.
     """
+    if not 0 < significance < 1:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     tallies = dict.fromkeys(support, 0)
     samples = strays = 0
     for m in draws:

@@ -219,6 +219,17 @@ def test_sampler_test_broken_chain_fails(capsys):
     assert payload["acceptance_rate"] is None
 
 
+@pytest.mark.parametrize("significance", ["0", "1", "1.5", "-0.1", "nan"])
+def test_sampler_test_refuses_significance_outside_unit_interval(significance, capsys):
+    code, out, err = run_cli(
+        capsys, "sampler-test", "--n", "3", "--d", "2", "--samples", "50",
+        "--seed", "1", "--significance", significance,
+    )
+    assert code == 2
+    assert out == ""
+    assert "significance" in err
+
+
 def test_sampler_test_size_guard(capsys):
     code, _, _ = run_cli(capsys, "sampler-test", "--n", "12", "--d", "3", "--samples", "10")
     assert code == 3

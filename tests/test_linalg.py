@@ -31,6 +31,7 @@ from dreglab import (
     spaces_equal,
     span_basis,
 )
+from dreglab import linalg
 
 # ─── independent oracle: plain Fraction Gauss-Jordan elimination ───────────
 
@@ -130,11 +131,36 @@ def test_rank_exact_consensus_and_report():
         assert len(set(rep.primes_used)) == len(rep.primes_used)
 
 
-def test_rank_exact_deterministic_primes():
+def test_rank_exact_is_deterministic():
     a = circulant(7, 3)
     r1, r2 = rank_exact(a), rank_exact(a)
-    assert r1.primes_used == r2.primes_used
-    assert rank_exact(a, prime_seed=99).primes_used != r1.primes_used
+    assert r1 == r2
+
+
+def test_rank_exact_above_rational_threshold():
+    # n = 130 > RATIONAL_THRESHOLD, so the primes agree and decide alone.
+    # circulant(n, 2) has corank 1 exactly when n is even; circulant(n, 3)
+    # is singular only when 3 divides n (a cube root of unity is a root)
+    assert linalg.RATIONAL_THRESHOLD < 130
+    singular = rank_exact(circulant(130, 2))
+    assert singular.rank == 129 == rational_rank(circulant(130, 2))
+    assert singular.corank == 1
+    assert not singular.rationally_confirmed
+    full = rank_exact(circulant(130, 3))
+    assert full.rank == 130 == rational_rank(circulant(130, 3))
+    assert not full.rationally_confirmed
+
+
+def test_rank_exact_prime_disagreement_forces_rational(monkeypatch):
+    # det circulant(3, 2) = 2: its rank is 2 mod 2 and 3 mod 3, so the two
+    # modular ranks disagree and rational elimination must decide
+    monkeypatch.setattr(linalg, "_PRIMES", (2, 3))
+    monkeypatch.setattr(linalg, "RATIONAL_THRESHOLD", 1)
+    rep = rank_exact(circulant(3, 2))
+    assert rep.rank == 3
+    assert rep.corank == 0
+    assert rep.rationally_confirmed
+    assert rep.primes_used == (2, 3)
 
 
 def test_rank_mod_p_never_exceeds_rational():

@@ -16,7 +16,6 @@ from dreglab import (
     build,
     circulant,
     identity,
-    matrix_id,
     parse,
     serialize,
 )
@@ -166,14 +165,6 @@ def test_parse_error_carries_location():
 def test_degree_errors_pass_through_parse():
     with pytest.raises(ColDegreeError):
         parse("3 2\n0 1\n0 1\n0 2\n")
-
-
-def test_matrix_id_round_trip_and_uniqueness():
-    blobs = {matrix_id(a) for a in SAMPLES}
-    assert len(blobs) == len(SAMPLES)
-    for a in SAMPLES:
-        # an equal matrix rebuilt from its text form encodes identically
-        assert matrix_id(parse(serialize(a))) == matrix_id(a)
 
 
 def test_equality_is_structural():

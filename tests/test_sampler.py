@@ -207,6 +207,13 @@ def test_chi_square_uniform_single_member_family():
         chi_square_uniform(support, [], 1e-3)
 
 
+def test_chi_square_uniform_refuses_significance_outside_unit_interval():
+    support = list(enumerate_all(3, 2))
+    for significance in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="significance"):
+            chi_square_uniform(support, support, significance)
+
+
 def test_same_seed_same_draws():
     cfg = SamplerConfig()
     a = [draw_sample(8, 2, cfg, np.random.default_rng(21)) for _ in range(5)]
