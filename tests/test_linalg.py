@@ -131,10 +131,11 @@ def test_rank_exact_consensus_and_report():
         assert len(set(rep.primes_used)) == len(rep.primes_used)
 
 
-def test_rank_exact_is_deterministic():
+def test_rank_exact_deterministic_primes():
     a = circulant(7, 3)
     r1, r2 = rank_exact(a), rank_exact(a)
     assert r1 == r2
+    assert r1.primes_used == linalg._PRIMES
 
 
 def test_rank_exact_above_rational_threshold():
