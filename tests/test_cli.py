@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: outputs, determinism, exit codes."""
 
 import json
+import pathlib
 
 import pytest
 
 from dreglab import identity, parse, serialize
 from dreglab.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +135,22 @@ def test_verify_small_sweep(capsys):
         for check in fam["checks"]:
             assert check["violations"] == 0
             assert isinstance(check["wall_time_ms"], int)
+
+
+def _without_wall_times(obj):
+    if isinstance(obj, dict):
+        return {k: _without_wall_times(v) for k, v in obj.items() if k != "wall_time_ms"}
+    if isinstance(obj, list):
+        return [_without_wall_times(v) for v in obj]
+    return obj
+
+
+def test_verify_report_matches_golden(capsys):
+    # pins every family's per-check instance counts, violations and witnesses
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--d-max", "4")
+    assert code == 0
+    report = json.dumps(_without_wall_times(json.loads(out)), indent=2) + "\n"
+    assert report == (DATA / "verify_n4_d4.json").read_text()
 
 
 @pytest.mark.parametrize(
