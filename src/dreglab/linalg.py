@@ -6,13 +6,13 @@ fraction-free integer elimination (Bareiss) at moderate sizes, so reported
 ranks are never floating-point guesses.
 
 Vectors are integers from the Bareiss echelon to the caller: integer
-back-substitution gives primitive integer vectors, and one fraction-free
+back-substitution gives integer vectors, and one fraction-free
 Gauss-Jordan reduction turns them into the canonical basis of their span
 (reduced row echelon rows scaled to coprime integers, leading entries
-positive).  :class:`SubspaceBasis` holds that basis, so two spans are equal
-iff their ``vectors`` are equal.  Vectors from outside may be ints or
-``Fraction``s; :func:`spaces_equal`, :func:`in_span` and :func:`span_basis`
-clear their denominators before reducing.
+positive).  :class:`SubspaceBasis` is canonical on construction and carries
+its ambient dimension n, so two subspaces are equal iff their bases compare
+``==``.  Vectors from outside may be ints or ``Fraction``s; :func:`span_basis`
+clears their denominators before reducing.
 """
 
 from __future__ import annotations
@@ -157,13 +157,12 @@ def _kernel_from_echelon(
     pivot_rows: Sequence[tuple[int, Sequence[int]]],
     ncols: int,
 ) -> list[list[int]]:
-    """Back-substitute one primitive integer kernel vector per free column.
+    """Back-substitute one integer kernel vector per free column.
 
     The vector for free column ``fc`` is the rational solution with
-    ``x[fc] = 1`` scaled to coprime integers.  Whenever a pivot does not
-    divide the partial sum, the whole vector is scaled by
-    ``|pivot / gcd(sum, pivot)|`` so the division is exact; the content is
-    divided out at the end.  The entry at ``fc`` stays positive.
+    ``x[fc] = 1`` scaled to integers.  Whenever a pivot does not divide the
+    partial sum, the whole vector is scaled by ``|pivot / gcd(sum, pivot)|``
+    so the division is exact.  :class:`SubspaceBasis` divides out the content.
     """
     pivot_set = set(pivot_cols)
     basis: list[list[int]] = []
@@ -183,8 +182,7 @@ def _kernel_from_echelon(
                     x = [v * scale for v in x]
                     s *= scale
                 x[pc] = -s // piv
-        content = gcd(*x)
-        basis.append(x if content == 1 else [v // content for v in x])
+        basis.append(x)
     return basis
 
 
@@ -232,14 +230,14 @@ def _int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row) for row in work[:r]]
 
 
-def _integer_rows(space) -> list[list[int]]:
-    """Vectors of ``space`` (a basis or vector list) with denominators cleared.
+def _integer_rows(vectors: Iterable[Sequence[int | Fraction]]) -> list[list[int]]:
+    """Rational (int or ``Fraction``) vectors with denominators cleared.
 
-    Entries may be ints or ``Fraction``s; each vector is scaled by the lcm
-    of its denominators, which leaves every span unchanged.
+    Each vector is scaled by the lcm of its denominators, which leaves
+    every span unchanged.
     """
     rows = []
-    for vec in getattr(space, "vectors", space):
+    for vec in vectors:
         den = lcm(*(v.denominator for v in vec))
         rows.append([v.numerator * (den // v.denominator) for v in vec])
     return rows
@@ -260,13 +258,21 @@ class RankReport:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Canonical basis of a subspace of Q^n.
+    """Canonical basis of a subspace of Q^n, made so on construction.
 
-    The rows are the reduced row echelon basis, each scaled to coprime
-    integers with a positive leading entry.
+    The integer rows (of length ``n``, else :class:`DimensionError`) are
+    replaced by the reduced row echelon basis of their span, each row scaled
+    to coprime integers with a positive leading entry.  So two instances are
+    equal iff they span the same subspace of the same Q^n.
     """
 
+    n: int
     vectors: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if any(len(row) != self.n for row in self.vectors):
+            raise DimensionError(f"a vector's length differs from n = {self.n}")
+        object.__setattr__(self, "vectors", tuple(_int_rref(self.vectors)))
 
     @property
     def dim(self) -> int:
@@ -333,8 +339,7 @@ def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
         raise ValueError(f'side must be "right" or "left", got {side!r}')
     m = a if side == "right" else a.transpose()
     pivot_cols, pivot_rows = _echelon_of(m)
-    vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return SubspaceBasis(vectors=tuple(_int_rref(vectors)))
+    return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
 def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
@@ -352,13 +357,25 @@ def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
     rows = [dense[s] for s in range(a.n) if s != i and s != j]
     rows.append([x + y for x, y in zip(dense[i], dense[j])])
     pivot_cols, pivot_rows = _int_echelon(rows)
-    vectors = _kernel_from_echelon(pivot_cols, pivot_rows, a.n)
-    return SubspaceBasis(vectors=tuple(_int_rref(vectors)))
+    return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
 def span_basis(vectors: Iterable[Sequence[int | Fraction]]) -> SubspaceBasis:
     """Canonical basis of the span of rational (int or Fraction) vectors."""
-    return SubspaceBasis(vectors=tuple(_int_rref(_integer_rows(vectors))))
+    rows = _integer_rows(vectors)
+    if not rows:
+        raise ValueError("span_basis needs at least one vector to know n")
+    return SubspaceBasis(len(rows[0]), rows)
+
+
+def _as_basis(space, other) -> SubspaceBasis:
+    """A basis as is, a vector list reduced once; ``[]`` lies in ``other``'s Q^n."""
+    if isinstance(space, SubspaceBasis):
+        return space
+    if space:
+        return span_basis(space)
+    n = other.n if isinstance(other, SubspaceBasis) else len(other[0]) if other else 0
+    return SubspaceBasis(n, ())
 
 
 def spaces_equal(first, second) -> bool:
@@ -366,27 +383,19 @@ def spaces_equal(first, second) -> bool:
 
     Raises :class:`DimensionError` when the ambient dimensions differ.
     """
-    u = _integer_rows(first)
-    v = _integer_rows(second)
-    if u and v and len(u[0]) != len(v[0]):
-        raise DimensionError(
-            f"ambient dimensions differ: {len(u[0])} vs {len(v[0])}"
-        )
-    return _int_rref(u) == _int_rref(v)
+    u = _as_basis(first, second)
+    v = _as_basis(second, u)
+    if u.n != v.n:
+        raise DimensionError(f"ambient dimensions differ: {u.n} vs {v.n}")
+    return u == v
 
 
 def in_span(vector: Sequence[int | Fraction], space) -> bool:
     """Whether ``vector`` lies in the span of ``space`` (a basis or vector list)."""
-    basis = _integer_rows(space)
-    (v,) = _integer_rows([vector])
-    if not any(v):
-        return True
-    if basis and len(basis[0]) != len(v):
-        raise DimensionError(
-            f"ambient dimensions differ: {len(basis[0])} vs {len(v)}"
-        )
-    rref = _int_rref(basis)
-    return _int_rref(rref + [v]) == rref
+    basis = _as_basis(space, [vector])
+    if len(vector) != basis.n:
+        raise DimensionError(f"ambient dimensions differ: {basis.n} vs {len(vector)}")
+    return span_basis([*basis.vectors, vector]).dim == basis.dim
 
 
 def matvec(a: BiregularMatrix, x: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:

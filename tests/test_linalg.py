@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dreglab import (
     ConsistencyError,
     DimensionError,
+    SubspaceBasis,
     all_ones,
     block_diagonal,
     build,
@@ -245,6 +246,19 @@ def test_spaces_equal_and_in_span():
         spaces_equal(s1, f_perp(identity(5), 0, 1))
     with pytest.raises(DimensionError):
         matvec(b, (one, zero))
+    # a zero-dimensional space still knows its ambient dimension
+    with pytest.raises(DimensionError):
+        spaces_equal(kernel(identity(3)), kernel(identity(5)))
+    with pytest.raises(DimensionError):
+        in_span((0,) * 5, [(1, 2, 3)])
+    with pytest.raises(DimensionError):
+        SubspaceBasis(3, [(1, 2)])
+    # a raw empty list is the zero subspace of the other argument's Q^n
+    assert spaces_equal([], kernel(identity(3))) and spaces_equal(kernel(identity(3)), [])
+    assert not spaces_equal([], s1)
+    assert in_span((0, 0, 0), []) and not in_span((0, 1, 0), [])
+    with pytest.raises(ValueError):
+        span_basis([])
 
 
 SMALL_FAMILIES = [(n, d) for n in range(1, 5) for d in range(1, n + 1)]
@@ -317,7 +331,12 @@ def test_spaces_equal_and_in_span_canonical_under_disguise():
                 if not space.vectors:
                     continue
                 disguised = _disguised(space.vectors, rng)
-                assert span_basis(disguised).vectors == space.vectors
+                assert span_basis(disguised) == space
+                cleared = [
+                    tuple(int(v * lcm(*(t.denominator for t in vec))) for v in vec)
+                    for vec in disguised
+                ]
+                assert SubspaceBasis(n, cleared) == space
                 assert spaces_equal(disguised, space) and spaces_equal(space, disguised)
                 assert all(in_span(v, space) and in_span(v, disguised) for v in disguised)
                 if space.dim == n:
