@@ -158,19 +158,17 @@ class GridSpec:
         )
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = Z95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; contains k/t."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = Z95) for a binomial proportion; contains k/t."""
     if trials < 1:
         raise ValueError("wilson_interval needs at least one trial")
     if not (0 <= successes <= trials):
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
     # the endpoints are exact at the boundary proportions; don't let float

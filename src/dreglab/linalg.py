@@ -35,10 +35,9 @@ __all__ = [
     "rational_rank_rows",
     "rank_exact",
     "kernel",
+    "f_rows",
     "f_perp",
-    "spaces_equal",
     "span_basis",
-    "in_span",
     "matvec",
     "format_vector",
     "parse_vector",
@@ -342,21 +341,29 @@ def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
     return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
-def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
-    """Orthogonal complement of span{rows except i and j, row i + row j}.
+def f_rows(a: BiregularMatrix, i: int, j: int) -> list[list[int]]:
+    """The n - 1 spanning rows of F(A; i, j): every row except i and j, then
+    row i + row j.
 
-    That span is invariant under any switching acting on rows i and j, so
-    its complement bounds where kernel vectors can live across switchings.
-    Always nonzero: n - 1 spanning vectors leave dimension at least 1.
+    A switching on rows i and j moves a one from column k to l in row i and
+    from l to k in row j, so it leaves every one of these rows unchanged.
     """
     if not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexError(f"row indices ({i}, {j}) outside [0, {a.n})")
     if i == j:
-        raise ValueError(f"f_perp needs two distinct rows, got i = j = {i}")
+        raise ValueError(f"F(A; i, j) needs two distinct rows, got i = j = {i}")
     dense = a.dense_rows()
     rows = [dense[s] for s in range(a.n) if s != i and s != j]
     rows.append([x + y for x, y in zip(dense[i], dense[j])])
-    pivot_cols, pivot_rows = _int_echelon(rows)
+    return rows
+
+
+def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
+    """Canonical basis of F(A; i, j)^perp, the kernel of :func:`f_rows`.
+
+    Always nonzero: n - 1 spanning vectors leave dimension at least 1.
+    """
+    pivot_cols, pivot_rows = _int_echelon(f_rows(a, i, j))
     return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
@@ -366,36 +373,6 @@ def span_basis(vectors: Iterable[Sequence[int | Fraction]]) -> SubspaceBasis:
     if not rows:
         raise ValueError("span_basis needs at least one vector to know n")
     return SubspaceBasis(len(rows[0]), rows)
-
-
-def _as_basis(space, other) -> SubspaceBasis:
-    """A basis as is, a vector list reduced once; ``[]`` lies in ``other``'s Q^n."""
-    if isinstance(space, SubspaceBasis):
-        return space
-    if space:
-        return span_basis(space)
-    n = other.n if isinstance(other, SubspaceBasis) else len(other[0]) if other else 0
-    return SubspaceBasis(n, ())
-
-
-def spaces_equal(first, second) -> bool:
-    """Whether two spans (bases or raw vector lists) are the same subspace.
-
-    Raises :class:`DimensionError` when the ambient dimensions differ.
-    """
-    u = _as_basis(first, second)
-    v = _as_basis(second, u)
-    if u.n != v.n:
-        raise DimensionError(f"ambient dimensions differ: {u.n} vs {v.n}")
-    return u == v
-
-
-def in_span(vector: Sequence[int | Fraction], space) -> bool:
-    """Whether ``vector`` lies in the span of ``space`` (a basis or vector list)."""
-    basis = _as_basis(space, [vector])
-    if len(vector) != basis.n:
-        raise DimensionError(f"ambient dimensions differ: {basis.n} vs {len(vector)}")
-    return span_basis([*basis.vectors, vector]).dim == basis.dim
 
 
 def matvec(a: BiregularMatrix, x: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:

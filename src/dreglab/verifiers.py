@@ -6,6 +6,8 @@ computation on concrete matrices:
 * the rank-delta law — a switching moves the rank by at most one;
 * K_A — the ordered pairs (i, j) where the kernel equals the orthogonal
   complement of F(A; i, j) = span{rows except i, j; row i + row j};
+* the two facts about F(A; i, j) that K_A rests on — a switching on rows i
+  and j leaves F unchanged, and ker A lies in F^perp;
 * x-bad switchings (x_k = x_l) and the unconditional counting chain
   ``count <= d^2 * sum |L_p|^2 <= n * max|L_p| * d^2`` over level sets L_p;
 * the rank-increase mechanism — a feasible switching that is not x-bad
@@ -17,9 +19,14 @@ computation on concrete matrices:
 * the double-counting claim and the explicit rank-class relation Q_r
   built from deduped switchings.
 
+F(A; i, j) is handled through its spanning rows (:func:`dreglab.linalg.f_rows`),
+never through a basis of F^perp: f-invariance compares the rows before and
+after a switching, kernel containment takes dot products with them, and K_A
+compares rank F with rank A.
+
 Everything is exact: kernel vectors are the canonical integer bases of
-:mod:`dreglab.linalg`, and the questions asked of them (span equality,
-x_k = x_l, level-set sizes) do not depend on how a vector is scaled.
+:mod:`dreglab.linalg`, and the questions asked of them (orthogonality to
+rows, x_k = x_l, level-set sizes) do not depend on how a vector is scaled.
 There is no tolerance anywhere.
 """
 
@@ -30,6 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -44,9 +52,8 @@ from .errors import (
 )
 from .linalg import (
     RATIONAL_THRESHOLD,
-    f_perp,
+    f_rows,
     format_vector,
-    in_span,
     kernel,
     rational_rank,
     rational_rank_rows,
@@ -184,17 +191,22 @@ def _guard(n: int) -> None:
 
 
 def compute_KA(a: BiregularMatrix) -> KASet:
-    """Brute-force K_A over all ordered pairs: ker A == f_perp(A; i, j).
+    """Brute-force K_A over all ordered pairs: rank F(A; i, j) == rank A.
 
-    F(A; i, j) = F(A; j, i), so the subspace test runs once per unordered
-    pair and membership is recorded symmetrically.
+    K_A is defined by ker A = F(A; i, j)^perp.  Each spanning row of F is a
+    row of A or the sum of two rows, so F lies in the row space of A and
+    ker A is contained in F^perp for every A; the kernel-containment check
+    of :func:`run_family_checks` confirms this on every pair it visits.  The
+    two spaces are therefore equal iff their dimensions agree, which means
+    rank F = rank A.  F(A; i, j) = F(A; j, i), so the rank runs once per
+    unordered pair and membership is recorded symmetrically.
     """
     _guard(a.n)
-    ker = kernel(a, "right")
+    r = rational_rank(a)
     pairs: set[tuple[int, int]] = set()
     for i in range(a.n):
         for j in range(i + 1, a.n):
-            if ker == f_perp(a, i, j):
+            if rational_rank_rows(f_rows(a, i, j)) == r:
                 pairs.add((i, j))
                 pairs.add((j, i))
     return KASet(frozenset(pairs))
@@ -697,6 +709,9 @@ class CheckReport:
         }
 
 
+_MAX_WITNESSES = 10
+
+
 def _switch_witness(m: BiregularMatrix, sw: Switch, note: str) -> dict:
     return {"matrix": serialize(m), "switch": list(sw), "note": note}
 
@@ -704,14 +719,13 @@ def _switch_witness(m: BiregularMatrix, sw: Switch, note: str) -> dict:
 def run_family_checks(
     matrices: Iterable[BiregularMatrix],
     params: DelocParams | None = None,
-    *,
-    max_witnesses: int = 10,
 ) -> list[CheckReport]:
     """Run every lemma-level check across one (n, d) family of matrices.
 
     Returns one :class:`CheckReport` per check; a nonzero ``violations``
     count in any of them means an invariant that should be a theorem
-    failed on a concrete instance.
+    failed on a concrete instance.  Each report keeps the first
+    ``_MAX_WITNESSES`` violating instances.
     """
     params = params or DelocParams()
     pool = list(matrices)
@@ -732,7 +746,7 @@ def run_family_checks(
 
     def _witness(rep: CheckReport, item: dict) -> None:
         rep.violations += 1
-        if len(rep.witnesses) < max_witnesses:
+        if len(rep.witnesses) < _MAX_WITNESSES:
             rep.witnesses.append(item)
 
     def check_switch_counts(rep: CheckReport) -> None:
@@ -764,10 +778,10 @@ def run_family_checks(
         for m in pool:
             for sw in dedup_switches(enumerate_switches(m)):
                 rep.instances_checked += 1
-                before = f_perp(m, sw.i, sw.j)
-                after = f_perp(apply_switch(m, sw), sw.i, sw.j)
+                before = f_rows(m, sw.i, sw.j)
+                after = f_rows(apply_switch(m, sw), sw.i, sw.j)
                 if before != after:
-                    _witness(rep, _switch_witness(m, sw, "f_perp changed"))
+                    _witness(rep, _switch_witness(m, sw, "F(A; i, j) changed"))
 
     def check_kernel_containment(rep: CheckReport) -> None:
         for m in pool:
@@ -778,8 +792,8 @@ def run_family_checks(
             for i in range(m.n):
                 for j in range(i + 1, m.n):
                     rep.instances_checked += 1
-                    space = f_perp(m, i, j)
-                    bad = [v for v in ker.vectors if not in_span(v, space)]
+                    rows = f_rows(m, i, j)
+                    bad = [x for x in ker.vectors if any(sum(map(mul, row, x)) for row in rows)]
                     if bad:
                         _witness(
                             rep,

@@ -90,6 +90,17 @@ def test_estimate_config_refuses_unknown_sampler_field(tmp_path, capsys):
     assert "unknown sampler config fields" in err
 
 
+def test_estimate_config_refuses_exhaustive_sampler(tmp_path, capsys):
+    # enumeration cannot draw independent samples, so the config is refused
+    # when it is read, before any trial runs
+    cfg = {"pairs": [[5, 2]], "trials": 3, "sampler": {"kind": "exhaustive"}}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "unknown sampler kind" in err
+
+
 def test_estimate_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--pairs", "5:1", "--trials", "2", "--seed", "0",

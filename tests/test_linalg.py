@@ -19,9 +19,9 @@ from dreglab import (
     circulant,
     enumerate_all,
     f_perp,
+    f_rows,
     format_vector,
     identity,
-    in_span,
     kernel,
     matvec,
     parse_vector,
@@ -29,7 +29,6 @@ from dreglab import (
     rank_mod_p,
     rational_rank,
     sample_stub,
-    spaces_equal,
     span_basis,
 )
 from dreglab import linalg
@@ -218,6 +217,14 @@ def test_f_perp_dimensions():
         f_perp(identity(5), 2, 2)
     with pytest.raises(IndexError):
         f_perp(identity(5), 0, 5)
+    # f_rows lists F's n - 1 spanning rows, the sum of rows i and j last
+    rows = f_rows(identity(5), 0, 1)
+    assert len(rows) == 4
+    assert rows[-1] == [1, 1, 0, 0, 0]
+    with pytest.raises(ValueError):
+        f_rows(identity(5), 2, 2)
+    with pytest.raises(IndexError):
+        f_rows(identity(5), 0, 5)
 
 
 def test_f_perp_block_equals_kernel():
@@ -228,35 +235,36 @@ def test_f_perp_block_equals_kernel():
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert spaces_equal(f_perp(b, i, j), k)
+                assert f_perp(b, i, j) == k
 
 
-def test_spaces_equal_and_in_span():
+def _contains(space, vector):
+    """Whether ``vector`` lies in ``space``: adding it leaves the span unchanged."""
+    return span_basis([*space.vectors, vector]) == space
+
+
+def test_subspace_basis_equality_and_dimensions():
     b = block_diagonal(2, 2)
     s1 = f_perp(b, 0, 2)
     s2 = f_perp(b, 1, 3)
-    assert spaces_equal(s1, s2)  # the protected spans coincide, so do complements
+    assert s1 == s2  # the protected spans coincide, so do complements
     one = Fraction(1)
     zero = Fraction(0)
-    assert in_span((one, -one, zero, zero), s1)
-    assert in_span((one, -one, one, -one), s1)
-    assert not in_span((one, one, zero, zero), s1)
-    assert not in_span((one, zero, zero, zero), s1)
-    with pytest.raises(DimensionError):
-        spaces_equal(s1, f_perp(identity(5), 0, 1))
+    assert _contains(s1, (one, -one, zero, zero))
+    assert _contains(s1, (one, -one, one, -one))
+    assert not _contains(s1, (one, one, zero, zero))
+    assert not _contains(s1, (one, zero, zero, zero))
+    assert s1 != f_perp(identity(5), 0, 1)
     with pytest.raises(DimensionError):
         matvec(b, (one, zero))
     # a zero-dimensional space still knows its ambient dimension
+    assert kernel(identity(3)) != kernel(identity(5))
+    assert kernel(identity(3)) == SubspaceBasis(3, ()) != SubspaceBasis(4, ())
+    assert span_basis([(0, 0, 0)]) == SubspaceBasis(3, ())
     with pytest.raises(DimensionError):
-        spaces_equal(kernel(identity(3)), kernel(identity(5)))
-    with pytest.raises(DimensionError):
-        in_span((0,) * 5, [(1, 2, 3)])
+        span_basis([(0,) * 5, (1, 2, 3)])
     with pytest.raises(DimensionError):
         SubspaceBasis(3, [(1, 2)])
-    # a raw empty list is the zero subspace of the other argument's Q^n
-    assert spaces_equal([], kernel(identity(3))) and spaces_equal(kernel(identity(3)), [])
-    assert not spaces_equal([], s1)
-    assert in_span((0, 0, 0), []) and not in_span((0, 1, 0), [])
     with pytest.raises(ValueError):
         span_basis([])
 
@@ -300,6 +308,7 @@ def test_f_perp_matches_oracle_on_small_families():
                         continue
                     rows = [dense[s] for s in range(n) if s not in (i, j)]
                     rows.append([x + y for x, y in zip(dense[i], dense[j])])
+                    assert f_rows(m, i, j) == rows
                     assert f_perp(m, i, j).vectors == integer_form(
                         oracle_nullspace(rows, n)
                     ), (m, i, j)
@@ -322,7 +331,7 @@ def _disguised(vectors, rng):
     return out
 
 
-def test_spaces_equal_and_in_span_canonical_under_disguise():
+def test_span_basis_canonical_under_disguise():
     rng = random.Random(0)
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
@@ -337,16 +346,14 @@ def test_spaces_equal_and_in_span_canonical_under_disguise():
                     for vec in disguised
                 ]
                 assert SubspaceBasis(n, cleared) == space
-                assert spaces_equal(disguised, space) and spaces_equal(space, disguised)
-                assert all(in_span(v, space) and in_span(v, disguised) for v in disguised)
+                assert all(_contains(space, v) for v in disguised)
                 if space.dim == n:
                     continue
                 # a unit vector outside the span stays outside, however disguised
                 units = (tuple(Fraction(int(t == k)) for t in range(n)) for k in range(n))
                 unit = next(e for e in units if oracle_rank(space.vectors + (e,)) > space.dim)
-                assert not in_span(unit, disguised)
-                assert not in_span(tuple(3 * t for t in unit), space)
-                assert not spaces_equal(disguised + [unit], space)
+                assert span_basis(disguised + [unit]).dim == space.dim + 1
+                assert not _contains(space, tuple(3 * t for t in unit))
 
 
 def test_vector_text_round_trip():

@@ -161,8 +161,9 @@ def test_draw_sample_dispatch():
     rng = np.random.default_rng(2)
     assert draw_sample(5, 2, SamplerConfig(), rng).d == 2
     assert draw_sample(5, 2, SamplerConfig(kind="mcmc"), rng).d == 2
-    with pytest.raises(ValueError):
-        draw_sample(5, 2, SamplerConfig(kind="exhaustive"), rng)
+    # enumeration is not a sampler: the config refuses it before any draw
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        SamplerConfig(kind="exhaustive")
 
 
 def test_burn_in_default_formula():

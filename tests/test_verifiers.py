@@ -10,6 +10,8 @@ from dreglab import (
     DelocParams,
     NotSingularError,
     PreconditionError,
+    SamplerConfig,
+    SubspaceBasis,
     Switch,
     all_ones,
     apply_switch,
@@ -22,6 +24,7 @@ from dreglab import (
     double_count_check,
     enumerate_all,
     enumerate_switches,
+    f_perp,
     identity,
     is_x_bad,
     kernel,
@@ -33,8 +36,10 @@ from dreglab import (
     rational_rank,
     replay_KA_bound,
     run_family_checks,
+    sample_uniform,
     verify_increase_mechanism,
 )
+from dreglab import verifiers
 
 F = Fraction
 BLOCK = block_diagonal(2, 2)
@@ -105,6 +110,36 @@ def test_ka_none_on_invertible():
     # invertible A: ker A = 0 but F-perp has dimension >= 1... the condition
     # dim F = rank = n can never hold since dim F <= n-1
     assert len(compute_KA(identity(4))) == 0
+
+
+def _ka_by_definition(a):
+    ker = kernel(a, "right")
+    return {
+        (i, j)
+        for i in range(a.n)
+        for j in range(a.n)
+        if i != j and ker == f_perp(a, i, j)
+    }
+
+
+def test_compute_KA_matches_definition():
+    # K_A = {(i, j), i != j : ker A = F(A; i, j)^perp}, checked pair by pair
+    # against full eliminations on every singular small-family member and on
+    # seeded stub samples
+    singular = [
+        m
+        for n in range(1, 5)
+        for d in range(1, n + 1)
+        for m in enumerate_all(n, d)
+        if rational_rank(m) < n
+    ]
+    singular.append(all_ones(5))  # the whole (5,5) family
+    rng = np.random.default_rng(12)
+    stubs = [sample_uniform(12, 3, SamplerConfig(), rng) for _ in range(24)]
+    assert len(singular) == 94
+    assert any(rational_rank(m) < 12 for m in stubs)
+    for a in singular + stubs:
+        assert compute_KA(a).pairs == _ka_by_definition(a)
 
 
 def test_replay_block_frozen_witnesses():
@@ -331,6 +366,44 @@ def test_run_family_checks_input_validation():
         run_family_checks([])
     with pytest.raises(ValueError):
         run_family_checks([identity(3), identity(4)])
+
+
+def _check(reports, name):
+    return next(r for r in reports if r.check_name == name)
+
+
+def test_f_invariance_fires_when_the_switch_is_wrong(monkeypatch):
+    # a transposed result moves rows other than i and j, so F(A; i, j) changes
+    real = verifiers.apply_switch
+    monkeypatch.setattr(verifiers, "apply_switch", lambda a, sw: real(a, sw).transpose())
+    rep = _check(run_family_checks(list(enumerate_all(4, 2))), "f-invariance")
+    assert rep.violations > 0
+    assert rep.witnesses[0]["note"] == "F(A; i, j) changed"
+
+
+def test_kernel_containment_fires_on_a_vector_outside_the_kernel(monkeypatch):
+    real = verifiers.kernel
+
+    def right_kernel_replaced(first_vector):
+        def broken(a, side="right"):
+            basis = real(a, side)
+            if side != "right" or basis.dim == 0:
+                return basis
+            return SubspaceBasis(a.n, [first_vector(a.n), *basis.vectors[1:]])
+
+        return broken
+
+    # A 1 = d 1 != 0, so a "kernel" spanned with the all-ones vector leaves F^perp
+    monkeypatch.setattr(verifiers, "kernel", right_kernel_replaced(lambda n: (1,) * n))
+    rep = _check(run_family_checks(list(enumerate_all(4, 2))), "kernel-containment")
+    assert rep.violations > 0
+    assert {"matrix", "pair", "vector"} == set(rep.witnesses[0])
+    # e_0 is orthogonal to rows 2 and 3 of BLOCK, so for the pair (0, 1) only
+    # the spanning row "row 0 + row 1" of F can catch it
+    e0 = right_kernel_replaced(lambda n: (1,) + (0,) * (n - 1))
+    monkeypatch.setattr(verifiers, "kernel", e0)
+    rep = _check(run_family_checks([BLOCK]), "kernel-containment")
+    assert [0, 1] in [w["pair"] for w in rep.witnesses]
 
 
 def test_all_ones_no_switches_everything_trivial():
