@@ -51,6 +51,15 @@ def test_estimate_files_and_determinism(tmp_path, capsys):
     )
 
 
+def test_estimate_records_match_golden(tmp_path):
+    # pinned records of a grid that straddles RATIONAL_THRESHOLD: two of the
+    # n = 130 samples are singular, and their ranks come from the primes alone
+    args = ["estimate", "--pairs", "40:2,60:2,12:3,130:3", "--trials", "100", "--seed", "5"]
+    assert main(args + ["--out", str(tmp_path / "e")]) == 0
+    golden = (DATA / "estimate_seed5.records.jsonl").read_bytes()
+    assert (tmp_path / "e.records.jsonl").read_bytes() == golden
+
+
 def test_estimate_workers_do_not_change_bytes(tmp_path):
     base = ["estimate", "--pairs", "6:2", "--trials", "8", "--seed", "7"]
     one = tmp_path / "w1"

@@ -173,6 +173,62 @@ def test_rank_mod_p_never_exceeds_rational():
     assert rank_mod_p(circulant(3, 2), 2) == 2 < rational_rank(circulant(3, 2))
 
 
+def oracle_rank_mod_p(rows, p) -> int:
+    """Rank over GF(p) by plain dense Gauss-Jordan elimination."""
+    work = [[v % p for v in row] for row in rows]
+    cols = len(work[0]) if work else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [v * inv % p for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+def _stub_samples(n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a = sample_stub(n, d, rng)
+        if a is not None:
+            out.append(a)
+    return out
+
+
+def test_rank_mod_p_matches_oracle():
+    cases = [m for n in range(1, 5) for d in range(1, n + 1) for m in enumerate_all(n, d)]
+    cases += list(enumerate_all(5, 2))
+    cases += _stub_samples(12, 3, 30, 12)
+    cases += _stub_samples(40, 2, 30, 40)
+    cases += _stub_samples(9, 4, 30, 9)
+    drops = 0
+    for a in cases:
+        dense = a.dense_rows()
+        exact = rational_rank(a)
+        for p in (2, 3, 5, 97, *linalg._PRIMES):
+            r = rank_mod_p(a, p)
+            assert r == oracle_rank_mod_p(dense, p), (a, p)
+            drops += r < exact
+    # the cancellation path must be exercised: circulant(3, 2) drops mod 2
+    assert rank_mod_p(circulant(3, 2), 2) == oracle_rank_mod_p(circulant(3, 2).dense_rows(), 2) == 2
+    assert drops > 0
+
+
+def test_rank_exact_cross_check_raises(monkeypatch):
+    # a modular rank above the rational rank can only mean a bug
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: 6)
+    with pytest.raises(ConsistencyError):
+        rank_exact(circulant(6, 2))
+
+
 def test_kernel_vectors_annihilate():
     for a in FIXTURES:
         right = kernel(a, "right")
