@@ -1,9 +1,11 @@
 """Exact rank and kernel computations for 0/1 matrices.
 
-Everything here is exact: ranks are computed modulo two fixed 62-bit primes
-(fast, one-sided — a modular rank can only undershoot) and confirmed by
-fraction-free integer elimination (Bareiss) at moderate sizes, so reported
-ranks are never floating-point guesses.
+Everything here is exact, so reported ranks are never floating-point
+guesses.  Up to ``RATIONAL_THRESHOLD`` the rank is that of fraction-free
+integer elimination (Bareiss); a deficient rank is cross-checked modulo two
+fixed 62-bit primes.  Above it the two modular ranks decide when they agree.
+A modular rank can only undershoot, and it comes from sparse elimination
+over GF(p) that touches only nonzero entries.
 
 Vectors are integers from the Bareiss echelon to the caller: integer
 back-substitution gives integer vectors, and one fraction-free
@@ -44,8 +46,8 @@ __all__ = [
     "RATIONAL_THRESHOLD",
 ]
 
-# Rational confirmation is mandatory up to this size; above it the two-prime
-# modular consensus stands alone unless the primes disagree.
+# Up to this size Bareiss decides every rank; above it the two-prime modular
+# consensus stands alone unless the primes disagree.
 RATIONAL_THRESHOLD = 128
 
 # Two fixed primes just below 2^62 (2^62 - 57 and 2^62 - 87).  A modular
@@ -54,46 +56,60 @@ _PRIMES = (4611686018427387847, 4611686018427387817)
 
 
 # ─── elimination cores ──────────────────────────────────────────────────────
-#
-# Both cores walk columns left to right over an "active" block of rows that
-# all start at the current column; processed columns are physically dropped,
-# so the inner loops shrink as elimination proceeds.
 
 
-def _rank_rows_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix modulo p.  Consumes its input rows."""
-    active = [[v % p for v in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
+def _rank_rows_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank modulo p of sparse integer rows ``{column: entry}``.
+
+    Structured elimination over GF(p) (LaMacchia & Odlyzko, CRYPTO 1990):
+    each column keeps the set of rows that are nonzero in it, columns are
+    taken left to right, and the pivot is the candidate row with the fewest
+    nonzeros.  A pivot updates only the rows nonzero in its column, and only
+    at the pivot row's nonzero columns; entries that cancel are removed.
+    The rank over GF(p) does not depend on the pivot choice.  The input
+    rows are left unchanged.
+    """
+    rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    col_rows: list[set[int]] = [set() for _ in range(ncols)]
+    for s, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(s)
     rank = 0
-    for _ in range(ncols):
-        if not active or not active[0]:
-            break
-        piv_idx = -1
-        for s, row in enumerate(active):
-            if row[0]:
-                piv_idx = s
-                break
-        if piv_idx < 0:
-            for row in active:
-                del row[0]
+    for c in range(ncols):
+        cand = col_rows[c]
+        if not cand:
             continue
-        pivrow = active.pop(piv_idx)
+        piv = min(cand, key=lambda s: len(rows[s]))
+        cand.discard(piv)
+        pivrow = rows[piv]
+        # row s becomes row s + f * update, where f is row s's entry in c
+        ninv = p - pow(pivrow.pop(c), -1, p)
+        update = [(col, v * ninv % p) for col, v in pivrow.items()]
+        for col, _ in update:
+            col_rows[col].discard(piv)
+        for s in cand:
+            row = rows[s]
+            f = row.pop(c)
+            for col, v in update:
+                old = row.get(col)
+                if old is None:  # fill-in: f * v is nonzero since p is prime
+                    row[col] = f * v % p
+                    col_rows[col].add(s)
+                else:
+                    new = (old + f * v) % p
+                    if new:
+                        row[col] = new
+                    else:
+                        del row[col]
+                        col_rows[col].discard(s)
         rank += 1
-        if not active:
-            break
-        inv = pow(pivrow[0], -1, p)
-        tail = pivrow[1:]
-        nxt = []
-        for row in active:
-            f = row[0]
-            if f:
-                g = (f * inv) % p
-                nxt.append([(a - g * b) % p for a, b in zip(row[1:], tail)])
-            else:
-                del row[0]
-                nxt.append(row)
-        active = nxt
     return rank
+
+
+# The Bareiss core walks columns left to right over an "active" block of rows
+# that all start at the current column; processed columns are physically
+# dropped, so the inner loops shrink as elimination proceeds.
 
 
 def _int_echelon(
@@ -278,11 +294,15 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
+def _sparse_rows(a: BiregularMatrix) -> list[dict[int, int]]:
+    return [dict.fromkeys(support, 1) for support in a.row_supports]
+
+
 def rank_mod_p(a: BiregularMatrix, p: int) -> int:
     """Rank of ``a`` over GF(p).  Never exceeds the rational rank."""
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    return _rank_rows_mod_p(a.dense_rows(), p)
+    return _rank_rows_mod_p(_sparse_rows(a), p)
 
 
 def rational_rank(a: BiregularMatrix) -> int:
@@ -296,35 +316,37 @@ def rational_rank_rows(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank_exact(a: BiregularMatrix) -> RankReport:
-    """Exact rank via two-prime modular consensus plus rational confirmation.
+    """Exact rank: Bareiss up to ``RATIONAL_THRESHOLD``, two primes above it.
 
-    The rank is computed modulo both primes in ``_PRIMES``.  Rational
-    elimination runs whenever ``n <= RATIONAL_THRESHOLD`` or the two modular
-    ranks disagree.  The rational rank is authoritative: it can never be
-    smaller than a modular rank, and a larger modular rank raises
+    For ``n <= RATIONAL_THRESHOLD`` the rational rank (the cached echelon
+    that :func:`kernel` reuses) comes first.  A full rank returns at once
+    with ``primes_used == ()``: a modular rank never exceeds n, so the
+    cross-check could not fire.  A deficient rank is cross-checked modulo
+    both primes in ``_PRIMES``.  Above the threshold the two modular ranks
+    decide alone when they agree; when they disagree, rational elimination
+    decides.  The rational rank is authoritative: it can never be smaller
+    than a modular rank, and a larger modular rank raises
     :class:`ConsistencyError`.
     """
-    ranks = [_rank_rows_mod_p(a.dense_rows(), p) for p in _PRIMES]
+    r = rational_rank(a) if a.n <= RATIONAL_THRESHOLD else None
+    if r == a.n:
+        return RankReport(rank=r, corank=0, primes_used=(), rationally_confirmed=True)
+    ranks = [_rank_rows_mod_p(_sparse_rows(a), p) for p in _PRIMES]
     modular = max(ranks)
-
-    if ranks[0] != ranks[1] or a.n <= RATIONAL_THRESHOLD:
-        r = rational_rank(a)
-        if r < modular:
-            raise ConsistencyError(
-                f"modular rank {modular} exceeds rational rank {r} (n={a.n}, d={a.d})"
+    if r is None:
+        if ranks[0] == ranks[1]:
+            return RankReport(
+                rank=modular,
+                corank=a.n - modular,
+                primes_used=_PRIMES,
+                rationally_confirmed=False,
             )
-        return RankReport(
-            rank=r,
-            corank=a.n - r,
-            primes_used=_PRIMES,
-            rationally_confirmed=True,
+        r = rational_rank(a)
+    if r < modular:
+        raise ConsistencyError(
+            f"modular rank {modular} exceeds rational rank {r} (n={a.n}, d={a.d})"
         )
-    return RankReport(
-        rank=modular,
-        corank=a.n - modular,
-        primes_used=_PRIMES,
-        rationally_confirmed=False,
-    )
+    return RankReport(rank=r, corank=a.n - r, primes_used=_PRIMES, rationally_confirmed=True)
 
 
 def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:

@@ -315,6 +315,7 @@ def test_rank_on_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["rank"] == 5 and payload["corank"] == 0
     assert payload["rationally_confirmed"] is True
+    assert payload["primes_used"] == []  # Bareiss alone decides full rank at n <= 128
     assert "right_kernel" not in payload
 
 

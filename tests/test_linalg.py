@@ -127,12 +127,12 @@ def test_rank_exact_consensus_and_report():
         assert rep.rank == oracle_rank(a.dense_rows())
         assert rep.corank == a.n - rep.rank
         assert rep.rationally_confirmed  # n is far below the rational cutoff
-        assert len(rep.primes_used) >= 2
-        assert len(set(rep.primes_used)) == len(rep.primes_used)
+        # Bareiss alone decides a full rank; a deficient one is cross-checked
+        assert rep.primes_used == (linalg._PRIMES if rep.corank else ())
 
 
 def test_rank_exact_deterministic_primes():
-    a = circulant(7, 3)
+    a = circulant(6, 3)  # corank 2, so both primes run
     r1, r2 = rank_exact(a), rank_exact(a)
     assert r1 == r2
     assert r1.primes_used == linalg._PRIMES
@@ -220,6 +220,30 @@ def test_rank_mod_p_matches_oracle():
     # the cancellation path must be exercised: circulant(3, 2) drops mod 2
     assert rank_mod_p(circulant(3, 2), 2) == oracle_rank_mod_p(circulant(3, 2).dense_rows(), 2) == 2
     assert drops > 0
+
+
+def test_rank_exact_routing(monkeypatch):
+    calls = []
+    core = linalg._rank_rows_mod_p
+
+    def counted(rows, p):
+        calls.append(p)
+        return core(rows, p)
+
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", counted)
+    # full rank at n <= RATIONAL_THRESHOLD: Bareiss decides alone
+    (big,) = _stub_samples(128, 3, 1, 128)
+    for a in (identity(9), circulant(7, 3), big):
+        calls.clear()
+        rep = rank_exact(a)
+        assert rep.corank == 0 and rep.rationally_confirmed
+        assert rep.primes_used == ()
+        assert calls == []
+    # a deficient rank runs both primes for the cross-check
+    calls.clear()
+    rep = rank_exact(circulant(6, 2))
+    assert rep.corank == 1
+    assert calls == list(linalg._PRIMES)
 
 
 def test_rank_exact_cross_check_raises(monkeypatch):
