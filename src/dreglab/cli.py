@@ -150,6 +150,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SizeGuardError(
             f"verify sweeps are capped at n <= {_VERIFY_N_MAX}; got n_max={args.n_max}"
         )
+    if args.n_max < 1 or args.d_max < 1:
+        raise ValueError(f"--n-max and --d-max must be >= 1, got {args.n_max} and {args.d_max}")
     families = []
     total_violations = 0
     params = DelocParams(C=Fraction(args.C))

@@ -117,9 +117,13 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("grid needs at least one (n, d) pair")
+        seen = set()
         for n, d in self.pairs:
             if n < 1 or not (1 <= d <= n):
                 raise ValueError(f"invalid pair (n={n}, d={d})")
+            if (n, d) in seen:  # one trial stream per pair: a repeat would duplicate it
+                raise ValueError(f"repeated pair (n={n}, d={d})")
+            seen.add((n, d))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:

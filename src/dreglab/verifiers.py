@@ -711,6 +711,23 @@ class CheckReport:
 
 _MAX_WITNESSES = 10
 
+_CHECK_NAMES = (
+    "switch-count-bounds",
+    "rank-delta-law",
+    "f-invariance",
+    "kernel-containment",
+    "x-bad-chain",
+    "increase-mechanism",
+    "ka-replay",
+    "qr-relation",
+)
+
+
+def _witness(rep: CheckReport, item: dict) -> None:
+    rep.violations += 1
+    if len(rep.witnesses) < _MAX_WITNESSES:
+        rep.witnesses.append(item)
+
 
 def _switch_witness(m: BiregularMatrix, sw: Switch, note: str) -> dict:
     return {"matrix": serialize(m), "switch": list(sw), "note": note}
@@ -726,6 +743,12 @@ def run_family_checks(
     count in any of them means an invariant that should be a theorem
     failed on a concrete instance.  Each report keeps the first
     ``_MAX_WITNESSES`` violating instances.
+
+    The family is walked once: each matrix runs the seven per-matrix checks
+    in report order, sharing its rank, its right kernel and its deduped
+    switchings, each applied once; qr-relation then runs on the whole
+    family.  A report's ``wall_time_ms`` is the time spent in its own
+    check, and applying the switchings is charged to rank-delta-law.
     """
     params = params or DelocParams()
     pool = list(matrices)
@@ -735,122 +758,85 @@ def run_family_checks(
     if any(m.n != n or m.d != d for m in pool):
         raise ValueError("matrix family mixes different (n, d)")
     base_params = {"n": n, "d": d, "matrices": len(pool), "C": str(params.C)}
-    reports: list[CheckReport] = []
+    reports = [CheckReport(check_name=name, params=dict(base_params)) for name in _CHECK_NAMES]
+    counts, delta, f_inv, contain, x_bad, mechanism, replay, qr = reports
+    spent: Counter[str] = Counter()
+    clock = time.perf_counter()
 
-    def _report(name: str, fn) -> None:
-        start = time.perf_counter()
-        rep = CheckReport(check_name=name, params=dict(base_params))
-        fn(rep)
-        rep.wall_time_ms = int((time.perf_counter() - start) * 1000)
-        reports.append(rep)
+    def lap(rep: CheckReport) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        spent[rep.check_name] += now - clock
+        clock = now
 
-    def _witness(rep: CheckReport, item: dict) -> None:
-        rep.violations += 1
-        if len(rep.witnesses) < _MAX_WITNESSES:
-            rep.witnesses.append(item)
-
-    def check_switch_counts(rep: CheckReport) -> None:
-        for m in pool:
-            rep.instances_checked += 1
-            try:
-                count_with_bounds(m)
-            except BoundViolation as exc:
-                _witness(rep, {"matrix": serialize(m), "error": str(exc)})
-                continue
-            lo = (m.n - m.d) * m.d - (m.d - 1) * (m.d - 1)
-            hi = (m.n - m.d) * m.d
+    lo = (n - d) * d - (d - 1) * (d - 1)
+    hi = (n - d) * d
+    for m in pool:
+        counts.instances_checked += 1
+        try:
+            count_with_bounds(m)
+        except BoundViolation as exc:
+            _witness(counts, {"matrix": serialize(m), "error": str(exc)})
+        else:
             for (i, k), q in per_entry_counts(m).items():
                 if not (lo <= q <= hi):
-                    _witness(
-                        rep,
-                        {"matrix": serialize(m), "entry": [i, k], "count": q},
-                    )
+                    _witness(counts, {"matrix": serialize(m), "entry": [i, k], "count": q})
+        lap(counts)
 
-    def check_rank_delta(rep: CheckReport) -> None:
-        for m in pool:
-            for sw in dedup_switches(enumerate_switches(m)):
-                rep.instances_checked += 1
-                delta = rank_delta_check(m, sw)
-                if delta not in (-1, 0, 1):
-                    _witness(rep, _switch_witness(m, sw, f"delta={delta}"))
+        r0 = rational_rank(m)
+        switched = [(sw, apply_switch(m, sw)) for sw in dedup_switches(enumerate_switches(m))]
+        for sw, bar in switched:
+            delta.instances_checked += 1
+            step = rational_rank(bar) - r0
+            if step not in (-1, 0, 1):
+                _witness(delta, _switch_witness(m, sw, f"delta={step}"))
+        lap(delta)
 
-    def check_f_invariance(rep: CheckReport) -> None:
-        for m in pool:
-            for sw in dedup_switches(enumerate_switches(m)):
-                rep.instances_checked += 1
-                before = f_rows(m, sw.i, sw.j)
-                after = f_rows(apply_switch(m, sw), sw.i, sw.j)
-                if before != after:
-                    _witness(rep, _switch_witness(m, sw, "F(A; i, j) changed"))
+        for sw, bar in switched:
+            f_inv.instances_checked += 1
+            if f_rows(m, sw.i, sw.j) != f_rows(bar, sw.i, sw.j):
+                _witness(f_inv, _switch_witness(m, sw, "F(A; i, j) changed"))
+        lap(f_inv)
 
-    def check_kernel_containment(rep: CheckReport) -> None:
-        for m in pool:
-            ker = kernel(m, "right")
-            if ker.dim == 0:
-                rep.instances_checked += 1
-                continue
-            for i in range(m.n):
-                for j in range(i + 1, m.n):
-                    rep.instances_checked += 1
-                    rows = f_rows(m, i, j)
-                    bad = [x for x in ker.vectors if any(sum(map(mul, row, x)) for row in rows)]
-                    if bad:
-                        _witness(
-                            rep,
-                            {
-                                "matrix": serialize(m),
-                                "pair": [i, j],
-                                "vector": format_vector(bad[0]),
-                            },
-                        )
+        ker = kernel(m, "right").vectors
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if ker else []
+        contain.instances_checked += len(pairs) or 1  # a full-rank matrix counts once
+        for i, j in pairs:
+            rows = f_rows(m, i, j)
+            bad = [x for x in ker if any(sum(map(mul, row, x)) for row in rows)]
+            if bad:
+                item = {"matrix": serialize(m), "pair": [i, j], "vector": format_vector(bad[0])}
+                _witness(contain, item)
+        lap(contain)
 
-    def check_x_bad_chain(rep: CheckReport) -> None:
-        for m in pool:
-            vectors = list(kernel(m, "right").vectors)
-            vectors.append((1,) * m.n)  # constant
-            vectors.append(tuple(range(m.n)))  # distinct
-            for x in vectors:
-                rep.instances_checked += 1
-                try:
-                    count_x_bad(m, x)
-                except BoundViolation as exc:
-                    _witness(
-                        rep,
-                        {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)},
-                    )
+        for x in (*ker, (1,) * n, tuple(range(n))):  # kernel, constant, distinct
+            x_bad.instances_checked += 1
+            try:
+                count_x_bad(m, x)
+            except BoundViolation as exc:
+                _witness(x_bad, {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)})
+        lap(x_bad)
 
-    def check_mechanism(rep: CheckReport) -> None:
-        for m in pool:
-            if rational_rank(m) == m.n:
-                continue
-            rep.instances_checked += 1
-            mech = verify_increase_mechanism(m)
-            for v in mech.violations:
-                _witness(rep, {"matrix": serialize(m), **v})
+        if r0 < n:
+            mechanism.instances_checked += 1
+            for v in verify_increase_mechanism(m).violations:
+                _witness(mechanism, {"matrix": serialize(m), **v})
+        lap(mechanism)
 
-    def check_replay(rep: CheckReport) -> None:
-        for m in pool:
-            if rational_rank(m) == m.n:
-                continue
-            rep.instances_checked += 1
+        if r0 < n:
+            replay.instances_checked += 1
             try:
                 replay_KA_bound(m)
             except WitnessConstructionError as exc:
-                _witness(rep, {"matrix": serialize(m), "error": str(exc)})
+                _witness(replay, {"matrix": serialize(m), "error": str(exc)})
+        lap(replay)
 
-    def check_qr(rep: CheckReport) -> None:
-        for r in range(1, n - 1):
-            rep.instances_checked += 1
-            stats = qr_relation_stats(r, pool, params)
-            if not stats.double_count_ok:
-                _witness(rep, {"r": r, "note": "double count failed"})
+    for r in range(1, n - 1):
+        qr.instances_checked += 1
+        if not qr_relation_stats(r, pool, params).double_count_ok:
+            _witness(qr, {"r": r, "note": "double count failed"})
+    lap(qr)
 
-    _report("switch-count-bounds", check_switch_counts)
-    _report("rank-delta-law", check_rank_delta)
-    _report("f-invariance", check_f_invariance)
-    _report("kernel-containment", check_kernel_containment)
-    _report("x-bad-chain", check_x_bad_chain)
-    _report("increase-mechanism", check_mechanism)
-    _report("ka-replay", check_replay)
-    _report("qr-relation", check_qr)
+    for rep in reports:
+        rep.wall_time_ms = int(spent[rep.check_name] * 1000)
     return reports

@@ -110,6 +110,21 @@ def test_estimate_config_refuses_exhaustive_sampler(tmp_path, capsys):
     assert "unknown sampler kind" in err
 
 
+def test_estimate_refuses_repeated_pair(capsys):
+    # a repeated pair would run its trials twice and count them as 2x trials
+    code, out, err = run_cli(capsys, "estimate", "--pairs", "12:3,12:3", "--trials", "3")
+    assert code == 2 and out == ""
+    assert "repeated pair" in err
+
+
+def test_estimate_config_refuses_repeated_pair(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"pairs": [[5, 2], [6, 2], [5, 2]], "trials": 3}))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "repeated pair" in err
+
+
 def test_estimate_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--pairs", "5:1", "--trials", "2", "--seed", "0",
@@ -165,12 +180,30 @@ def _without_wall_times(obj):
     return obj
 
 
+def _verify_report(capsys, n_max):
+    code, out, _ = run_cli(capsys, "verify", "--n-max", n_max, "--d-max", n_max)
+    assert code == 0
+    return json.dumps(_without_wall_times(json.loads(out)), indent=2) + "\n"
+
+
 def test_verify_report_matches_golden(capsys):
     # pins every family's per-check instance counts, violations and witnesses
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--d-max", "4")
-    assert code == 0
-    report = json.dumps(_without_wall_times(json.loads(out)), indent=2) + "\n"
-    assert report == (DATA / "verify_n4_d4.json").read_text()
+    assert _verify_report(capsys, "4") == (DATA / "verify_n4_d4.json").read_text()
+
+
+def test_verify_n5_report_matches_golden(capsys):
+    # the only pin on (5,2) and (5,3), the largest families verify can sweep
+    assert _verify_report(capsys, "5") == (DATA / "verify_n5_d5.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "n_max, d_max", [("0", "1"), ("3", "0"), ("-1", "2"), ("2", "-3")]
+)
+def test_verify_refuses_empty_range(n_max, d_max, capsys):
+    # a range that holds no family would print "families": [] and pass
+    code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--d-max", d_max)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,12 @@ def test_grid_spec_validation():
         GridSpec(pairs=((2, 4),), trials=5, sampler=CFG)  # d > n
 
 
+def test_grid_spec_refuses_repeated_pair():
+    # each (n, d) owns one trial stream, so a repeat would duplicate records
+    with pytest.raises(ValueError, match="repeated pair"):
+        GridSpec(pairs=((12, 3), (6, 2), (12, 3)), trials=5, sampler=CFG)
+
+
 def test_grid_spec_json_round_trip():
     grid = GridSpec(
         pairs=((6, 2), (5, 1)),

@@ -406,6 +406,25 @@ def test_kernel_containment_fires_on_a_vector_outside_the_kernel(monkeypatch):
     assert [0, 1] in [w["pair"] for w in rep.witnesses]
 
 
+@pytest.mark.parametrize("n, d, switchings", [(3, 2, 18), (4, 1, 144)])
+def test_each_switching_is_applied_once(n, d, switchings, monkeypatch):
+    # on a full-rank family only rank-delta and f-invariance switch a matrix,
+    # and they share one switched matrix per deduped switching
+    pool = list(enumerate_all(n, d))
+    assert sum(len(dedup_switches(enumerate_switches(m))) for m in pool) == switchings
+    real = verifiers.apply_switch
+    calls = []
+
+    def counted(a, sw):
+        calls.append(sw)
+        return real(a, sw)
+
+    monkeypatch.setattr(verifiers, "apply_switch", counted)
+    reports = run_family_checks(pool)
+    assert len(calls) == switchings
+    assert _check(reports, "rank-delta-law").instances_checked == switchings
+
+
 def test_all_ones_no_switches_everything_trivial():
     reports = run_family_checks([all_ones(3)])
     by_name = {r.check_name: r for r in reports}
