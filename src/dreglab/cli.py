@@ -99,8 +99,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise ValueError("estimate needs --config or both --pairs and --trials")
         pairs = []
         for token in args.pairs.split(","):
-            n_str, _, d_str = token.partition(":")
-            pairs.append((int(n_str), int(d_str)))
+            try:
+                n, d = map(int, token.split(":"))
+            except ValueError:  # a bad int, or not exactly two fields
+                raise ValueError(f"--pairs token {token!r} is not of the form n:d") from None
+            pairs.append((n, d))
         grid = GridSpec(
             pairs=tuple(pairs),
             trials=args.trials,
@@ -154,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max and --d-max must be >= 1, got {args.n_max} and {args.d_max}")
     families = []
     total_violations = 0
-    params = DelocParams(C=Fraction(args.C))
+    params = DelocParams(C=args.C)
     for n in range(1, args.n_max + 1):
         for d in range(1, min(n, args.d_max) + 1):
             pool = list(enumerate_all(n, d))
@@ -221,7 +224,7 @@ def _cmd_deloc_stats(args: argparse.Namespace) -> int:
         )
     config = _sampler_config(args)
     master_seed = _resolve_seed(args, config)
-    params = DelocParams(C=Fraction(args.C))
+    params = DelocParams(C=args.C)
     theta = params.beta(args.n, args.d)
 
     grid = GridSpec(

@@ -128,13 +128,18 @@ class DelocParams:
 
     The bound theta(n, d) = min(n, C n ln^2(d) / ln(n)) caps at n, so with
     C large enough every check is vacuous; C defaults to 1 and is carried
-    into every report rather than hidden.
+    into every report rather than hidden.  C may be given as anything
+    ``Fraction`` accepts, such as the string ``"3/2"``; a zero denominator
+    is a ValueError like any other malformed C.
     """
 
     C: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        c = Fraction(self.C)
+        try:
+            c = Fraction(self.C)
+        except ZeroDivisionError:
+            raise ValueError(f"C has a zero denominator: {self.C}") from None
         if c <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
         object.__setattr__(self, "C", c)

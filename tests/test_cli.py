@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from dreglab import identity, parse, serialize
+from dreglab import identity, linalg, parse, serialize
 from dreglab.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -117,6 +117,15 @@ def test_estimate_refuses_repeated_pair(capsys):
     assert "repeated pair" in err
 
 
+@pytest.mark.parametrize(
+    "pairs, token", [("12", "12"), ("12:3:4", "12:3:4"), ("12:3,", ""), ("5:1,x:2", "x:2")]
+)
+def test_estimate_refuses_malformed_pairs(pairs, token, capsys):
+    code, out, err = run_cli(capsys, "estimate", "--pairs", pairs, "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: --pairs token {token!r} is not of the form n:d\n"
+
+
 def test_estimate_config_refuses_repeated_pair(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"pairs": [[5, 2], [6, 2], [5, 2]], "trials": 3}))
@@ -204,6 +213,20 @@ def test_verify_refuses_empty_range(n_max, d_max, capsys):
     code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--d-max", d_max)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "1", "--d-max", "1", "--C", "1/0"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--C", "1/0"],
+    ],
+)
+def test_zero_denominator_C_is_a_usage_error(argv, capsys):
+    # Fraction("1/0") raises ZeroDivisionError, which must not escape as exit 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
 
 
 @pytest.mark.parametrize(
@@ -348,7 +371,8 @@ def test_rank_on_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["rank"] == 5 and payload["corank"] == 0
     assert payload["rationally_confirmed"] is True
-    assert payload["primes_used"] == []  # Bareiss alone decides full rank at n <= 128
+    # one prime proves full rank; Bareiss runs only for a deficient one
+    assert payload["primes_used"] == list(linalg._PRIMES[:1])
     assert "right_kernel" not in payload
 
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from dreglab import (
     ConsistencyError,
     DimensionError,
+    SamplerConfig,
     SubspaceBasis,
     all_ones,
     block_diagonal,
     build,
     circulant,
+    draw_sample,
     enumerate_all,
     f_perp,
     f_rows,
@@ -127,15 +129,15 @@ def test_rank_exact_consensus_and_report():
         assert rep.rank == oracle_rank(a.dense_rows())
         assert rep.corank == a.n - rep.rank
         assert rep.rationally_confirmed  # n is far below the rational cutoff
-        # Bareiss alone decides a full rank; a deficient one is cross-checked
-        assert rep.primes_used == (linalg._PRIMES if rep.corank else ())
+        # one prime runs at n <= 128; Bareiss settles a deficient rank
+        assert rep.primes_used == linalg._PRIMES[:1]
 
 
 def test_rank_exact_deterministic_primes():
-    a = circulant(6, 3)  # corank 2, so both primes run
+    a = circulant(6, 3)  # corank 2, settled by Bareiss after the first prime
     r1, r2 = rank_exact(a), rank_exact(a)
     assert r1 == r2
-    assert r1.primes_used == linalg._PRIMES
+    assert r1.primes_used == linalg._PRIMES[:1]
 
 
 def test_rank_exact_above_rational_threshold():
@@ -223,34 +225,80 @@ def test_rank_mod_p_matches_oracle():
 
 
 def test_rank_exact_routing(monkeypatch):
-    calls = []
-    core = linalg._rank_rows_mod_p
+    mod_p_calls, bareiss_calls = [], []
+    core, bareiss = linalg._rank_rows_mod_p, linalg._int_echelon
 
-    def counted(rows, p):
-        calls.append(p)
+    def counted_mod_p(rows, p):
+        mod_p_calls.append(p)
         return core(rows, p)
 
-    monkeypatch.setattr(linalg, "_rank_rows_mod_p", counted)
-    # full rank at n <= RATIONAL_THRESHOLD: Bareiss decides alone
+    def counted_bareiss(rows):
+        bareiss_calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", counted_mod_p)
+    monkeypatch.setattr(linalg, "_int_echelon", counted_bareiss)
+
+    def route(a):
+        linalg._echelon_of.cache_clear()  # a cached echelon would hide Bareiss
+        mod_p_calls.clear()
+        bareiss_calls.clear()
+        return rank_exact(a)
+
+    # full rank at any n: the first prime proves it, and nothing else runs
     (big,) = _stub_samples(128, 3, 1, 128)
-    for a in (identity(9), circulant(7, 3), big):
-        calls.clear()
-        rep = rank_exact(a)
-        assert rep.corank == 0 and rep.rationally_confirmed
-        assert rep.primes_used == ()
-        assert calls == []
-    # a deficient rank runs both primes for the cross-check
-    calls.clear()
-    rep = rank_exact(circulant(6, 2))
-    assert rep.corank == 1
-    assert calls == list(linalg._PRIMES)
+    for a in (identity(9), circulant(7, 3), big, circulant(130, 3)):
+        rep = route(a)
+        assert rep.corank == 0
+        assert rep.rationally_confirmed == (a.n <= linalg.RATIONAL_THRESHOLD)
+        assert rep.primes_used == linalg._PRIMES[:1]
+        assert mod_p_calls == [linalg._PRIMES[0]]
+        assert bareiss_calls == []
+    # deficient at n <= RATIONAL_THRESHOLD: one prime, then Bareiss decides
+    for a in (circulant(6, 2), circulant(6, 3)):
+        rep = route(a)
+        assert rep.corank >= 1 and rep.rationally_confirmed
+        assert rep.primes_used == linalg._PRIMES[:1]
+        assert mod_p_calls == [linalg._PRIMES[0]]
+        assert bareiss_calls == [a.n]
+    # deficient above it: both primes agree and decide, no Bareiss
+    rep = route(circulant(130, 2))
+    assert rep.corank == 1 and not rep.rationally_confirmed
+    assert rep.primes_used == linalg._PRIMES
+    assert mod_p_calls == list(linalg._PRIMES)
+    assert bareiss_calls == []
 
 
 def test_rank_exact_cross_check_raises(monkeypatch):
-    # a modular rank above the rational rank can only mean a bug
-    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: 6)
+    # a modular rank above the rational rank can only mean a bug.  At
+    # n <= 128 an overshoot below n reaches Bareiss: circulant(6, 3) has rank 4
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: 5)
     with pytest.raises(ConsistencyError):
-        rank_exact(circulant(6, 2))
+        rank_exact(circulant(6, 3))
+    # above it, disagreeing primes reach Bareiss: circulant(132, 3) has rank 130
+    fake = {linalg._PRIMES[0]: 131, linalg._PRIMES[1]: 129}
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: fake[p])
+    with pytest.raises(ConsistencyError):
+        rank_exact(circulant(132, 3))
+
+
+def test_rank_exact_matches_rational_rank_on_grid_samples():
+    # a full rank is decided by the modular core alone, so check every
+    # answer against Bareiss on samples like the estimate grids draw
+    mcmc = SamplerConfig(kind="mcmc")
+    cases = _stub_samples(40, 2, 20, 40) + _stub_samples(60, 2, 20, 60)
+    cases += _stub_samples(128, 3, 8, 128) + _stub_samples(256, 3, 2, 256)
+    for n, d, seed in ((32, 8, 32), (48, 8, 48)):
+        rng = np.random.default_rng(seed)
+        cases += [draw_sample(n, d, mcmc, rng) for _ in range(4)]
+    coranks = []
+    for a in cases:
+        rep = rank_exact(a)
+        assert rep.rank == rational_rank(a), a
+        assert rep.corank == a.n - rep.rank
+        assert rep.rationally_confirmed == (a.n <= linalg.RATIONAL_THRESHOLD)
+        coranks.append(rep.corank)
+    assert 0 in coranks and max(coranks) >= 1  # full and deficient routes both ran
 
 
 def test_kernel_vectors_annihilate():
@@ -471,8 +519,6 @@ def test_random_members_rank_against_oracle(n, data):
     # keep d small: stub rejection is hopeless near d = n for larger n
     d = data.draw(st.integers(1, min(n, 3)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    from dreglab import SamplerConfig, draw_sample
-
     a = draw_sample(n, d, SamplerConfig(max_rejections=10_000), np.random.default_rng(seed))
     assert rational_rank(a) == oracle_rank(a.dense_rows())
     assert rank_exact(a).rank == rational_rank(a)
