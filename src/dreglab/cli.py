@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DreglabError, ParseError, SizeGuardError
+from .errors import ConsistencyError, DreglabError, ParseError, SizeGuardError
 from .experiment import (
     GridSpec,
     run_grid,
@@ -27,7 +27,7 @@ from .experiment import (
     write_summary_csv,
     write_summary_json,
 )
-from .linalg import RATIONAL_THRESHOLD, format_vector, kernel, rank_exact
+from .linalg import RATIONAL_THRESHOLD, format_vector, rank_exact
 from .matrix import parse, serialize
 from .sampler import SamplerConfig, chi_square_uniform, draw_sample, enumerate_all, sample_stub
 from .verifiers import DelocParams, level_sets, run_family_checks
@@ -283,9 +283,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "rationally_confirmed": report.rationally_confirmed,
         "primes_used": list(report.primes_used),
     }
-    if report.corank >= 1 and a.n <= RATIONAL_THRESHOLD:
-        right = kernel(a, "right")
-        left = kernel(a, "left")
+    if report.kernel is not None:
+        left_report = rank_exact(a.transpose())
+        if left_report.rank != report.rank:
+            raise ConsistencyError(
+                f"row rank {left_report.rank} != column rank {report.rank} (n={a.n}, d={a.d})"
+            )
+        right, left = report.kernel, left_report.kernel
         payload["right_kernel"] = [_rref_text(v) for v in right.vectors]
         payload["left_kernel"] = [_rref_text(v) for v in left.vectors]
         payload["max_kernel_level_set"] = max(

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import RejectionBudgetExceeded
-from .linalg import RATIONAL_THRESHOLD, kernel, rank_exact
+from .errors import ConsistencyError, RejectionBudgetExceeded
+from .linalg import rank_exact
 from .sampler import SamplerConfig, draw_sample
 from .verifiers import level_sets
 
@@ -213,13 +213,15 @@ def run_trial(
 
     report = rank_exact(a)
     max_level: int | None = None
-    if report.corank >= 1 and n <= RATIONAL_THRESHOLD:
-        sizes = [
-            level_sets(v).max_size
-            for side in ("right", "left")
-            for v in kernel(a, side).vectors
-        ]
-        max_level = max(sizes)
+    if report.kernel is not None:
+        left = rank_exact(a.transpose())
+        if left.rank != report.rank:
+            raise ConsistencyError(
+                f"row rank {left.rank} != column rank {report.rank} (n={n}, d={d})"
+            )
+        max_level = max(
+            level_sets(v).max_size for v in report.kernel.vectors + left.kernel.vectors
+        )
     elapsed = int((time.perf_counter() - start) * 1000) if timings else None
     return TrialRecord(
         **base,

@@ -4,19 +4,28 @@ Everything here is exact, so reported ranks are never floating-point
 guesses.  A rank starts as one sparse elimination over GF(p) for a fixed
 prime p just below 2^30, touching only nonzero entries.  A modular rank
 never exceeds the rational rank, so a modular rank of n proves full rank
-and ends the work there.  Only a deficient modular rank goes further: up to
-``RATIONAL_THRESHOLD`` fraction-free integer elimination (Bareiss) decides
-it, and above it a second prime is tried, the two modular ranks deciding
-when they agree and Bareiss when they do not.
+and ends the work there.  A deficient modular rank r_p is proven, up to
+``RATIONAL_THRESHOLD``, by a sandwich certificate built from the same
+elimination: its echelon gives one kernel vector mod p per free column,
+rational reconstruction lifts each to integers, and an exact check of
+A x = 0 over Z shows the n - r_p lifted vectors lie in the kernel.  They
+are independent by their pattern on the free columns, so the rank is at
+most r_p as well.  When a lift or a check fails, a second prime with the
+same pivot columns is joined by CRT and the lift is tried again; only
+then does fraction-free integer elimination (Bareiss) decide.  Above the
+threshold the second prime runs, the two modular ranks deciding when they
+agree and Bareiss when they do not.
 
-Vectors are integers from the Bareiss echelon to the caller: integer
-back-substitution gives integer vectors, and one fraction-free
-Gauss-Jordan reduction turns them into the canonical basis of their span
-(reduced row echelon rows scaled to coprime integers, leading entries
-positive).  :class:`SubspaceBasis` is canonical on construction and carries
-its ambient dimension n, so two subspaces are equal iff their bases compare
-``==``.  Vectors from outside may be ints or ``Fraction``s; :func:`span_basis`
-clears their denominators before reducing.
+Vectors are integers from elimination to the caller: integer
+back-substitution on the Bareiss echelon and the lifted modular vectors
+both give integer vectors, and one fraction-free Gauss-Jordan reduction
+turns them into the canonical basis of their span (reduced row echelon
+rows scaled to coprime integers, leading entries positive), so the route
+never shows in a basis.  :class:`SubspaceBasis` is canonical on
+construction and carries its ambient dimension n, so two subspaces are
+equal iff their bases compare ``==``.  Vectors from outside may be ints or
+``Fraction``s; :func:`span_basis` clears their denominators before
+reducing.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -42,14 +51,13 @@ __all__ = [
     "f_rows",
     "f_perp",
     "span_basis",
-    "matvec",
     "format_vector",
-    "parse_vector",
     "RATIONAL_THRESHOLD",
 ]
 
-# Up to this size a deficient modular rank is settled by Bareiss; above it
-# the two-prime modular consensus stands alone unless the primes disagree.
+# Up to this size a deficient modular rank is certified by lifted kernel
+# vectors (Bareiss only when both primes fail); above it the two-prime
+# modular consensus stands alone unless the primes disagree.
 RATIONAL_THRESHOLD = 128
 
 # The two largest primes below 2^30 (2^30 - 35 and 2^30 - 41).  CPython
@@ -63,16 +71,24 @@ _PRIMES = (1073741789, 1073741783)
 # ─── elimination cores ──────────────────────────────────────────────────────
 
 
-def _rank_rows_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank modulo p of sparse integer rows ``{column: entry}``.
+def _rank_rows_mod_p(
+    rows: list[dict[int, int]], p: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Forward echelon modulo p of sparse integer rows ``{column: entry}``.
 
     Structured elimination over GF(p) (LaMacchia & Odlyzko, CRYPTO 1990):
     each column keeps the set of rows that are nonzero in it, columns are
     taken left to right, and the pivot is the candidate row with the fewest
     nonzeros.  A pivot updates only the rows nonzero in its column, and only
     at the pivot row's nonzero columns; entries that cancel are removed.
-    The rank over GF(p) does not depend on the pivot choice.  The input
-    rows are left unchanged.
+    The input rows are left unchanged.
+
+    Returns one ``(c, update)`` entry per pivot column c, in increasing c.
+    ``update`` lists ``(col, coeff)`` pairs with col > c such that every
+    solution of the rows over GF(p) has x_c = sum of coeff * x_col.  Its
+    length is the rank over GF(p), which does not depend on the pivot
+    choice, and neither do the pivot columns: c is one iff column c is not
+    in the span of the columns before it.
     """
     rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
     ncols = 1 + max((c for row in rows for c in row), default=-1)
@@ -80,7 +96,7 @@ def _rank_rows_mod_p(rows: list[dict[int, int]], p: int) -> int:
     for s, row in enumerate(rows):
         for c in row:
             col_rows[c].add(s)
-    rank = 0
+    echelon = []
     for c in range(ncols):
         cand = col_rows[c]
         if not cand:
@@ -108,8 +124,80 @@ def _rank_rows_mod_p(rows: list[dict[int, int]], p: int) -> int:
                     else:
                         del row[col]
                         col_rows[col].discard(s)
-        rank += 1
-    return rank
+        echelon.append((c, update))
+    return echelon
+
+
+def _kernel_mod_p(
+    echelon: list[tuple[int, list[tuple[int, int]]]], ncols: int, p: int
+) -> list[list[int]]:
+    """Back-substitute one kernel vector over GF(p) per free column.
+
+    The vector for free column ``fc`` has x[fc] = 1 and x = 0 at every
+    other free column; the pivot entries follow from the echelon, last
+    pivot first.
+    """
+    pivots = {c for c, _ in echelon}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [0] * ncols
+        x[fc] = 1
+        for c, update in reversed(echelon):
+            x[c] = sum([v * x[col] for col, v in update]) % p
+        basis.append(x)
+    return basis
+
+
+def _lift(x: list[int], m: int) -> list[int] | None:
+    """Integer vector whose entries reduce mod m to ``x`` up to a common scale.
+
+    Each entry u is reconstructed as the fraction a/b with |a|, b <= B =
+    isqrt(m / 2) and a = b u (mod m), which is unique when it exists (von
+    zur Gathen & Gerhard, *Modern Computer Algebra*, §5.10), and the vector
+    is scaled by the lcm of the b.  Returns None when some entry has no
+    such fraction.  Entries 0 and 1 lift to themselves, so the free-column
+    pattern of a :func:`_kernel_mod_p` vector survives.
+    """
+    bound = isqrt(m // 2)
+    nums, dens = [], []
+    for u in x:
+        if u <= bound:
+            nums.append(u)
+            dens.append(1)
+        elif m - u <= bound:
+            nums.append(u - m)
+            dens.append(1)
+        else:  # half-extended Euclid on (m, u), stopped below the bound
+            r0, r1, t0, t1 = m, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound:
+                return None
+            nums.append(r1 if t1 > 0 else -r1)
+            dens.append(abs(t1))
+    den = lcm(*dens)
+    return [a * (den // b) for a, b in zip(nums, dens)]
+
+
+def _certified_kernel(a: BiregularMatrix, vectors: list[list[int]], m: int) -> SubspaceBasis | None:
+    """The kernel of ``a`` spanned by the lifts of ``vectors`` mod m, or None.
+
+    Every lift must satisfy A x = 0 exactly over Z.  The vectors come one
+    per free column with 1 there and 0 at the other free columns, so they
+    are independent: together with a modular rank of n - len(vectors) they
+    prove both the rank and that they span the kernel.
+    """
+    lifted = []
+    for x in vectors:
+        y = _lift(x, m)
+        if y is None or any(sum(map(y.__getitem__, support)) for support in a.row_supports):
+            return None
+        lifted.append(y)
+    return SubspaceBasis(a.n, lifted)
 
 
 # The Bareiss core walks columns left to right over an "active" block of rows
@@ -270,21 +358,27 @@ def _integer_rows(vectors: Iterable[Sequence[int | Fraction]]) -> list[list[int]
 class RankReport:
     """Result of :func:`rank_exact`, with enough detail to replay it.
 
-    ``primes_used`` lists the primes whose modular ranks were computed, in
+    ``primes_used`` lists the primes whose modular eliminations ran, in
     order.  ``rationally_confirmed`` is True when the rank is proven over Q:
-    by a modular rank of n (full rank) or by Bareiss elimination.  Above
-    ``RATIONAL_THRESHOLD`` a full rank is proven all the same, by its first
-    prime, but is reported False: trial records carry this flag, and the
-    grid-rank benchmark's pinned digest hashes those records, so the
-    relabel waits for that digest's re-pin (ROADMAP item 1).  A deficient
-    rank there on which both primes agree is a consensus, not a proof, and
-    is reported False too.
+    by a modular rank of n (full rank), by the sandwich certificate, or by
+    Bareiss elimination.  Above ``RATIONAL_THRESHOLD`` a full rank is proven
+    all the same, by its first prime, but is reported False: trial records
+    carry this flag, and the grid-rank benchmark's pinned digest hashes
+    those records, so the relabel waits for that digest's re-pin (ROADMAP
+    item 1).  A deficient rank there on which both primes agree is a
+    consensus, not a proof, and is reported False too.
+
+    ``kernel`` is the canonical basis of the right kernel when the rank is
+    deficient and n <= ``RATIONAL_THRESHOLD``: the lifted vectors that
+    certified the rank, or the Bareiss kernel when the fallback decided.
+    It is None for a full rank and above the threshold.
     """
 
     rank: int
     corank: int
     primes_used: tuple[int, ...]
     rationally_confirmed: bool
+    kernel: SubspaceBasis | None
 
 
 @dataclass(frozen=True)
@@ -318,7 +412,7 @@ def rank_mod_p(a: BiregularMatrix, p: int) -> int:
     """Rank of ``a`` over GF(p).  Never exceeds the rational rank."""
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    return _rank_rows_mod_p(_sparse_rows(a), p)
+    return len(_rank_rows_mod_p(_sparse_rows(a), p))
 
 
 def rational_rank(a: BiregularMatrix) -> int:
@@ -336,43 +430,49 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
 
     The first elimination is modulo ``_PRIMES[0]``.  A rank of n returns at
     once with ``primes_used == _PRIMES[:1]``: a modular rank never exceeds
-    the rational rank.  A deficient modular rank is settled by the rational
-    rank (the cached echelon that :func:`kernel` reuses) for
-    ``n <= RATIONAL_THRESHOLD``.  Above the threshold the second prime runs
-    too: when the two modular ranks agree they decide, and when they
-    disagree rational elimination decides.  Wherever the rational rank is
-    computed it is authoritative, and a modular rank above it raises
+    the rational rank.  For ``n <= RATIONAL_THRESHOLD`` a deficient modular
+    rank r is proven by the sandwich certificate: the n - r kernel vectors
+    of the same echelon, lifted to integers, must satisfy A x = 0 exactly.
+    If a lift or a check fails, the second prime runs, and when its pivot
+    columns are the first prime's the two vectors are joined by CRT and
+    lifted again.  Above the threshold the second prime runs too, and two
+    agreeing modular ranks decide.  Otherwise rational elimination decides;
+    it is authoritative, and a modular rank above it raises
     :class:`ConsistencyError`.
     """
     rows = _sparse_rows(a)
-    ranks = [_rank_rows_mod_p(rows, _PRIMES[0])]
-    if ranks[0] == a.n:
-        return RankReport(
-            rank=a.n,
-            corank=0,
-            primes_used=_PRIMES[:1],
-            rationally_confirmed=a.n <= RATIONAL_THRESHOLD,
-        )
-    if a.n > RATIONAL_THRESHOLD:
-        ranks.append(_rank_rows_mod_p(rows, _PRIMES[1]))
-        if ranks[0] == ranks[1]:
-            return RankReport(
-                rank=ranks[0],
-                corank=a.n - ranks[0],
-                primes_used=_PRIMES,
-                rationally_confirmed=False,
-            )
-    r = rational_rank(a)
-    if r < max(ranks):
+    p, q = _PRIMES
+    small = a.n <= RATIONAL_THRESHOLD
+    echelon = _rank_rows_mod_p(rows, p)
+    r = len(echelon)
+    if r == a.n:
+        return RankReport(a.n, 0, (p,), small, None)
+    if small:
+        vectors = _kernel_mod_p(echelon, a.n, p)
+        basis = _certified_kernel(a, vectors, p)
+        if basis is not None:
+            return RankReport(r, a.n - r, (p,), True, basis)
+    echelon_q = _rank_rows_mod_p(rows, q)
+    if not small and len(echelon_q) == r:
+        return RankReport(r, a.n - r, _PRIMES, False, None)
+    if small and [c for c, _ in echelon_q] == [c for c, _ in echelon]:
+        # both primes give the vectors with the same free-column pattern
+        inv = pow(p, -1, q)
+        joined = [
+            [u + p * ((w - u) * inv % q) for u, w in zip(x, y)]
+            for x, y in zip(vectors, _kernel_mod_p(echelon_q, a.n, q))
+        ]
+        basis = _certified_kernel(a, joined, p * q)
+        if basis is not None:
+            return RankReport(r, a.n - r, _PRIMES, True, basis)
+    top = max(r, len(echelon_q))
+    rank = rational_rank(a)
+    if rank < top:
         raise ConsistencyError(
-            f"modular rank {max(ranks)} exceeds rational rank {r} (n={a.n}, d={a.d})"
+            f"modular rank {top} exceeds rational rank {rank} (n={a.n}, d={a.d})"
         )
-    return RankReport(
-        rank=r,
-        corank=a.n - r,
-        primes_used=_PRIMES[: len(ranks)],
-        rationally_confirmed=True,
-    )
+    basis = kernel(a) if small and rank < a.n else None
+    return RankReport(rank, a.n - rank, _PRIMES, True, basis)
 
 
 def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
@@ -423,20 +523,8 @@ def span_basis(vectors: Iterable[Sequence[int | Fraction]]) -> SubspaceBasis:
     return SubspaceBasis(len(rows[0]), rows)
 
 
-def matvec(a: BiregularMatrix, x: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-    """Exact product A x for a rational vector x (row-support dot products)."""
-    if len(x) != a.n:
-        raise DimensionError(f"vector length {len(x)} != n = {a.n}")
-    return tuple(sum(x[t] for t in support) for support in a.row_supports)
-
-
 def format_vector(x: Sequence[int | Fraction]) -> str:
     """Space-separated ``num/den`` tokens in lowest terms."""
     return " ".join(
         f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in x
     )
-
-
-def parse_vector(text: str) -> tuple[Fraction, ...]:
-    """Inverse of :func:`format_vector`; bare integers are accepted too."""
-    return tuple(Fraction(tok) for tok in text.split())

@@ -44,7 +44,6 @@ from .errors import (
     BoundViolation,
     ConsistencyError,
     DimensionError,
-    InfeasibleSwitchError,
     NotSingularError,
     PreconditionError,
     SizeGuardError,
@@ -63,7 +62,6 @@ from .matrix import BiregularMatrix, serialize
 from .switching import (
     Switch,
     apply_switch,
-    can_perform,
     count_with_bounds,
     dedup_switches,
     enumerate_switches,
@@ -82,7 +80,6 @@ __all__ = [
     "CheckReport",
     "rank_delta_check",
     "compute_KA",
-    "is_x_bad",
     "count_x_bad",
     "level_sets",
     "deloc_event",
@@ -129,8 +126,9 @@ class DelocParams:
     The bound theta(n, d) = min(n, C n ln^2(d) / ln(n)) caps at n, so with
     C large enough every check is vacuous; C defaults to 1 and is carried
     into every report rather than hidden.  C may be given as anything
-    ``Fraction`` accepts, such as the string ``"3/2"``; a zero denominator
-    is a ValueError like any other malformed C.
+    ``Fraction`` accepts, such as the string ``"3/2"``; a zero denominator,
+    or a C too large to convert to a float, is a ValueError like any other
+    malformed C.
     """
 
     C: Fraction = Fraction(1)
@@ -142,6 +140,10 @@ class DelocParams:
             raise ValueError(f"C has a zero denominator: {self.C}") from None
         if c <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
+        try:
+            float(c)  # beta scales by float(C)
+        except OverflowError:
+            raise ValueError(f"C is too large for a float: {self.C}") from None
         object.__setattr__(self, "C", c)
 
     def beta(self, n: int, d: int) -> float:
@@ -224,20 +226,6 @@ def rank_delta_check(a: BiregularMatrix, sw: Switch) -> int:
     """rank(A after sw) - rank(A), exactly; the law says it is in {-1,0,+1}."""
     bar = apply_switch(a, sw)  # raises InfeasibleSwitchError when not feasible
     return rational_rank(bar) - rational_rank(a)
-
-
-def is_x_bad(a: BiregularMatrix, sw: Switch, x: Sequence[int | Fraction]) -> bool:
-    """Whether the switching is x-bad: x_k = x_l exactly.
-
-    For any x this is equivalent to "the switched matrix maps x the same
-    way": the product changes only in rows i and j, by x_l - x_k and
-    x_k - x_l respectively.
-    """
-    if len(x) != a.n:
-        raise DimensionError(f"vector length {len(x)} != n = {a.n}")
-    if not can_perform(a, sw):
-        raise InfeasibleSwitchError(f"{sw} is not feasible")
-    return x[sw.k] == x[sw.l]
 
 
 def count_x_bad(a: BiregularMatrix, x: Sequence[int | Fraction]) -> int:

@@ -232,6 +232,20 @@ def test_zero_denominator_C_is_a_usage_error(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--n-max", "2", "--d-max", "2", "--C", "1e400"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--C", "1e400"],
+    ],
+)
+def test_C_beyond_float_range_is_a_usage_error(argv, capsys):
+    # float(C) would raise OverflowError in the level-set bound
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "--n-max", "2", "--d-max", "1", "--workers", "2"],
         ["verify", "--n-max", "2", "--d-max", "1", "--seed", "1"],
         ["sampler-test", "--n", "3", "--d", "1", "--samples", "6", "--workers", "2"],
@@ -371,7 +385,7 @@ def test_rank_on_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["rank"] == 5 and payload["corank"] == 0
     assert payload["rationally_confirmed"] is True
-    # one prime proves full rank; Bareiss runs only for a deficient one
+    # one prime proves full rank
     assert payload["primes_used"] == list(linalg._PRIMES[:1])
     assert "right_kernel" not in payload
 

@@ -25,8 +25,6 @@ from dreglab import (
     format_vector,
     identity,
     kernel,
-    matvec,
-    parse_vector,
     rank_exact,
     rank_mod_p,
     rational_rank,
@@ -34,6 +32,7 @@ from dreglab import (
     span_basis,
 )
 from dreglab import linalg
+from dreglab.experiment import run_trial
 
 # ─── independent oracle: plain Fraction Gauss-Jordan elimination ───────────
 
@@ -129,12 +128,13 @@ def test_rank_exact_consensus_and_report():
         assert rep.rank == oracle_rank(a.dense_rows())
         assert rep.corank == a.n - rep.rank
         assert rep.rationally_confirmed  # n is far below the rational cutoff
-        # one prime runs at n <= 128; Bareiss settles a deficient rank
+        # one prime runs at n <= 128, and its lifted kernel settles a deficient rank
         assert rep.primes_used == linalg._PRIMES[:1]
+        assert rep.kernel == (kernel(a) if rep.corank else None)
 
 
 def test_rank_exact_deterministic_primes():
-    a = circulant(6, 3)  # corank 2, settled by Bareiss after the first prime
+    a = circulant(6, 3)  # corank 2, certified by the first prime's lifted kernel
     r1, r2 = rank_exact(a), rank_exact(a)
     assert r1 == r2
     assert r1.primes_used == linalg._PRIMES[:1]
@@ -224,62 +224,169 @@ def test_rank_mod_p_matches_oracle():
     assert drops > 0
 
 
-def test_rank_exact_routing(monkeypatch):
-    mod_p_calls, bareiss_calls = [], []
-    core, bareiss = linalg._rank_rows_mod_p, linalg._int_echelon
+def _count_routes(monkeypatch):
+    """Patch the modular core, Bareiss and the lift check with call loggers.
+
+    Returns the log: a prime per modular elimination, ``"bareiss"`` per
+    Bareiss elimination, and ``("lift", m, ok)`` per lift-and-check.
+    """
+    log = []
+    core, bareiss, certify = linalg._rank_rows_mod_p, linalg._int_echelon, linalg._certified_kernel
 
     def counted_mod_p(rows, p):
-        mod_p_calls.append(p)
+        log.append(p)
         return core(rows, p)
 
     def counted_bareiss(rows):
-        bareiss_calls.append(len(rows))
+        log.append("bareiss")
         return bareiss(rows)
+
+    def counted_certify(a, vectors, m):
+        basis = certify(a, vectors, m)
+        log.append(("lift", m, basis is not None))
+        return basis
 
     monkeypatch.setattr(linalg, "_rank_rows_mod_p", counted_mod_p)
     monkeypatch.setattr(linalg, "_int_echelon", counted_bareiss)
+    monkeypatch.setattr(linalg, "_certified_kernel", counted_certify)
+    return log
 
-    def route(a):
-        linalg._echelon_of.cache_clear()  # a cached echelon would hide Bareiss
-        mod_p_calls.clear()
-        bareiss_calls.clear()
-        return rank_exact(a)
 
+def _route(log, a):
+    linalg._echelon_of.cache_clear()  # a cached echelon would hide Bareiss
+    log.clear()
+    rep = rank_exact(a)
+    return rep, list(log)
+
+
+def test_rank_exact_routing(monkeypatch):
+    log = _count_routes(monkeypatch)
+    p, q = linalg._PRIMES
     # full rank at any n: the first prime proves it, and nothing else runs
     (big,) = _stub_samples(128, 3, 1, 128)
     for a in (identity(9), circulant(7, 3), big, circulant(130, 3)):
-        rep = route(a)
-        assert rep.corank == 0
+        rep, calls = _route(log, a)
+        assert rep.corank == 0 and rep.kernel is None
         assert rep.rationally_confirmed == (a.n <= linalg.RATIONAL_THRESHOLD)
-        assert rep.primes_used == linalg._PRIMES[:1]
-        assert mod_p_calls == [linalg._PRIMES[0]]
-        assert bareiss_calls == []
-    # deficient at n <= RATIONAL_THRESHOLD: one prime, then Bareiss decides
-    for a in (circulant(6, 2), circulant(6, 3)):
-        rep = route(a)
+        assert rep.primes_used == (p,)
+        assert calls == [p]
+    # deficient at n <= RATIONAL_THRESHOLD: one prime and its lifted kernel,
+    # no Bareiss; the certified kernel is the Bareiss kernel
+    for a in (circulant(6, 2), circulant(6, 3), HALVES):
+        rep, calls = _route(log, a)
         assert rep.corank >= 1 and rep.rationally_confirmed
-        assert rep.primes_used == linalg._PRIMES[:1]
-        assert mod_p_calls == [linalg._PRIMES[0]]
-        assert bareiss_calls == [a.n]
-    # deficient above it: both primes agree and decide, no Bareiss
-    rep = route(circulant(130, 2))
+        assert rep.primes_used == (p,)
+        assert calls == [p, ("lift", p, True)]
+        assert rep.kernel == kernel(a, "right")
+        assert rep.kernel.dim == rep.corank
+    # deficient above it: both primes agree and decide, no Bareiss, no kernel
+    rep, calls = _route(log, circulant(130, 2))
     assert rep.corank == 1 and not rep.rationally_confirmed
-    assert rep.primes_used == linalg._PRIMES
-    assert mod_p_calls == list(linalg._PRIMES)
-    assert bareiss_calls == []
+    assert rep.primes_used == (p, q)
+    assert calls == [p, q]
+    assert rep.kernel is None
 
 
 def test_rank_exact_cross_check_raises(monkeypatch):
     # a modular rank above the rational rank can only mean a bug.  At
-    # n <= 128 an overshoot below n reaches Bareiss: circulant(6, 3) has rank 4
-    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: 5)
+    # n <= 128 the overshoot's kernel vectors fail the exact check for both
+    # primes, so Bareiss decides and catches it: circulant(6, 3) has rank 4,
+    # and this fake echelon claims rank 5 with pivots 0..4 and x_c = x_5
+    log = _count_routes(monkeypatch)
+    fake = [(c, [(5, 1)]) for c in range(5)]
+    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: log.append(p) or fake)
     with pytest.raises(ConsistencyError):
-        rank_exact(circulant(6, 3))
+        _route(log, circulant(6, 3))
+    p, q = linalg._PRIMES
+    assert log == [p, ("lift", p, False), q, ("lift", p * q, False), "bareiss"]
     # above it, disagreeing primes reach Bareiss: circulant(132, 3) has rank 130
-    fake = {linalg._PRIMES[0]: 131, linalg._PRIMES[1]: 129}
-    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: fake[p])
+    ranks = {p: 131, q: 129}
+    monkeypatch.setattr(
+        linalg, "_rank_rows_mod_p", lambda rows, p: [(c, []) for c in range(ranks[p])]
+    )
     with pytest.raises(ConsistencyError):
         rank_exact(circulant(132, 3))
+
+
+def test_rank_exact_falls_back_when_a_prime_drops_the_rank(monkeypatch):
+    # det circulant(3, 2) = 2, so its rank is 2 mod 2: the one kernel vector
+    # mod 2 lifts to (1, 1, 1), which fails A x = 0 over Z.  The rank is 3
+    # mod 3, so the pivot columns differ and no CRT is tried; Bareiss decides
+    log = _count_routes(monkeypatch)
+    monkeypatch.setattr(linalg, "_PRIMES", (2, 3))
+    a = circulant(3, 2)
+    assert rank_mod_p(a, 2) == 2
+    rep, calls = _route(log, a)
+    assert calls == [2, ("lift", 2, False), 3, "bareiss"]
+    assert rep.rank == 3 == rational_rank(a)
+    assert rep.corank == 0 and rep.kernel is None
+    assert rep.rationally_confirmed and rep.primes_used == (2, 3)
+
+
+def _singular_stub_samples(n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a = sample_stub(n, d, rng)
+        if a is not None and rank_mod_p(a, linalg._PRIMES[0]) < n:
+            out.append(a)
+    return out
+
+
+def test_rank_exact_small_primes_reach_crt(monkeypatch):
+    # with p = 101 the lift only reaches entries up to 7, too few for most
+    # (128,3) kernels, so the CRT route must run; whatever route decides,
+    # rank and kernel stay exact
+    cases = _singular_stub_samples(128, 3, 4, 7)
+    log = _count_routes(monkeypatch)
+    monkeypatch.setattr(linalg, "_PRIMES", (101, 103))
+    lifts = []
+    for a in cases:
+        rep, calls = _route(log, a)
+        lifts += [c[1] for c in calls if isinstance(c, tuple)]
+        assert rep.rank == rational_rank(a) < a.n
+        assert rep.kernel == kernel(a)
+    assert 101 * 103 in lifts
+
+
+def test_rank_exact_kernel_is_the_bareiss_kernel(monkeypatch):
+    # both sides of every small family member and of singular grid-sized
+    # samples, against kernel(), which always runs Bareiss
+    log = _count_routes(monkeypatch)
+    cases = [m for n, d in SMALL_FAMILIES for m in enumerate_all(n, d)]
+    cases += list(enumerate_all(5, 2))
+    cases += _singular_stub_samples(40, 2, 20, 40) + _singular_stub_samples(60, 2, 20, 60)
+    cases += _singular_stub_samples(128, 3, 6, 128)
+    routes = set()
+    for a in cases:
+        for m in (a, a.transpose()):
+            rep, calls = _route(log, m)
+            routes.add(tuple(calls))
+            assert rep.rank == rational_rank(m)
+            assert rep.kernel == (kernel(m) if rep.corank else None)
+    p, q = linalg._PRIMES
+    # one prime certifies most, and CRT the rest of the (128,3) kernels
+    assert (p, ("lift", p, True)) in routes
+    assert (p, ("lift", p, False), q, ("lift", p * q, True)) in routes
+    assert not any("bareiss" in calls for calls in routes)
+
+
+def test_singular_trials_run_no_bareiss(monkeypatch):
+    # run_trial takes both kernels from rank_exact, so a singular grid trial
+    # at n <= 128 runs no integer elimination unless both primes fail
+    log = _count_routes(monkeypatch)
+    config = SamplerConfig()
+    singular = 0
+    for n, d, trials in ((40, 2, 20), (60, 2, 10), (128, 3, 60)):
+        for t in range(trials):
+            linalg._echelon_of.cache_clear()
+            log.clear()
+            rec = run_trial(n, d, config, 1, t)
+            if rec.corank:
+                singular += 1
+                assert rec.max_kernel_level_set is not None
+            assert "bareiss" not in log
+    assert singular >= 10
 
 
 def test_rank_exact_matches_rational_rank_on_grid_samples():
@@ -306,11 +413,9 @@ def test_kernel_vectors_annihilate():
         right = kernel(a, "right")
         left = kernel(a, "left")
         assert right.dim == left.dim == a.n - rational_rank(a)
-        zero = tuple(Fraction(0) for _ in range(a.n))
-        for x in right.vectors:
-            assert matvec(a, x) == zero
-        for y in left.vectors:
-            assert matvec(a.transpose(), y) == zero
+        for m, space in ((a, right), (a.transpose(), left)):
+            for x in space.vectors:
+                assert all(sum(x[t] for t in support) == 0 for support in m.row_supports)
 
 
 def test_kernel_canonical_form():
@@ -383,8 +488,6 @@ def test_subspace_basis_equality_and_dimensions():
     assert not _contains(s1, (one, one, zero, zero))
     assert not _contains(s1, (one, zero, zero, zero))
     assert s1 != f_perp(identity(5), 0, 1)
-    with pytest.raises(DimensionError):
-        matvec(b, (one, zero))
     # a zero-dimensional space still knows its ambient dimension
     assert kernel(identity(3)) != kernel(identity(5))
     assert kernel(identity(3)) == SubspaceBasis(3, ()) != SubspaceBasis(4, ())
@@ -487,8 +590,8 @@ def test_span_basis_canonical_under_disguise():
 def test_vector_text_round_trip():
     v = (Fraction(1), Fraction(-2, 3), Fraction(0))
     assert format_vector(v) == "1/1 -2/3 0/1"
-    assert parse_vector(format_vector(v)) == v
-    assert parse_vector("1 -4/6 0") == v  # integers and unreduced fractions accepted
+    assert tuple(Fraction(tok) for tok in format_vector(v).split()) == v
+    assert format_vector((1, Fraction(-4, 6), 0)) == "1/1 -2/3 0/1"  # ints accepted
 
 
 def test_rank_transpose_invariance():
