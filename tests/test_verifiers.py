@@ -191,6 +191,19 @@ def _product(a, x):
     return tuple(sum(x[t] for t in support) for support in a.row_supports)
 
 
+def test_is_x_bad_examples():
+    sw = Switch(0, 2, 0, 2)
+    assert sw in set(enumerate_switches(BLOCK))
+    after = apply_switch(BLOCK, sw)
+    # feasible switch with x_k != x_l: A x changes, so it is not x-bad
+    x = vec(1, -1, 0, 0)
+    assert _product(after, x) != _product(BLOCK, x)
+    # same switch against a vector constant on k and l: A x is kept
+    c = vec(3, 3, 3, 3)
+    assert _product(after, c) == _product(BLOCK, c)
+    assert count_x_bad(BLOCK, c) == len(list(enumerate_switches(BLOCK)))
+
+
 def test_x_bad_iff_product_unchanged():
     # x_k = x_l exactly when the switched matrix maps x as A does, so
     # count_x_bad counts the switchings that leave A x unchanged
