@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,11 +161,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = DelocParams(C=args.C)
     for n in range(1, args.n_max + 1):
         for d in range(1, min(n, args.d_max) + 1):
+            start = time.perf_counter()
             pool = list(enumerate_all(n, d))
             reports = run_family_checks(pool, params)
+            elapsed = int((time.perf_counter() - start) * 1000)
             total_violations += sum(rep.violations for rep in reports)
             families.append(
-                {"n": n, "d": d, "checks": [rep.to_dict() for rep in reports]}
+                {
+                    "n": n,
+                    "d": d,
+                    "wall_time_ms": elapsed,
+                    "checks": [rep.to_dict() for rep in reports],
+                }
             )
     payload = {"families": families, "total_violations": total_violations}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

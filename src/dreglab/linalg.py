@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DimensionError
@@ -253,13 +252,6 @@ def _int_echelon(
     return pivot_cols, pivot_rows
 
 
-@lru_cache(maxsize=128)
-def _echelon_of(a: BiregularMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Cached Bareiss echelon of a matrix (keyed by matrix value)."""
-    pivot_cols, pivot_rows = _int_echelon(a.dense_rows())
-    return tuple(pivot_cols), tuple((c, tuple(r)) for c, r in pivot_rows)
-
-
 def _kernel_from_echelon(
     pivot_cols: Sequence[int],
     pivot_rows: Sequence[tuple[int, Sequence[int]]],
@@ -417,7 +409,7 @@ def rank_mod_p(a: BiregularMatrix, p: int) -> int:
 
 def rational_rank(a: BiregularMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    return len(_echelon_of(a)[0])
+    return len(_int_echelon(a.dense_rows())[0])
 
 
 def rational_rank_rows(rows: Sequence[Sequence[int]]) -> int:
@@ -485,7 +477,7 @@ def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
     if side not in ("right", "left"):
         raise ValueError(f'side must be "right" or "left", got {side!r}')
     m = a if side == "right" else a.transpose()
-    pivot_cols, pivot_rows = _echelon_of(m)
+    pivot_cols, pivot_rows = _int_echelon(m.dense_rows())
     return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
@@ -500,9 +492,14 @@ def f_rows(a: BiregularMatrix, i: int, j: int) -> list[list[int]]:
         raise IndexError(f"row indices ({i}, {j}) outside [0, {a.n})")
     if i == j:
         raise ValueError(f"F(A; i, j) needs two distinct rows, got i = j = {i}")
-    dense = a.dense_rows()
-    rows = [dense[s] for s in range(a.n) if s != i and s != j]
-    rows.append([x + y for x, y in zip(dense[i], dense[j])])
+    return _f_rows(a.dense_rows(), i, j)
+
+
+def _f_rows(dense: Sequence[list[int]], i: int, j: int) -> list[list[int]]:
+    """:func:`f_rows` from the dense rows of A; the result shares those lists."""
+    rows = list(dense)
+    del rows[max(i, j)], rows[min(i, j)]
+    rows.append(list(map(add, dense[i], dense[j])))
     return rows
 
 

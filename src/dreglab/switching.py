@@ -79,13 +79,16 @@ def apply_switch(a: BiregularMatrix, sw: Switch) -> BiregularMatrix:
     """
     if not can_perform(a, sw):
         raise InfeasibleSwitchError(f"{sw} is not feasible")
+    return build(a.n, a.d, _switched_rows(a, sw))
+
+
+def _switched_rows(a: BiregularMatrix, sw: Switch) -> tuple[tuple[int, ...], ...]:
+    """Row supports of ``a`` after the feasible switching ``sw``, unvalidated."""
     i, j, k, l = sw
     rows = list(a.row_supports)
-    row_i = sorted(a.row_set(i) - {k} | {l})
-    row_j = sorted(a.row_set(j) - {l} | {k})
-    rows[i] = tuple(row_i)
-    rows[j] = tuple(row_j)
-    return build(a.n, a.d, rows)
+    rows[i] = tuple(sorted(a.row_set(i) - {k} | {l}))
+    rows[j] = tuple(sorted(a.row_set(j) - {l} | {k}))
+    return tuple(rows)
 
 
 def enumerate_switches(a: BiregularMatrix) -> Iterator[Switch]:
@@ -134,8 +137,13 @@ def count_with_bounds(a: BiregularMatrix) -> SwitchCount:
     outside that window raises :class:`BoundViolation`, which would mean
     the counting argument itself is broken (a bug, not bad input).
     """
+    return _count_with_bounds(a, enumerate_switches(a))
+
+
+def _count_with_bounds(a: BiregularMatrix, switches: Iterable[Switch]) -> SwitchCount:
+    """:func:`count_with_bounds` over the feasible ``switches`` of ``a``."""
     n, d = a.n, a.d
-    total = sum(1 for _ in enumerate_switches(a))
+    total = sum(1 for _ in switches)
     upper = n * (n - d) * d * d
     lower = upper - n * d * (d - 1) * (d - 1)
     if not (lower <= total <= upper):
@@ -151,8 +159,13 @@ def per_entry_counts(a: BiregularMatrix) -> dict[tuple[int, int], int]:
     Each per-entry count lies in [(n-d)d - (d-1)^2, (n-d)d]; summing over
     all n*d one-entries gives the total of :func:`count_with_bounds`.
     """
+    return _per_entry_counts(a, enumerate_switches(a))
+
+
+def _per_entry_counts(a: BiregularMatrix, switches: Iterable[Switch]) -> dict[tuple[int, int], int]:
+    """:func:`per_entry_counts` over the feasible ``switches`` of ``a``."""
     counts = {(i, k): 0 for (i, k) in a.ones()}
-    for sw in enumerate_switches(a):
+    for sw in switches:
         counts[(sw.i, sw.k)] += 1
     return counts
 

@@ -3,7 +3,9 @@
 Each operation here turns one mathematical statement into a checkable
 computation on concrete matrices:
 
-* the rank-delta law — a switching moves the rank by at most one;
+* the rank-delta law — a switching moves the rank by at most one, and by
+  the step that Meyer's rank-one-update criterion predicts from the two
+  kernels;
 * K_A — the ordered pairs (i, j) where the kernel equals the orthogonal
   complement of F(A; i, j) = span{rows except i, j; row i + row j};
 * the two facts about F(A; i, j) that K_A rests on — a switching on rows i
@@ -24,6 +26,13 @@ never through a basis of F^perp: f-invariance compares the rows before and
 after a switching, kernel containment takes dot products with them, and K_A
 compares rank F with rank A.
 
+A family sweep (:func:`run_family_checks`) reads one memo that lives for
+the call: each member's rank, and per matrix its feasible switchings, its
+switched members, both kernels, K_A and the replay, each computed once.
+The single-matrix functions are thin wrappers over the same private
+helpers, each on a memo of its one matrix, so every check has one
+implementation.
+
 Everything is exact: kernel vectors are the canonical integer bases of
 :mod:`dreglab.linalg`, and the questions asked of them (orthogonality to
 rows, x_k = x_l, level-set sizes) do not depend on how a vector is scaled.
@@ -37,6 +46,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -51,7 +61,8 @@ from .errors import (
 )
 from .linalg import (
     RATIONAL_THRESHOLD,
-    f_rows,
+    SubspaceBasis,
+    _f_rows,
     format_vector,
     kernel,
     rational_rank,
@@ -61,11 +72,12 @@ from .linalg import (
 from .matrix import BiregularMatrix, serialize
 from .switching import (
     Switch,
+    _count_with_bounds,
+    _per_entry_counts,
+    _switched_rows,
     apply_switch,
-    count_with_bounds,
     dedup_switches,
     enumerate_switches,
-    per_entry_counts,
 )
 
 __all__ = [
@@ -209,14 +221,118 @@ def compute_KA(a: BiregularMatrix) -> KASet:
     unordered pair and membership is recorded symmetrically.
     """
     _guard(a.n)
-    r = rational_rank(a)
+    return _Memo([a]).of(a).ka
+
+
+def _ka_set(f: "_Facts") -> KASet:
+    """K_A of the matrix of ``f``, from its dense rows and its rank."""
+    n = f.a.n
     pairs: set[tuple[int, int]] = set()
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            if rational_rank_rows(f_rows(a, i, j)) == r:
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rational_rank_rows(_f_rows(f.dense, i, j)) == f.rank:
                 pairs.add((i, j))
                 pairs.add((j, i))
     return KASet(frozenset(pairs))
+
+
+# ─── the family memo ────────────────────────────────────────────────────────
+
+
+class _Facts:
+    """One matrix and its rank, with the facts the checks share about it.
+
+    Each fact is computed on first use and then kept, so every check of a
+    family reads the same switchings, kernels, K_A and replay, and none of
+    them is computed twice.  No fact refers to another matrix's facts: the
+    switched matrices are kept by :class:`_Memo`, so a memo holds no
+    reference cycle and is freed as soon as its call returns.
+    """
+
+    def __init__(self, a: BiregularMatrix, rank: int):
+        self.a = a
+        self.rank = rank
+
+    @cached_property
+    def switches(self) -> list[Switch]:
+        """Every feasible ordered switching, in enumeration order."""
+        return list(enumerate_switches(self.a))
+
+    @cached_property
+    def dense(self) -> list[list[int]]:
+        return self.a.dense_rows()
+
+    @cached_property
+    def right(self) -> SubspaceBasis:
+        return self._kernel("right")
+
+    @cached_property
+    def left(self) -> SubspaceBasis:
+        return self._kernel("left")
+
+    def _kernel(self, side: str) -> SubspaceBasis:
+        # a full-rank matrix has zero kernels and needs no elimination
+        return kernel(self.a, side) if self.rank < self.a.n else SubspaceBasis(self.a.n, ())
+
+    @cached_property
+    def ka(self) -> KASet:
+        return _ka_set(self)
+
+    @cached_property
+    def _replay_outcome(self) -> "ReplayReport | WitnessConstructionError":
+        try:
+            return _replay(self)
+        except WitnessConstructionError as exc:
+            return exc
+
+    def replay(self) -> "ReplayReport":
+        """The replay report; a failed replay raises its error on every call."""
+        outcome = self._replay_outcome
+        if isinstance(outcome, WitnessConstructionError):
+            raise outcome
+        return outcome
+
+
+class _Memo:
+    """Facts about the members of one (n, d) family, kept for one call.
+
+    ``index`` maps each member's row supports to its :class:`_Facts`, and is
+    filled from the pool once, with one rank per member.
+    """
+
+    def __init__(self, pool: Iterable[BiregularMatrix]):
+        self.index: dict[tuple[tuple[int, ...], ...], _Facts] = {}
+        self._switched: dict[tuple[tuple[int, ...], ...], dict[Switch, _Facts]] = {}
+        for m in pool:
+            if m.row_supports not in self.index:
+                self.index[m.row_supports] = _Facts(m, rational_rank(m))
+
+    def of(self, a: BiregularMatrix) -> _Facts:
+        return self.index[a.row_supports]
+
+    def switched(self, f: _Facts) -> dict[Switch, _Facts]:
+        """Deduped switchings of ``f``'s matrix, sorted, each with the facts
+        of its result."""
+        out = self._switched.get(f.a.row_supports)
+        if out is None:
+            out = {sw: self.switch(f, sw) for sw in dedup_switches(f.switches)}
+            self._switched[f.a.row_supports] = out
+        return out
+
+    def switch(self, f: _Facts, sw: Switch) -> _Facts:
+        """Facts of ``f``'s matrix after the feasible switching ``sw``.
+
+        Switching preserves biregularity, so over a whole family the result
+        is a member and is looked up.  A result outside the memo, as from a
+        partial pool, is built by :func:`apply_switch`, which validates it,
+        and is then kept with its rank.
+        """
+        rows = _switched_rows(f.a, sw)
+        g = self.index.get(rows)
+        if g is None:
+            bar = apply_switch(f.a, sw)
+            g = self.index[rows] = _Facts(bar, rational_rank(bar))
+        return g
 
 
 # ─── switchings against a fixed matrix ──────────────────────────────────────
@@ -228,6 +344,25 @@ def rank_delta_check(a: BiregularMatrix, sw: Switch) -> int:
     return rational_rank(bar) - rational_rank(a)
 
 
+def _predicted_deltas(f: _Facts, sw: Switch) -> tuple[int, ...]:
+    """The rank steps that Meyer's rank-one-update criterion allows for ``sw``.
+
+    The switching is the update A + u v^T with u = e_i - e_j and
+    v = e_l - e_k.  u lies outside the column space iff some left-kernel y
+    has y_i != y_j, and v outside the row space iff some right-kernel x has
+    x_k != x_l (C. D. Meyer, "Generalized inversion of modified matrices",
+    SIAM J. Appl. Math. 1973).  Both give +1, exactly one gives 0, and
+    neither allows 0 or -1.  A kernel basis decides each "some".
+    """
+    col = any(y[sw.i] != y[sw.j] for y in f.left.vectors)
+    row = any(x[sw.k] != x[sw.l] for x in f.right.vectors)
+    if col and row:
+        return (1,)
+    if col or row:
+        return (0,)
+    return (0, -1)
+
+
 def count_x_bad(a: BiregularMatrix, x: Sequence[int | Fraction]) -> int:
     """Number of feasible ordered switchings that are x-bad.
 
@@ -237,9 +372,14 @@ def count_x_bad(a: BiregularMatrix, x: Sequence[int | Fraction]) -> int:
     of an implementation bug: an x-bad tuple picks k, l in the same level
     set and at most d rows carry a one in each of those columns).
     """
+    return _count_x_bad(a, enumerate_switches(a), x)
+
+
+def _count_x_bad(a: BiregularMatrix, switches: Iterable[Switch], x: Sequence[int | Fraction]) -> int:
+    """:func:`count_x_bad` over the feasible ``switches`` of ``a``."""
     if len(x) != a.n:
         raise DimensionError(f"vector length {len(x)} != n = {a.n}")
-    count = sum(1 for sw in enumerate_switches(a) if x[sw.k] == x[sw.l])
+    count = sum(1 for sw in switches if x[sw.k] == x[sw.l])
     profile = level_sets(x)
     d2 = a.d * a.d
     middle = d2 * sum(s * s for s in profile.sizes)
@@ -259,12 +399,14 @@ def rank_increasing_switchings(a: BiregularMatrix) -> list[Switch]:
     per canonical representative and both orders are emitted.
     """
     _guard(a.n)
-    out: list[Switch] = []
-    for sw in dedup_switches(enumerate_switches(a)):
-        if rank_delta_check(a, sw) == 1:
-            out.append(sw)
-            out.append(sw.mirror())
-    return sorted(out)
+    memo = _Memo([a])
+    rising = _rank_increasing(memo, memo.of(a))
+    return sorted(s for sw, _ in rising for s in (sw, sw.mirror()))
+
+
+def _rank_increasing(memo: _Memo, f: _Facts) -> list[tuple[Switch, _Facts]]:
+    """Deduped switchings of ``f`` that raise the rank by one, with their results."""
+    return [(sw, g) for sw, g in memo.switched(f).items() if g.rank == f.rank + 1]
 
 
 # ─── the increase mechanism ─────────────────────────────────────────────────
@@ -298,17 +440,22 @@ def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
     nothing to say there; K_A is empty anyway).
     """
     _guard(a.n)
-    r0 = rational_rank(a)
+    memo = _Memo([a])
+    return _mechanism(memo, memo.of(a))
+
+
+def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
+    a, r0 = f.a, f.rank
     corank = a.n - r0
     if corank == 0:
         raise NotSingularError(f"matrix has full rank {r0}")
-    ka = compute_KA(a)
-    basis = kernel(a, "right").vectors
+    ka = f.ka
+    basis = f.right.vectors
+    switched = memo.switched(f)
 
-    rank_after: dict[Switch, int] = {}
     checked = x_bad = increased = 0
     violations: list[dict] = []
-    for sw in enumerate_switches(a):
+    for sw in f.switches:
         if (sw.i, sw.j) not in ka:
             continue
         for x in basis:
@@ -316,10 +463,7 @@ def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
             if x[sw.k] == x[sw.l]:
                 x_bad += 1
                 continue
-            key = sw.canonical()
-            if key not in rank_after:
-                rank_after[key] = rational_rank(apply_switch(a, key))
-            delta = rank_after[key] - r0
+            delta = switched[sw.canonical()].rank - r0
             if delta == 1:
                 increased += 1
             else:
@@ -405,17 +549,21 @@ def replay_KA_bound(a: BiregularMatrix) -> ReplayReport:
 
     Constructs y (left kernel), I = supp(y), and per i in I the partner
     witness; verifies rank(A with row i zeroed) = rank(A), checks every
-    certified pair against :func:`compute_KA`, and asserts
+    certified pair against K_A as :func:`compute_KA` finds it, and asserts
     ``|K_A| >= |I| * min_i |partners(i)|``.  Failures of steps the proof
     guarantees raise :class:`WitnessConstructionError`.
     """
     _guard(a.n)
-    r0 = rational_rank(a)
+    return _Memo([a]).of(a).replay()
+
+
+def _replay(f: _Facts) -> ReplayReport:
+    a, r0 = f.a, f.rank
     corank = a.n - r0
     if corank == 0:
         raise NotSingularError(f"matrix has full rank {r0}")
 
-    left = kernel(a, "left")
+    left = f.left
     if left.dim != corank:
         raise ConsistencyError(
             f"left kernel dim {left.dim} != corank {corank}"
@@ -425,13 +573,11 @@ def replay_KA_bound(a: BiregularMatrix) -> ReplayReport:
     if not support:
         raise WitnessConstructionError("left-kernel vector with empty support")
 
-    ka = compute_KA(a)
-    dense = a.dense_rows()
-
+    ka = f.ka
     witnesses: list[ReplayWitness] = []
     certified: set[tuple[int, int]] = set()
     for i in support:
-        zeroed = [row if s != i else [0] * a.n for s, row in enumerate(dense)]
+        zeroed = [row if s != i else [0] * a.n for s, row in enumerate(f.dense)]
         zr = rational_rank_rows(zeroed)
         if zr != r0:
             raise WitnessConstructionError(
@@ -492,14 +638,16 @@ def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
     certified subset.
     """
     _guard(a.n)
-    theta = params.beta(a.n, a.d)
+    return _deloc(_Memo([a]).of(a), params)
+
+
+def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
+    theta = params.beta(f.a.n, f.a.d)
     candidates: list[tuple[str, tuple[int | Fraction, ...]]] = []
-    right = kernel(a, "right")
-    left = kernel(a, "left")
-    candidates.extend(("right-kernel-basis", v) for v in right.vectors)
-    candidates.extend(("left-kernel-basis", v) for v in left.vectors)
-    if right.dim > 0:
-        replay = replay_KA_bound(a)
+    candidates.extend(("right-kernel-basis", v) for v in f.right.vectors)
+    candidates.extend(("left-kernel-basis", v) for v in f.left.vectors)
+    if f.right.dim > 0:
+        replay = f.replay()
         candidates.append(("replay-y", replay.y))
         candidates.extend(
             (f"replay-row-{w.row}", w.vector) for w in replay.witnesses
@@ -619,34 +767,32 @@ def qr_relation_stats(
         raise ValueError("matrix family mixes different (n, d)")
     if not (1 <= r <= n - 2):
         raise ValueError(f"r must be in 1..{n - 2}, got {r}")
+    return _qr_relation(_Memo(pool), pool, r, params)
 
+
+def _qr_relation(
+    memo: _Memo, pool: list[BiregularMatrix], r: int, params: DelocParams
+) -> QrStatsReport:
+    n, d = pool[0].n, pool[0].d
     classes: dict[int, list[BiregularMatrix]] = {}
     for m in pool:
-        classes.setdefault(rational_rank(m), []).append(m)
+        classes.setdefault(memo.of(m).rank, []).append(m)
     class_sizes = tuple(sorted((rk, len(ms)) for rk, ms in classes.items()))
 
     theta = params.beta(n, d)
     sources: list[BiregularMatrix] = []
     skipped = 0
     for m in classes.get(r, []):
-        if deloc_event(m, params).holds:
+        if _deloc(memo.of(m), params).holds:
             sources.append(m)
         else:
             skipped += 1
 
+    # each result's rank is r + 1 by selection from the memo's one rank per matrix
     edges: list[tuple[BiregularMatrix, BiregularMatrix]] = []
     out_deg: dict[BiregularMatrix, int] = {}
     for m in sources:
-        switches = dedup_switches(rank_increasing_switchings(m))
-        results = []
-        for sw in switches:
-            bar = apply_switch(m, sw)
-            bar_rank = rational_rank(bar)
-            if bar_rank != r + 1:
-                raise ConsistencyError(
-                    f"rank-increasing switching gave rank {bar_rank}, expected {r + 1}"
-                )
-            results.append(bar)
+        results = [g.a for _, g in _rank_increasing(memo, memo.of(m))]
         if len(set(results)) != len(results):
             raise ConsistencyError(
                 "distinct canonical switchings produced identical matrices"
@@ -737,11 +883,22 @@ def run_family_checks(
     failed on a concrete instance.  Each report keeps the first
     ``_MAX_WITNESSES`` violating instances.
 
-    The family is walked once: each matrix runs the seven per-matrix checks
-    in report order, sharing its rank, its right kernel and its deduped
-    switchings, each applied once; qr-relation then runs on the whole
-    family.  A report's ``wall_time_ms`` is the time spent in its own
-    check, and applying the switchings is charged to rank-delta-law.
+    The checks read one memo that lives for this call.  It maps each
+    member's row supports to the member and its rank, and keeps, per
+    matrix, its feasible switchings (enumerated once), its deduped
+    switchings with their switched members (looked up, not rebuilt), its
+    two kernels, K_A and the replay.  The family is walked once: each
+    matrix runs the seven per-matrix checks in report order, and
+    qr-relation then runs on the whole family from the same facts.  A
+    switched matrix outside the pool is built by ``apply_switch``, which
+    validates it, and joins the memo.
+
+    rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
+    rank-one-update criterion predicts from the two kernels.  A report's
+    ``wall_time_ms`` is the time spent in its own check, which includes any
+    shared fact it is the first to need: the enumeration is charged to
+    switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
+    and K_A to increase-mechanism.
     """
     params = params or DelocParams()
     pool = list(matrices)
@@ -750,6 +907,7 @@ def run_family_checks(
     n, d = pool[0].n, pool[0].d
     if any(m.n != n or m.d != d for m in pool):
         raise ValueError("matrix family mixes different (n, d)")
+    _guard(n)
     base_params = {"n": n, "d": d, "matrices": len(pool), "C": str(params.C)}
     reports = [CheckReport(check_name=name, params=dict(base_params)) for name in _CHECK_NAMES]
     counts, delta, f_inv, contain, x_bad, mechanism, replay, qr = reports
@@ -762,40 +920,46 @@ def run_family_checks(
         spent[rep.check_name] += now - clock
         clock = now
 
+    memo = _Memo(pool)
+    lap(delta)
     lo = (n - d) * d - (d - 1) * (d - 1)
     hi = (n - d) * d
     for m in pool:
+        f = memo.of(m)
         counts.instances_checked += 1
         try:
-            count_with_bounds(m)
+            _count_with_bounds(m, f.switches)
         except BoundViolation as exc:
             _witness(counts, {"matrix": serialize(m), "error": str(exc)})
         else:
-            for (i, k), q in per_entry_counts(m).items():
+            for (i, k), q in _per_entry_counts(m, f.switches).items():
                 if not (lo <= q <= hi):
                     _witness(counts, {"matrix": serialize(m), "entry": [i, k], "count": q})
         lap(counts)
 
-        r0 = rational_rank(m)
-        switched = [(sw, apply_switch(m, sw)) for sw in dedup_switches(enumerate_switches(m))]
-        for sw, bar in switched:
+        switched = memo.switched(f)
+        for sw, g in switched.items():
             delta.instances_checked += 1
-            step = rational_rank(bar) - r0
+            step = g.rank - f.rank
+            allowed = _predicted_deltas(f, sw)
             if step not in (-1, 0, 1):
                 _witness(delta, _switch_witness(m, sw, f"delta={step}"))
+            elif step not in allowed:
+                note = f"delta={step}, predicted {' or '.join(map(str, allowed))}"
+                _witness(delta, _switch_witness(m, sw, note))
         lap(delta)
 
-        for sw, bar in switched:
+        for sw, g in switched.items():
             f_inv.instances_checked += 1
-            if f_rows(m, sw.i, sw.j) != f_rows(bar, sw.i, sw.j):
+            if _f_rows(f.dense, sw.i, sw.j) != _f_rows(g.dense, sw.i, sw.j):
                 _witness(f_inv, _switch_witness(m, sw, "F(A; i, j) changed"))
         lap(f_inv)
 
-        ker = kernel(m, "right").vectors
+        ker = f.right.vectors
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if ker else []
         contain.instances_checked += len(pairs) or 1  # a full-rank matrix counts once
         for i, j in pairs:
-            rows = f_rows(m, i, j)
+            rows = _f_rows(f.dense, i, j)
             bad = [x for x in ker if any(sum(map(mul, row, x)) for row in rows)]
             if bad:
                 item = {"matrix": serialize(m), "pair": [i, j], "vector": format_vector(bad[0])}
@@ -805,28 +969,28 @@ def run_family_checks(
         for x in (*ker, (1,) * n, tuple(range(n))):  # kernel, constant, distinct
             x_bad.instances_checked += 1
             try:
-                count_x_bad(m, x)
+                _count_x_bad(m, f.switches, x)
             except BoundViolation as exc:
                 _witness(x_bad, {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)})
         lap(x_bad)
 
-        if r0 < n:
+        if f.rank < n:
             mechanism.instances_checked += 1
-            for v in verify_increase_mechanism(m).violations:
+            for v in _mechanism(memo, f).violations:
                 _witness(mechanism, {"matrix": serialize(m), **v})
         lap(mechanism)
 
-        if r0 < n:
+        if f.rank < n:
             replay.instances_checked += 1
             try:
-                replay_KA_bound(m)
+                f.replay()
             except WitnessConstructionError as exc:
                 _witness(replay, {"matrix": serialize(m), "error": str(exc)})
         lap(replay)
 
     for r in range(1, n - 1):
         qr.instances_checked += 1
-        if not qr_relation_stats(r, pool, params).double_count_ok:
+        if not _qr_relation(memo, pool, r, params).double_count_ok:
             _witness(qr, {"r": r, "note": "double count failed"})
     lap(qr)
 

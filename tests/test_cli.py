@@ -176,6 +176,9 @@ def test_verify_small_sweep(capsys):
     seen = [(f["n"], f["d"]) for f in payload["families"]]
     assert seen == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
     for fam in payload["families"]:
+        # the family's own cost covers its checks' summed cost
+        assert list(fam) == ["n", "d", "wall_time_ms", "checks"]
+        assert fam["wall_time_ms"] >= sum(check["wall_time_ms"] for check in fam["checks"])
         for check in fam["checks"]:
             assert check["violations"] == 0
             assert isinstance(check["wall_time_ms"], int)

@@ -1,5 +1,6 @@
 """Rank/switching interplay: K_A, x-badness, replay, deloc, double counting."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from dreglab import (
     SamplerConfig,
     SubspaceBasis,
     Switch,
+    WitnessConstructionError,
     all_ones,
     apply_switch,
     block_diagonal,
@@ -390,8 +392,12 @@ def _check(reports, name):
 
 def test_f_invariance_fires_when_the_switch_is_wrong(monkeypatch):
     # a transposed result moves rows other than i and j, so F(A; i, j) changes
-    real = verifiers.apply_switch
-    monkeypatch.setattr(verifiers, "apply_switch", lambda a, sw: real(a, sw).transpose())
+    real = verifiers._Memo.switch
+
+    def transposed(memo, f, sw):
+        return memo.of(real(memo, f, sw).a.transpose())
+
+    monkeypatch.setattr(verifiers._Memo, "switch", transposed)
     rep = _check(run_family_checks(list(enumerate_all(4, 2))), "f-invariance")
     assert rep.violations > 0
     assert rep.witnesses[0]["note"] == "F(A; i, j) changed"
@@ -422,23 +428,89 @@ def test_kernel_containment_fires_on_a_vector_outside_the_kernel(monkeypatch):
     assert [0, 1] in [w["pair"] for w in rep.witnesses]
 
 
-@pytest.mark.parametrize("n, d, switchings", [(3, 2, 18), (4, 1, 144)])
+def _rebuilt(a, sw):
+    raise AssertionError(f"switched matrix rebuilt for {sw}")
+
+
+@pytest.mark.parametrize("n, d, switchings", [(3, 2, 18), (4, 1, 144), (4, 2, 1152)])
 def test_each_switching_is_applied_once(n, d, switchings, monkeypatch):
-    # on a full-rank family only rank-delta and f-invariance switch a matrix,
-    # and they share one switched matrix per deduped switching
+    # every check reads one switched matrix per deduped switching from the
+    # memo; over a whole family each result is a member, so none is rebuilt
     pool = list(enumerate_all(n, d))
     assert sum(len(dedup_switches(enumerate_switches(m))) for m in pool) == switchings
-    real = verifiers.apply_switch
+    real = verifiers._Memo.switch
     calls = []
 
-    def counted(a, sw):
+    def counted(memo, f, sw):
         calls.append(sw)
-        return real(a, sw)
+        return real(memo, f, sw)
 
-    monkeypatch.setattr(verifiers, "apply_switch", counted)
+    monkeypatch.setattr(verifiers._Memo, "switch", counted)
+    monkeypatch.setattr(verifiers, "apply_switch", _rebuilt)
     reports = run_family_checks(pool)
     assert len(calls) == switchings
     assert _check(reports, "rank-delta-law").instances_checked == switchings
+
+
+def _counting(monkeypatch, names):
+    calls = Counter()
+    for name in names:
+        real = getattr(verifiers, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verifiers, name, counted)
+    return calls
+
+
+def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
+    # all 90 members of (4,2) are singular: each is enumerated, ranked, given
+    # both kernels and K_A once, although the mechanism, the replay and
+    # qr-relation's deloc_event all read K_A or the kernels
+    calls = _counting(monkeypatch, ["enumerate_switches", "rational_rank", "kernel", "_ka_set"])
+    reports = run_family_checks(list(enumerate_all(4, 2)))
+    assert calls == {"enumerate_switches": 90, "rational_rank": 90, "kernel": 180, "_ka_set": 90}
+    assert not any(rep.violations for rep in reports)
+
+
+def test_partial_pool_builds_each_switched_matrix_once(monkeypatch):
+    # BLOCK alone: its 16 deduped switchings lead outside the pool, so each
+    # result is built (and validated) by apply_switch once and then ranked
+    calls = _counting(monkeypatch, ["apply_switch", "rational_rank"])
+    reports = run_family_checks([BLOCK])
+    assert calls == {"apply_switch": 16, "rational_rank": 17}
+    assert [rep.instances_checked for rep in reports] == [1, 16, 16, 6, 4, 1, 1, 2]
+    assert not any(rep.violations or rep.witnesses for rep in reports)
+
+
+def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
+    # every switching of BLOCK takes rank 2 to 3, as Meyer's criterion
+    # predicts from its kernels; a rank capped at 2 turns each +1 into 0,
+    # which |delta| <= 1 alone would let through
+    real = verifiers.rational_rank
+    monkeypatch.setattr(verifiers, "rational_rank", lambda a: min(real(a), 2))
+    rep = _check(run_family_checks([BLOCK]), "rank-delta-law")
+    assert rep.violations == rep.instances_checked == 16
+    assert rep.witnesses[0]["note"] == "delta=0, predicted 1"
+
+
+def test_failed_replay_stops_qr_relation(monkeypatch):
+    # the 18 corank-2 members of (4,2) fail their replay; ka-replay records
+    # each failure, and qr-relation's deloc_event then raises the kept error
+    # without replaying again, as a direct qr_relation_stats call raises
+    def refused(basis, i):
+        raise WitnessConstructionError("patched")
+
+    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", refused)
+    pool = list(enumerate_all(4, 2))
+    calls = _counting(monkeypatch, ["_replay"])
+    with pytest.raises(WitnessConstructionError, match="patched"):
+        run_family_checks(pool)
+    assert calls == {"_replay": 90}
+    with pytest.raises(WitnessConstructionError, match="patched"):
+        qr_relation_stats(2, pool, DelocParams())
 
 
 def test_all_ones_no_switches_everything_trivial():
