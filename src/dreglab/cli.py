@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConsistencyError, DreglabError, ParseError, SizeGuardError
+from .errors import DreglabError, ParseError, SizeGuardError
 from .experiment import (
     GridSpec,
     run_grid,
@@ -28,7 +28,7 @@ from .experiment import (
     write_summary_csv,
     write_summary_json,
 )
-from .linalg import RATIONAL_THRESHOLD, format_vector, rank_exact
+from .linalg import RATIONAL_THRESHOLD, format_vector, rank_and_kernels
 from .matrix import parse, serialize
 from .sampler import SamplerConfig, chi_square_uniform, draw_sample, enumerate_all, sample_stub
 from .verifiers import DelocParams, level_sets, run_family_checks
@@ -56,18 +56,21 @@ def _add_common(
         sub.add_argument("--workers", type=int, default=None, help="process count")
 
 
+def _add_sampler(sub: argparse.ArgumentParser, *, budget: bool) -> None:
+    """Register --kind and --burn-in, plus --max-rejections where a budget applies."""
+    sub.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
+    if budget:
+        sub.add_argument("--max-rejections", type=int, default=None)
+    sub.add_argument("--burn-in", type=int, default=None)
+
+
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    """The sampler the flags name; a flag that sampler would not read is refused."""
-    kind = args.kind or "stub_rejection"
-    max_rejections = getattr(args, "max_rejections", None)
-    if kind == "stub_rejection" and args.burn_in is not None:
-        raise ValueError("--burn-in applies only to --kind mcmc")
-    if kind == "mcmc" and max_rejections is not None:
-        raise ValueError("--max-rejections applies only to --kind stub_rejection")
-    kwargs: dict = {"kind": kind, "burn_in_steps": args.burn_in}
-    if max_rejections is not None:
-        kwargs["max_rejections"] = max_rejections
-    return SamplerConfig(**kwargs)
+    """The sampler the flags name; SamplerConfig refuses a flag it would not read."""
+    return SamplerConfig(
+        kind=args.kind or "stub_rejection",
+        max_rejections=getattr(args, "max_rejections", None),
+        burn_in_steps=args.burn_in,
+    )
 
 
 def _resolve_seed(args: argparse.Namespace, config: SamplerConfig) -> int:
@@ -122,22 +125,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     records = run_grid(grid, master_seed, timings=args.timings)
     rows = summarize(records)
 
+    write_summary = write_summary_csv if args.format == "csv" else write_summary_json
     if grid.out is None:
         write_records(records, sys.stdout)
-        if args.format == "csv":
-            write_summary_csv(rows, sys.stdout)
-        else:
-            write_summary_json(rows, sys.stdout)
+        write_summary(rows, sys.stdout)
     else:
-        records_path = Path(f"{grid.out}.records.jsonl")
-        summary_path = Path(f"{grid.out}.summary.{args.format}")
-        with records_path.open("w") as fp:
+        with Path(f"{grid.out}.records.jsonl").open("w") as fp:
             write_records(records, fp)
-        with summary_path.open("w") as fp:
-            if args.format == "csv":
-                write_summary_csv(rows, fp)
-            else:
-                write_summary_json(rows, fp)
+        with Path(f"{grid.out}.summary.{args.format}").open("w") as fp:
+            write_summary(rows, fp)
     return EXIT_OK
 
 
@@ -282,7 +278,7 @@ def _rref_text(row: tuple[int, ...]) -> str:
 def _cmd_rank(args: argparse.Namespace) -> int:
     text = Path(args.matrix_file).read_text()
     a = parse(text)
-    report = rank_exact(a)
+    report, left = rank_and_kernels(a)
     payload = {
         "n": a.n,
         "d": a.d,
@@ -291,17 +287,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "rationally_confirmed": report.rationally_confirmed,
         "primes_used": list(report.primes_used),
     }
-    if report.kernel is not None:
-        left_report = rank_exact(a.transpose())
-        if left_report.rank != report.rank:
-            raise ConsistencyError(
-                f"row rank {left_report.rank} != column rank {report.rank} (n={a.n}, d={a.d})"
-            )
-        right, left = report.kernel, left_report.kernel
-        payload["right_kernel"] = [_rref_text(v) for v in right.vectors]
+    if left is not None:
+        right = report.kernel.vectors
+        payload["right_kernel"] = [_rref_text(v) for v in right]
         payload["left_kernel"] = [_rref_text(v) for v in left.vectors]
         payload["max_kernel_level_set"] = max(
-            level_sets(v).max_size for v in right.vectors + left.vectors
+            level_sets(v).max_size for v in right + left.vectors
         )
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -325,9 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", type=str, default=None, help="GridSpec JSON file")
     est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
     est.add_argument("--trials", type=int, default=None)
-    est.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
-    est.add_argument("--max-rejections", type=int, default=None)
-    est.add_argument("--burn-in", type=int, default=None)
+    _add_sampler(est, budget=True)
     est.add_argument(
         "--timings",
         action="store_true",
@@ -347,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--samples", type=int, required=True)
-    st.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
-    st.add_argument("--burn-in", type=int, default=None)
+    _add_sampler(st, budget=False)
     st.add_argument("--significance", type=float, default=1e-3)
     st.set_defaults(fn=_cmd_sampler_test)
 
@@ -358,9 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--d", type=int, required=True)
     dl.add_argument("--trials", type=int, required=True)
     dl.add_argument("--C", type=str, default="1", help="deloc constant (rational)")
-    dl.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
-    dl.add_argument("--max-rejections", type=int, default=None)
-    dl.add_argument("--burn-in", type=int, default=None)
+    _add_sampler(dl, budget=True)
     dl.set_defaults(fn=_cmd_deloc_stats)
 
     en = subs.add_parser("enumerate", help="stream every matrix of a family")

@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConsistencyError, RejectionBudgetExceeded
-from .linalg import rank_exact
+from .errors import RejectionBudgetExceeded
+from .linalg import rank_and_kernels
 from .sampler import SamplerConfig, draw_sample
 from .verifiers import level_sets
 
@@ -54,20 +54,6 @@ SUMMARY_COLUMNS = (
     "wilson_ci_high",
 )
 
-# JSON-lines field order (optional fields are simply absent).
-_RECORD_FIELDS = (
-    "n",
-    "d",
-    "kind",
-    "master_seed",
-    "trial_index",
-    "corank",
-    "rank_confirmed",
-    "max_kernel_level_set",
-    "wall_time_ms",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -77,7 +63,8 @@ class TrialRecord:
     and small enough for exact kernels; ``error`` carries a sampler
     failure (budget exhaustion) instead of silently dropping the trial.
     ``wall_time_ms`` is None unless timings were requested: real timings
-    are non-deterministic and would break byte-identical reruns.
+    are non-deterministic and would break byte-identical reruns.  JSON
+    lines follow the declaration order.
     """
 
     n: int
@@ -93,11 +80,11 @@ class TrialRecord:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for name in _RECORD_FIELDS:
-            value = getattr(self, name)
-            if name in ("max_kernel_level_set", "error") and value is None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("max_kernel_level_set", "error") and value is None:
                 continue  # these two are omitted entirely rather than null
-            out[name] = value
+            out[f.name] = value
         return out
 
     def to_json_line(self) -> str:
@@ -211,16 +198,11 @@ def run_trial(
         elapsed = int((time.perf_counter() - start) * 1000) if timings else None
         return TrialRecord(**base, error=str(exc), wall_time_ms=elapsed)
 
-    report = rank_exact(a)
+    report, left = rank_and_kernels(a)
     max_level: int | None = None
-    if report.kernel is not None:
-        left = rank_exact(a.transpose())
-        if left.rank != report.rank:
-            raise ConsistencyError(
-                f"row rank {left.rank} != column rank {report.rank} (n={n}, d={d})"
-            )
+    if left is not None:
         max_level = max(
-            level_sets(v).max_size for v in report.kernel.vectors + left.kernel.vectors
+            level_sets(v).max_size for v in report.kernel.vectors + left.vectors
         )
     elapsed = int((time.perf_counter() - start) * 1000) if timings else None
     return TrialRecord(

@@ -46,6 +46,7 @@ __all__ = [
     "rational_rank",
     "rational_rank_rows",
     "rank_exact",
+    "rank_and_kernels",
     "kernel",
     "f_rows",
     "f_perp",
@@ -71,16 +72,18 @@ _PRIMES = (1073741789, 1073741783)
 
 
 def _rank_rows_mod_p(
-    rows: list[dict[int, int]], p: int
+    rows: Sequence[Sequence[int]], p: int
 ) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Forward echelon modulo p of sparse integer rows ``{column: entry}``.
+    """Forward echelon modulo p of a square 0/1 matrix given by its row supports.
 
-    Structured elimination over GF(p) (LaMacchia & Odlyzko, CRYPTO 1990):
-    each column keeps the set of rows that are nonzero in it, columns are
-    taken left to right, and the pivot is the candidate row with the fewest
-    nonzeros.  A pivot updates only the rows nonzero in its column, and only
-    at the pivot row's nonzero columns; entries that cancel are removed.
-    The input rows are left unchanged.
+    ``rows[s]`` lists the columns where row s is 1, as
+    ``BiregularMatrix.row_supports`` does; the matrix is square, so there
+    are ``len(rows)`` columns.  Structured elimination over GF(p)
+    (LaMacchia & Odlyzko, CRYPTO 1990): each column keeps the set of rows
+    that are nonzero in it, columns are taken left to right, and the pivot
+    is the candidate row with the fewest nonzeros.  A pivot updates only the
+    rows nonzero in its column, and only at the pivot row's nonzero columns;
+    entries that cancel are removed.
 
     Returns one ``(c, update)`` entry per pivot column c, in increasing c.
     ``update`` lists ``(col, coeff)`` pairs with col > c such that every
@@ -89,8 +92,8 @@ def _rank_rows_mod_p(
     choice, and neither do the pivot columns: c is one iff column c is not
     in the span of the columns before it.
     """
-    rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    ncols = len(rows)
+    rows = [dict.fromkeys(support, 1) for support in rows]
     col_rows: list[set[int]] = [set() for _ in range(ncols)]
     for s, row in enumerate(rows):
         for c in row:
@@ -396,15 +399,11 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _sparse_rows(a: BiregularMatrix) -> list[dict[int, int]]:
-    return [dict.fromkeys(support, 1) for support in a.row_supports]
-
-
 def rank_mod_p(a: BiregularMatrix, p: int) -> int:
     """Rank of ``a`` over GF(p).  Never exceeds the rational rank."""
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    return len(_rank_rows_mod_p(_sparse_rows(a), p))
+    return len(_rank_rows_mod_p(a.row_supports, p))
 
 
 def rational_rank(a: BiregularMatrix) -> int:
@@ -432,10 +431,9 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
     it is authoritative, and a modular rank above it raises
     :class:`ConsistencyError`.
     """
-    rows = _sparse_rows(a)
     p, q = _PRIMES
     small = a.n <= RATIONAL_THRESHOLD
-    echelon = _rank_rows_mod_p(rows, p)
+    echelon = _rank_rows_mod_p(a.row_supports, p)
     r = len(echelon)
     if r == a.n:
         return RankReport(a.n, 0, (p,), small, None)
@@ -444,7 +442,7 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
         basis = _certified_kernel(a, vectors, p)
         if basis is not None:
             return RankReport(r, a.n - r, (p,), True, basis)
-    echelon_q = _rank_rows_mod_p(rows, q)
+    echelon_q = _rank_rows_mod_p(a.row_supports, q)
     if not small and len(echelon_q) == r:
         return RankReport(r, a.n - r, _PRIMES, False, None)
     if small and [c for c, _ in echelon_q] == [c for c, _ in echelon]:
@@ -465,6 +463,24 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
         )
     basis = kernel(a) if small and rank < a.n else None
     return RankReport(rank, a.n - rank, _PRIMES, True, basis)
+
+
+def rank_and_kernels(a: BiregularMatrix) -> tuple[RankReport, SubspaceBasis | None]:
+    """:func:`rank_exact` of ``a``, with the left kernel when it has a kernel.
+
+    The left kernel is the ``kernel`` of ``rank_exact`` on the transpose, so
+    it is None exactly when ``RankReport.kernel`` is.  Row rank and column
+    rank must agree; a difference raises :class:`ConsistencyError`.
+    """
+    report = rank_exact(a)
+    if report.kernel is None:
+        return report, None
+    left = rank_exact(a.transpose())
+    if left.rank != report.rank:
+        raise ConsistencyError(
+            f"row rank {left.rank} != column rank {report.rank} (n={a.n}, d={a.d})"
+        )
+    return report, left.kernel
 
 
 def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:

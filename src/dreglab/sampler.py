@@ -22,7 +22,7 @@ Every sampler output passes full construction-time validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -45,36 +45,44 @@ __all__ = [
 
 _KINDS = ("stub_rejection", "mcmc")
 
-# JSON field order is fixed so serialized configs are byte-stable.
-_CONFIG_FIELDS = ("kind", "max_rejections", "burn_in_steps", "seed")
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Serializable description of how matrices are drawn.
 
-    ``burn_in_steps = None`` means the scale-aware default 10 * n * d^2
-    proposals.  A burn-in of 0 is allowed and returns the start state
-    unchanged.
+    Each sampler reads its own field, and a config that names the other
+    sampler's field is refused: ``max_rejections`` belongs to
+    ``stub_rejection`` (None there means 10_000 draws) and ``burn_in_steps``
+    to ``mcmc``.  ``burn_in_steps = None`` means the scale-aware default
+    10 * n * d^2 proposals.  A burn-in of 0 is allowed and returns the start
+    state unchanged.  JSON fields follow the declaration order, so
+    serialized configs are byte-stable.
     """
 
     kind: str = "stub_rejection"
-    max_rejections: int = 10_000
+    max_rejections: int | None = None
     burn_in_steps: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}, expected one of {_KINDS}")
-        if self.max_rejections < 1:
-            raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
+        if self.kind == "stub_rejection":
+            if self.burn_in_steps is not None:
+                raise ValueError("burn_in_steps applies only to the mcmc sampler")
+            if self.max_rejections is None:
+                object.__setattr__(self, "max_rejections", 10_000)
+            elif self.max_rejections < 1:
+                raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
+        elif self.max_rejections is not None:
+            raise ValueError("max_rejections applies only to the stub_rejection sampler")
         if self.burn_in_steps is not None and self.burn_in_steps < 0:
             raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> str:
-        return json.dumps({f: getattr(self, f) for f in _CONFIG_FIELDS})
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "SamplerConfig":
@@ -85,7 +93,7 @@ class SamplerConfig:
     def from_dict(cls, data: dict) -> "SamplerConfig":
         if not isinstance(data, dict):
             raise ValueError(f"sampler config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sampler config fields: {sorted(unknown)}")
         return cls(**data)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -207,6 +207,18 @@ def _guard(n: int) -> None:
         raise SizeGuardError(
             f"n={n} exceeds the exact-arithmetic guard {RATIONAL_THRESHOLD}"
         )
+
+
+def _family(matrices: Iterable[BiregularMatrix]) -> list[BiregularMatrix]:
+    """``matrices`` as a list: nonempty, one (n, d), and within the size guard."""
+    pool = list(matrices)
+    if not pool:
+        raise ValueError("empty matrix family")
+    n, d = pool[0].n, pool[0].d
+    if any(m.n != n or m.d != d for m in pool):
+        raise ValueError("matrix family mixes different (n, d)")
+    _guard(n)
+    return pool
 
 
 def compute_KA(a: BiregularMatrix) -> KASet:
@@ -758,13 +770,8 @@ def qr_relation_stats(
     switchings are verified to give distinct results, and the exact
     degree maps are fed through :func:`double_count_check`.
     """
-    pool = list(matrices)
-    if not pool:
-        raise ValueError("empty matrix family")
-    n, d = pool[0].n, pool[0].d
-    _guard(n)
-    if any(m.n != n or m.d != d for m in pool):
-        raise ValueError("matrix family mixes different (n, d)")
+    pool = _family(matrices)
+    n = pool[0].n
     if not (1 <= r <= n - 2):
         raise ValueError(f"r must be in 1..{n - 2}, got {r}")
     return _qr_relation(_Memo(pool), pool, r, params)
@@ -838,14 +845,7 @@ class CheckReport:
     wall_time_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "params": self.params,
-            "instances_checked": self.instances_checked,
-            "violations": self.violations,
-            "witnesses": self.witnesses,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _MAX_WITNESSES = 10
@@ -901,13 +901,8 @@ def run_family_checks(
     and K_A to increase-mechanism.
     """
     params = params or DelocParams()
-    pool = list(matrices)
-    if not pool:
-        raise ValueError("empty matrix family")
+    pool = _family(matrices)
     n, d = pool[0].n, pool[0].d
-    if any(m.n != n or m.d != d for m in pool):
-        raise ValueError("matrix family mixes different (n, d)")
-    _guard(n)
     base_params = {"n": n, "d": d, "matrices": len(pool), "C": str(params.C)}
     reports = [CheckReport(check_name=name, params=dict(base_params)) for name in _CHECK_NAMES]
     counts, delta, f_inv, contain, x_bad, mechanism, replay, qr = reports

@@ -1,11 +1,23 @@
 """End-to-end CLI behaviour: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from dreglab import identity, linalg, parse, serialize
+from dreglab import (
+    ConsistencyError,
+    SamplerConfig,
+    circulant,
+    cli,
+    experiment,
+    identity,
+    linalg,
+    parse,
+    run_trial,
+    serialize,
+)
 from dreglab.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -298,6 +310,19 @@ def test_sampler_flags_without_effect_are_refused(argv, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "sampler",
+    [{"burn_in_steps": 7}, {"kind": "mcmc", "max_rejections": 1}],
+)
+def test_grid_file_sampler_fields_without_effect_are_refused(sampler, tmp_path, capsys):
+    # a grid file follows the same rule as the flags
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"pairs": [[5, 2]], "trials": 2, "sampler": sampler}))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(grid))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_size_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "30", "--d-max", "3")
     assert code == 3 and "guard" in err.lower()
@@ -413,6 +438,32 @@ def test_rank_prints_rational_rref(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["right_kernel"] == ["1/1 -1/2 -1/2 -1/2 0/1 1/2", "0/1 0/1 0/1 0/1 1/1 -1/1"]
     assert payload["max_kernel_level_set"] == 4
+
+
+def test_row_and_column_rank_are_cross_checked(tmp_path, monkeypatch, capsys):
+    # a transpose whose rank differs from the matrix's can only mean a bug:
+    # both the trial and the rank command must refuse it.  circulant(6, 2)
+    # is singular and differs from its transpose; a zero burn-in draws it
+    a = circulant(6, 2)
+    at = a.transpose()
+    real = linalg.rank_exact
+
+    def fake(m):
+        rep = real(m)
+        return dataclasses.replace(rep, rank=rep.rank - 1) if m == at else rep
+
+    # rebind every module-level name of rank_exact, wherever the check is made
+    for mod in (linalg, experiment, cli):
+        if hasattr(mod, "rank_exact"):
+            monkeypatch.setattr(mod, "rank_exact", fake)
+    config = SamplerConfig(kind="mcmc", burn_in_steps=0)
+    with pytest.raises(ConsistencyError, match="row rank"):
+        run_trial(6, 2, config, 0, 0)
+    path = tmp_path / "m.txt"
+    path.write_text(serialize(a))
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 1 and out == ""
+    assert "row rank" in err
 
 
 def test_rank_bad_file(tmp_path, capsys):

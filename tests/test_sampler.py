@@ -177,7 +177,7 @@ def test_config_validation_and_json():
         SamplerConfig(max_rejections=0)
     with pytest.raises(ValueError):
         SamplerConfig(burn_in_steps=-1)
-    SamplerConfig(burn_in_steps=0)  # explicit zero is meaningful and allowed
+    SamplerConfig(kind="mcmc", burn_in_steps=0)  # explicit zero is meaningful and allowed
 
     cfg = SamplerConfig(kind="mcmc", burn_in_steps=12, seed=9)
     again = SamplerConfig.from_json(cfg.to_json())
@@ -186,6 +186,21 @@ def test_config_validation_and_json():
         SamplerConfig.from_dict({"kind": "mcmc", "bogus_field": 1})
     payload = json.loads(cfg.to_json())
     assert payload["kind"] == "mcmc"
+
+
+def test_config_refuses_the_other_samplers_field():
+    # each sampler reads only its own field; naming the other one is an error
+    with pytest.raises(ValueError, match="burn_in_steps"):
+        SamplerConfig(burn_in_steps=7)
+    with pytest.raises(ValueError, match="max_rejections"):
+        SamplerConfig(kind="mcmc", max_rejections=1)
+    with pytest.raises(ValueError, match="max_rejections"):
+        SamplerConfig.from_dict({"kind": "mcmc", "max_rejections": 10_000})
+    with pytest.raises(ValueError, match=">= 0"):  # the walk's own range check still holds
+        SamplerConfig(kind="mcmc", burn_in_steps=-1)
+    assert SamplerConfig().max_rejections == 10_000
+    assert SamplerConfig(kind="mcmc").max_rejections is None
+    assert json.loads(SamplerConfig(kind="mcmc").to_json())["max_rejections"] is None
 
 
 def test_chi_square_uniform_counts_strays():
