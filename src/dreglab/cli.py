@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,18 +109,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             except ValueError:  # a bad int, or not exactly two fields
                 raise ValueError(f"--pairs token {token!r} is not of the form n:d") from None
             pairs.append((n, d))
-        grid = GridSpec(
-            pairs=tuple(pairs),
-            trials=args.trials,
-            sampler=_sampler_config(args),
-            out=args.out,
-            workers=args.workers if args.workers is not None else 1,
-        )
+        grid = GridSpec(pairs=tuple(pairs), trials=args.trials, sampler=_sampler_config(args))
     # explicit CLI flags override whatever the config file said
     if args.workers is not None:
-        grid = GridSpec(grid.pairs, grid.trials, grid.sampler, grid.out, args.workers)
+        grid = replace(grid, workers=args.workers)
     if args.out is not None:
-        grid = GridSpec(grid.pairs, grid.trials, grid.sampler, args.out, grid.workers)
+        grid = replace(grid, out=args.out)
 
     master_seed = _resolve_seed(args, grid.sampler)
     records = run_grid(grid, master_seed, timings=args.timings)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import RejectionBudgetExceeded
 from .linalg import rank_and_kernels
-from .sampler import SamplerConfig, draw_sample
+from .sampler import SamplerConfig, _require_int, draw_sample
 from .verifiers import level_sets
 
 __all__ = [
@@ -93,7 +93,11 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A grid of (n, d) pairs with a trial count and sampler configuration."""
+    """A grid of (n, d) pairs with a trial count and sampler configuration.
+
+    Every number must be an int and ``out`` a string or None; any other
+    type is refused rather than coerced.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     trials: int
@@ -106,36 +110,34 @@ class GridSpec:
             raise ValueError("grid needs at least one (n, d) pair")
         seen = set()
         for n, d in self.pairs:
-            if n < 1 or not (1 <= d <= n):
+            _require_int("n", n, 1)
+            _require_int("d", d, 1)
+            if d > n:
                 raise ValueError(f"invalid pair (n={n}, d={d})")
             if (n, d) in seen:  # one trial stream per pair: a repeat would duplicate it
                 raise ValueError(f"repeated pair (n={n}, d={d})")
             seen.add((n, d))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _require_int("trials", self.trials, 1)
+        _require_int("workers", self.workers, 1)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("grid config must be a JSON object")
-        known = {"pairs", "trials", "sampler", "out", "workers"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown grid config fields: {sorted(unknown)}")
         if "pairs" not in data or "trials" not in data:
             raise ValueError("grid config requires 'pairs' and 'trials'")
-        pairs = tuple((int(n), int(d)) for n, d in data["pairs"])
+        pairs = data["pairs"]
+        shaped = isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)
+        if not shaped:
+            raise ValueError(f"grid config 'pairs' must be a list of [n, d] lists, got {pairs!r}")
         sampler = SamplerConfig.from_dict(data.get("sampler", {}))
-        return cls(
-            pairs=pairs,
-            trials=int(data["trials"]),
-            sampler=sampler,
-            out=data.get("out"),
-            workers=int(data.get("workers", 1)),
-        )
+        return cls(**{**data, "pairs": tuple(map(tuple, pairs)), "sampler": sampler})
 
     def to_json(self) -> str:
         return json.dumps(

@@ -10,11 +10,11 @@ elimination: its echelon gives one kernel vector mod p per free column,
 rational reconstruction lifts each to integers, and an exact check of
 A x = 0 over Z shows the n - r_p lifted vectors lie in the kernel.  They
 are independent by their pattern on the free columns, so the rank is at
-most r_p as well.  When a lift or a check fails, a second prime with the
-same pivot columns is joined by CRT and the lift is tried again; only
-then does fraction-free integer elimination (Bareiss) decide.  Above the
-threshold the second prime runs, the two modular ranks deciding when they
-agree and Bareiss when they do not.
+most r_p as well.  When a lift or a check fails, the same rule runs on
+its own modulo the second prime, 2^61 - 1, whose lifts reach entries up
+to about 2^30; only then does fraction-free integer elimination (Bareiss)
+decide.  Above the threshold the second prime runs, the two modular ranks
+deciding when they agree and Bareiss when they do not.
 
 Vectors are integers from elimination to the caller: integer
 back-substitution on the Bareiss echelon and the lifted modular vectors
@@ -23,9 +23,7 @@ turns them into the canonical basis of their span (reduced row echelon
 rows scaled to coprime integers, leading entries positive), so the route
 never shows in a basis.  :class:`SubspaceBasis` is canonical on
 construction and carries its ambient dimension n, so two subspaces are
-equal iff their bases compare ``==``.  Vectors from outside may be ints or
-``Fraction``s; :func:`span_basis` clears their denominators before
-reducing.
+equal iff their bases compare ``==``.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
     "kernel",
     "f_rows",
     "f_perp",
-    "span_basis",
     "format_vector",
     "RATIONAL_THRESHOLD",
 ]
@@ -60,12 +57,14 @@ __all__ = [
 # modular consensus stands alone unless the primes disagree.
 RATIONAL_THRESHOLD = 128
 
-# The two largest primes below 2^30 (2^30 - 35 and 2^30 - 41).  CPython
-# stores ints in 30-bit digits, so every residue is one digit and every
-# product two, which keeps the modular core's arithmetic on its fast path.
-# A modular rank can only undershoot, so either prime's rank is a lower
+# The first prime, 2^30 - 35, decides every full rank: CPython stores ints
+# in 30-bit digits, so each residue is one digit and each product two,
+# which keeps the modular core on its fast path.  The second, the Mersenne
+# prime 2^61 - 1, runs only for a deficient rank, where its wider lift
+# bound (about 2^30) reaches the kernels the first prime cannot.  A
+# modular rank can only undershoot, so either prime's rank is a lower
 # bound on the rational rank.
-_PRIMES = (1073741789, 1073741783)
+_PRIMES = (2**30 - 35, 2**61 - 1)
 
 
 # ─── elimination cores ──────────────────────────────────────────────────────
@@ -333,19 +332,6 @@ def _int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row) for row in work[:r]]
 
 
-def _integer_rows(vectors: Iterable[Sequence[int | Fraction]]) -> list[list[int]]:
-    """Rational (int or ``Fraction``) vectors with denominators cleared.
-
-    Each vector is scaled by the lcm of its denominators, which leaves
-    every span unchanged.
-    """
-    rows = []
-    for vec in vectors:
-        den = lcm(*(v.denominator for v in vec))
-        rows.append([v.numerator * (den // v.denominator) for v in vec])
-    return rows
-
-
 # ─── public API ─────────────────────────────────────────────────────────────
 
 
@@ -424,38 +410,30 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
     the rational rank.  For ``n <= RATIONAL_THRESHOLD`` a deficient modular
     rank r is proven by the sandwich certificate: the n - r kernel vectors
     of the same echelon, lifted to integers, must satisfy A x = 0 exactly.
-    If a lift or a check fails, the second prime runs, and when its pivot
-    columns are the first prime's the two vectors are joined by CRT and
-    lifted again.  Above the threshold the second prime runs too, and two
-    agreeing modular ranks decide.  Otherwise rational elimination decides;
-    it is authoritative, and a modular rank above it raises
+    If a lift or a check fails, the second prime runs: a rank of n there
+    proves full rank, and otherwise its own kernel vectors are lifted and
+    checked the same way.  Above the threshold the second prime runs too,
+    and two agreeing modular ranks decide.  Otherwise rational elimination
+    decides; it is authoritative, and a modular rank above it raises
     :class:`ConsistencyError`.
     """
-    p, q = _PRIMES
     small = a.n <= RATIONAL_THRESHOLD
-    echelon = _rank_rows_mod_p(a.row_supports, p)
-    r = len(echelon)
-    if r == a.n:
-        return RankReport(a.n, 0, (p,), small, None)
-    if small:
-        vectors = _kernel_mod_p(echelon, a.n, p)
-        basis = _certified_kernel(a, vectors, p)
-        if basis is not None:
-            return RankReport(r, a.n - r, (p,), True, basis)
-    echelon_q = _rank_rows_mod_p(a.row_supports, q)
-    if not small and len(echelon_q) == r:
+    ranks = []
+    for used, prime in enumerate(_PRIMES, 1):
+        echelon = _rank_rows_mod_p(a.row_supports, prime)
+        r = len(echelon)
+        ranks.append(r)
+        # above the threshold a full rank mod the second prime after a
+        # deficient one mod the first is a disagreement, for Bareiss to settle
+        if r == a.n and (small or used == 1):
+            return RankReport(r, 0, _PRIMES[:used], small, None)
+        if small:
+            basis = _certified_kernel(a, _kernel_mod_p(echelon, a.n, prime), prime)
+            if basis is not None:
+                return RankReport(r, a.n - r, _PRIMES[:used], True, basis)
+    if not small and ranks[0] == ranks[1]:
         return RankReport(r, a.n - r, _PRIMES, False, None)
-    if small and [c for c, _ in echelon_q] == [c for c, _ in echelon]:
-        # both primes give the vectors with the same free-column pattern
-        inv = pow(p, -1, q)
-        joined = [
-            [u + p * ((w - u) * inv % q) for u, w in zip(x, y)]
-            for x, y in zip(vectors, _kernel_mod_p(echelon_q, a.n, q))
-        ]
-        basis = _certified_kernel(a, joined, p * q)
-        if basis is not None:
-            return RankReport(r, a.n - r, _PRIMES, True, basis)
-    top = max(r, len(echelon_q))
+    top = max(ranks)
     rank = rational_rank(a)
     if rank < top:
         raise ConsistencyError(
@@ -526,14 +504,6 @@ def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
     """
     pivot_cols, pivot_rows = _int_echelon(f_rows(a, i, j))
     return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
-
-
-def span_basis(vectors: Iterable[Sequence[int | Fraction]]) -> SubspaceBasis:
-    """Canonical basis of the span of rational (int or Fraction) vectors."""
-    rows = _integer_rows(vectors)
-    if not rows:
-        raise ValueError("span_basis needs at least one vector to know n")
-    return SubspaceBasis(len(rows[0]), rows)
 
 
 def format_vector(x: Sequence[int | Fraction]) -> str:

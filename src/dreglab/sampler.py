@@ -46,6 +46,14 @@ __all__ = [
 _KINDS = ("stub_rejection", "mcmc")
 
 
+def _require_int(name: str, value: object, low: int) -> None:
+    """Refuse a ``value`` that is not an int (a bool is not one) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Serializable description of how matrices are drawn.
@@ -55,8 +63,9 @@ class SamplerConfig:
     ``stub_rejection`` (None there means 10_000 draws) and ``burn_in_steps``
     to ``mcmc``.  ``burn_in_steps = None`` means the scale-aware default
     10 * n * d^2 proposals.  A burn-in of 0 is allowed and returns the start
-    state unchanged.  JSON fields follow the declaration order, so
-    serialized configs are byte-stable.
+    state unchanged.  Every number must be an int; a float, string or bool
+    is refused rather than coerced.  JSON fields follow the declaration
+    order, so serialized configs are byte-stable.
     """
 
     kind: str = "stub_rejection"
@@ -72,14 +81,12 @@ class SamplerConfig:
                 raise ValueError("burn_in_steps applies only to the mcmc sampler")
             if self.max_rejections is None:
                 object.__setattr__(self, "max_rejections", 10_000)
-            elif self.max_rejections < 1:
-                raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
+            _require_int("max_rejections", self.max_rejections, 1)
         elif self.max_rejections is not None:
             raise ValueError("max_rejections applies only to the stub_rejection sampler")
-        if self.burn_in_steps is not None and self.burn_in_steps < 0:
-            raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.burn_in_steps is not None:
+            _require_int("burn_in_steps", self.burn_in_steps, 0)
+        _require_int("seed", self.seed, 0)
 
     def to_json(self) -> str:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
@@ -183,27 +190,20 @@ def draw_sample(
     return sample_uniform(n, d, config, rng)
 
 
-def _within_guard(n: int, d: int) -> bool:
-    return n <= 7 or n * d <= 16
-
-
-def enumerate_all(
-    n: int, d: int, *, size_guard: bool = True
-) -> Iterator[BiregularMatrix]:
+def enumerate_all(n: int, d: int) -> Iterator[BiregularMatrix]:
     """Stream every d-biregular 0/1 matrix of size n, each exactly once.
 
     Backtracking over rows: a column whose remaining capacity equals the
     number of unfilled rows must appear in all of them; one whose capacity
     exceeds that count is a dead end.  The guard (n <= 7 or n*d <= 16)
     raises :class:`SizeGuardError` before an infeasibly large enumeration
-    starts; pass ``size_guard=False`` to override it deliberately.
+    starts.
     """
     if n < 1 or not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
-    if size_guard and not _within_guard(n, d):
+    if n > 7 and n * d > 16:
         raise SizeGuardError(
-            f"enumeration of n={n}, d={d} exceeds the size guard "
-            "(n <= 7 or n*d <= 16); pass size_guard=False to force"
+            f"enumeration of n={n}, d={d} exceeds the size guard (n <= 7 or n*d <= 16)"
         )
 
     caps = [d] * n
@@ -234,9 +234,9 @@ def enumerate_all(
     return rec(0)
 
 
-def count_all(n: int, d: int, *, size_guard: bool = True) -> int:
+def count_all(n: int, d: int) -> int:
     """Number of d-biregular 0/1 matrices of size n (full enumeration)."""
-    return sum(1 for _ in enumerate_all(n, d, size_guard=size_guard))
+    return sum(1 for _ in enumerate_all(n, d))
 
 
 def chi_square_uniform(

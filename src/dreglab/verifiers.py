@@ -67,7 +67,6 @@ from .linalg import (
     kernel,
     rational_rank,
     rational_rank_rows,
-    span_basis,
 )
 from .matrix import BiregularMatrix, serialize
 from .switching import (
@@ -84,7 +83,6 @@ __all__ = [
     "LevelSetProfile",
     "DelocParams",
     "DelocResult",
-    "KASet",
     "MechanismReport",
     "ReplayWitness",
     "ReplayReport",
@@ -186,22 +184,6 @@ class DelocResult:
 # ─── K_A ────────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class KASet:
-    """Ordered pairs (i, j), i != j, with ker A = F(A; i, j)^perp."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-
 def _guard(n: int) -> None:
     if n > RATIONAL_THRESHOLD:
         raise SizeGuardError(
@@ -221,11 +203,11 @@ def _family(matrices: Iterable[BiregularMatrix]) -> list[BiregularMatrix]:
     return pool
 
 
-def compute_KA(a: BiregularMatrix) -> KASet:
-    """Brute-force K_A over all ordered pairs: rank F(A; i, j) == rank A.
+def compute_KA(a: BiregularMatrix) -> frozenset[tuple[int, int]]:
+    """K_A: the ordered pairs (i, j), i != j, with ker A = F(A; i, j)^perp.
 
-    K_A is defined by ker A = F(A; i, j)^perp.  Each spanning row of F is a
-    row of A or the sum of two rows, so F lies in the row space of A and
+    Found by brute force as the pairs with rank F(A; i, j) == rank A.  Each
+    spanning row of F is a row of A or the sum of two rows, so F lies in the row space of A and
     ker A is contained in F^perp for every A; the kernel-containment check
     of :func:`run_family_checks` confirms this on every pair it visits.  The
     two spaces are therefore equal iff their dimensions agree, which means
@@ -236,7 +218,7 @@ def compute_KA(a: BiregularMatrix) -> KASet:
     return _Memo([a]).of(a).ka
 
 
-def _ka_set(f: "_Facts") -> KASet:
+def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
     """K_A of the matrix of ``f``, from its dense rows and its rank."""
     n = f.a.n
     pairs: set[tuple[int, int]] = set()
@@ -245,7 +227,7 @@ def _ka_set(f: "_Facts") -> KASet:
             if rational_rank_rows(_f_rows(f.dense, i, j)) == f.rank:
                 pairs.add((i, j))
                 pairs.add((j, i))
-    return KASet(frozenset(pairs))
+    return frozenset(pairs)
 
 
 # ─── the family memo ────────────────────────────────────────────────────────
@@ -287,7 +269,7 @@ class _Facts:
         return kernel(self.a, side) if self.rank < self.a.n else SubspaceBasis(self.a.n, ())
 
     @cached_property
-    def ka(self) -> KASet:
+    def ka(self) -> frozenset[tuple[int, int]]:
         return _ka_set(self)
 
     @cached_property
@@ -548,7 +530,7 @@ def _left_vector_vanishing_at(
         for w in basis
         if w is not pivot
     ]
-    canon = span_basis(reduced).vectors
+    canon = SubspaceBasis(len(pivot), reduced).vectors
     if not canon:
         raise WitnessConstructionError(
             f"no nonzero left-kernel vector vanishes at row {i}"

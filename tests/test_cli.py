@@ -146,6 +146,34 @@ def test_estimate_config_refuses_repeated_pair(tmp_path, capsys):
     assert "repeated pair" in err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"pairs": [[5, 2]], "trials": 2.7},
+        {"pairs": [[5, 2]], "trials": "3"},
+        {"pairs": [[5, 2]], "trials": True},
+        {"pairs": [[5.9, 2]], "trials": 2},
+        {"pairs": [[5, 2.0]], "trials": 2},
+        {"pairs": [5], "trials": 2},
+        {"pairs": [[5, 2]], "trials": 2, "workers": 1.5},
+        {"pairs": [[5, 2]], "trials": 2, "sampler": {"max_rejections": True}},
+        {"pairs": [[5, 2]], "trials": 2, "sampler": {"max_rejections": 2.5}},
+        {"pairs": [[5, 2]], "trials": 2, "sampler": {"kind": "mcmc", "burn_in_steps": 1.5}},
+        {"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": 1.5}},
+        {"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": "7"}},
+        {"pairs": [[5, 2]], "trials": 2, "out": 5},
+    ],
+)
+def test_estimate_config_refuses_mistyped_values(cfg, tmp_path, monkeypatch, capsys):
+    # a grid file's values are taken as written or refused, never coerced
+    monkeypatch.chdir(tmp_path)  # where a coerced "out" would write
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_estimate_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--pairs", "5:1", "--trials", "2", "--seed", "0",

@@ -29,7 +29,6 @@ from dreglab import (
     rank_mod_p,
     rational_rank,
     sample_stub,
-    span_basis,
 )
 from dreglab import linalg
 from dreglab.experiment import run_trial
@@ -288,8 +287,8 @@ def test_rank_exact_routing(monkeypatch):
 
 def test_rank_exact_cross_check_raises(monkeypatch):
     # a modular rank above the rational rank can only mean a bug.  At
-    # n <= 128 the overshoot's kernel vectors fail the exact check for both
-    # primes, so Bareiss decides and catches it: circulant(6, 3) has rank 4,
+    # n <= 128 the overshoot's kernel vectors fail the exact check for each
+    # prime, so Bareiss decides and catches it: circulant(6, 3) has rank 4,
     # and this fake echelon claims rank 5 with pivots 0..4 and x_c = x_5
     log = _count_routes(monkeypatch)
     fake = [(c, [(5, 1)]) for c in range(5)]
@@ -297,7 +296,7 @@ def test_rank_exact_cross_check_raises(monkeypatch):
     with pytest.raises(ConsistencyError):
         _route(log, circulant(6, 3))
     p, q = linalg._PRIMES
-    assert log == [p, ("lift", p, False), q, ("lift", p * q, False), "bareiss"]
+    assert log == [p, ("lift", p, False), q, ("lift", q, False), "bareiss"]
     # above it, disagreeing primes reach Bareiss: circulant(132, 3) has rank 130
     ranks = {p: 131, q: 129}
     monkeypatch.setattr(
@@ -309,17 +308,23 @@ def test_rank_exact_cross_check_raises(monkeypatch):
 
 def test_rank_exact_falls_back_when_a_prime_drops_the_rank(monkeypatch):
     # det circulant(3, 2) = 2, so its rank is 2 mod 2: the one kernel vector
-    # mod 2 lifts to (1, 1, 1), which fails A x = 0 over Z.  The rank is 3
-    # mod 3, so the pivot columns differ and no CRT is tried; Bareiss decides
+    # mod 2 lifts to (1, 1, 1), which fails A x = 0 over Z.  A full rank mod
+    # 3 then proves the rank, since a modular rank never overshoots; when
+    # both primes drop it and fail their lifts, Bareiss decides
     log = _count_routes(monkeypatch)
-    monkeypatch.setattr(linalg, "_PRIMES", (2, 3))
     a = circulant(3, 2)
     assert rank_mod_p(a, 2) == 2
-    rep, calls = _route(log, a)
-    assert calls == [2, ("lift", 2, False), 3, "bareiss"]
-    assert rep.rank == 3 == rational_rank(a)
-    assert rep.corank == 0 and rep.kernel is None
-    assert rep.rationally_confirmed and rep.primes_used == (2, 3)
+    routes = {
+        (2, 3): [2, ("lift", 2, False), 3],
+        (2, 2): [2, ("lift", 2, False), 2, ("lift", 2, False), "bareiss"],
+    }
+    for primes, route in routes.items():
+        monkeypatch.setattr(linalg, "_PRIMES", primes)
+        rep, calls = _route(log, a)
+        assert calls == route
+        assert rep.rank == 3 == rational_rank(a)
+        assert rep.corank == 0 and rep.kernel is None
+        assert rep.rationally_confirmed and rep.primes_used == primes
 
 
 def _singular_stub_samples(n, d, count, seed):
@@ -332,20 +337,24 @@ def _singular_stub_samples(n, d, count, seed):
     return out
 
 
-def test_rank_exact_small_primes_reach_crt(monkeypatch):
+def test_rank_exact_small_first_prime_reaches_the_second(monkeypatch):
     # with p = 101 the lift only reaches entries up to 7, too few for most
-    # (128,3) kernels, so the CRT route must run; whatever route decides,
-    # rank and kernel stay exact
+    # (128,3) kernels, so the second prime's own lift must certify them;
+    # either way rank and kernel are Bareiss's, and Bareiss never runs
     cases = _singular_stub_samples(128, 3, 4, 7)
     log = _count_routes(monkeypatch)
-    monkeypatch.setattr(linalg, "_PRIMES", (101, 103))
-    lifts = []
+    q = 2**61 - 1
+    monkeypatch.setattr(linalg, "_PRIMES", (101, q))
+    first = [101, ("lift", 101, True)]
+    second = [101, ("lift", 101, False), q, ("lift", q, True)]
+    routes = []
     for a in cases:
         rep, calls = _route(log, a)
-        lifts += [c[1] for c in calls if isinstance(c, tuple)]
+        routes.append(calls)
+        assert calls in (first, second)
         assert rep.rank == rational_rank(a) < a.n
         assert rep.kernel == kernel(a)
-    assert 101 * 103 in lifts
+    assert second in routes
 
 
 def test_rank_exact_kernel_is_the_bareiss_kernel(monkeypatch):
@@ -364,9 +373,9 @@ def test_rank_exact_kernel_is_the_bareiss_kernel(monkeypatch):
             assert rep.rank == rational_rank(m)
             assert rep.kernel == (kernel(m) if rep.corank else None)
     p, q = linalg._PRIMES
-    # one prime certifies most, and CRT the rest of the (128,3) kernels
+    # the first prime certifies most, and the second the rest of the (128,3) kernels
     assert (p, ("lift", p, True)) in routes
-    assert (p, ("lift", p, False), q, ("lift", p * q, True)) in routes
+    assert (p, ("lift", p, False), q, ("lift", q, True)) in routes
     assert not any("bareiss" in calls for calls in routes)
 
 
@@ -471,7 +480,7 @@ def test_f_perp_block_equals_kernel():
 
 def _contains(space, vector):
     """Whether ``vector`` lies in ``space``: adding it leaves the span unchanged."""
-    return span_basis([*space.vectors, vector]) == space
+    return SubspaceBasis(space.n, [*space.vectors, vector]) == space
 
 
 def test_subspace_basis_equality_and_dimensions():
@@ -479,23 +488,17 @@ def test_subspace_basis_equality_and_dimensions():
     s1 = f_perp(b, 0, 2)
     s2 = f_perp(b, 1, 3)
     assert s1 == s2  # the protected spans coincide, so do complements
-    one = Fraction(1)
-    zero = Fraction(0)
-    assert _contains(s1, (one, -one, zero, zero))
-    assert _contains(s1, (one, -one, one, -one))
-    assert not _contains(s1, (one, one, zero, zero))
-    assert not _contains(s1, (one, zero, zero, zero))
+    assert _contains(s1, (1, -1, 0, 0))
+    assert _contains(s1, (1, -1, 1, -1))
+    assert not _contains(s1, (1, 1, 0, 0))
+    assert not _contains(s1, (1, 0, 0, 0))
     assert s1 != f_perp(identity(5), 0, 1)
     # a zero-dimensional space still knows its ambient dimension
     assert kernel(identity(3)) != kernel(identity(5))
     assert kernel(identity(3)) == SubspaceBasis(3, ()) != SubspaceBasis(4, ())
-    assert span_basis([(0, 0, 0)]) == SubspaceBasis(3, ())
-    with pytest.raises(DimensionError):
-        span_basis([(0,) * 5, (1, 2, 3)])
+    assert SubspaceBasis(3, [(0, 0, 0)]) == SubspaceBasis(3, ())
     with pytest.raises(DimensionError):
         SubspaceBasis(3, [(1, 2)])
-    with pytest.raises(ValueError):
-        span_basis([])
 
 
 SMALL_FAMILIES = [(n, d) for n in range(1, 5) for d in range(1, n + 1)]
@@ -568,20 +571,18 @@ def test_span_basis_canonical_under_disguise():
             for space in spaces:
                 if not space.vectors:
                     continue
-                disguised = _disguised(space.vectors, rng)
-                assert span_basis(disguised) == space
                 cleared = [
                     tuple(int(v * lcm(*(t.denominator for t in vec))) for v in vec)
-                    for vec in disguised
+                    for vec in _disguised(space.vectors, rng)
                 ]
                 assert SubspaceBasis(n, cleared) == space
-                assert all(_contains(space, v) for v in disguised)
+                assert all(_contains(space, v) for v in cleared)
                 if space.dim == n:
                     continue
                 # a unit vector outside the span stays outside, however disguised
-                units = (tuple(Fraction(int(t == k)) for t in range(n)) for k in range(n))
+                units = (tuple(int(t == k) for t in range(n)) for k in range(n))
                 unit = next(e for e in units if oracle_rank(space.vectors + (e,)) > space.dim)
-                assert span_basis(disguised + [unit]).dim == space.dim + 1
+                assert SubspaceBasis(n, cleared + [unit]).dim == space.dim + 1
                 assert not _contains(space, tuple(3 * t for t in unit))
 
 

@@ -87,8 +87,8 @@ def test_size_guard():
         list(enumerate_all(8, 3))
     with pytest.raises(SizeGuardError):
         count_all(30, 2)
-    # explicit override works for a barely-larger case
-    assert count_all(8, 1, size_guard=False) == 40320
+    # n = 8 passes the guard when n*d <= 16
+    assert count_all(8, 1) == 40320
 
 
 def test_stub_sampler_d1_always_accepts():
