@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DreglabError, ParseError, SizeGuardError
+from .errors import DreglabError, ParseError, RejectionBudgetExceeded, SizeGuardError
 from .experiment import (
     GridSpec,
     run_grid,
@@ -57,11 +57,13 @@ def _add_common(
         sub.add_argument("--workers", type=int, default=None, help="process count")
 
 
-def _add_sampler(sub: argparse.ArgumentParser, *, budget: bool) -> None:
-    """Register --kind and --burn-in, plus --max-rejections where a budget applies."""
+def _add_sampler(sub: argparse.ArgumentParser) -> None:
+    """Register --kind, --max-rejections and --burn-in.
+
+    SamplerConfig refuses whichever of the last two the chosen kind would not read.
+    """
     sub.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
-    if budget:
-        sub.add_argument("--max-rejections", type=int, default=None)
+    sub.add_argument("--max-rejections", type=int, default=None)
     sub.add_argument("--burn-in", type=int, default=None)
 
 
@@ -69,7 +71,7 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
     """The sampler the flags name; SamplerConfig refuses a flag it would not read."""
     return SamplerConfig(
         kind=args.kind or "stub_rejection",
-        max_rejections=getattr(args, "max_rejections", None),
+        max_rejections=args.max_rejections,
         burn_in_steps=args.burn_in,
     )
 
@@ -183,11 +185,17 @@ def _cmd_sampler_test(args: argparse.Namespace) -> int:
     def stub_draws():
         nonlocal attempts
         for _ in range(args.samples):
-            m = None
-            while m is None:
+            for _ in range(config.max_rejections):
                 attempts += 1
                 m = sample_stub(args.n, args.d, rng)
-            yield m
+                if m is not None:
+                    yield m
+                    break
+            else:
+                raise RejectionBudgetExceeded(
+                    f"no simple matching in {config.max_rejections} draws "
+                    f"(n={args.n}, d={args.d})"
+                )
 
     if config.kind == "stub_rejection":
         draws = stub_draws()
@@ -311,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", type=str, default=None, help="GridSpec JSON file")
     est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
     est.add_argument("--trials", type=int, default=None)
-    _add_sampler(est, budget=True)
+    _add_sampler(est)
     est.add_argument(
         "--timings",
         action="store_true",
@@ -331,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--samples", type=int, required=True)
-    _add_sampler(st, budget=False)
+    _add_sampler(st)
     st.add_argument("--significance", type=float, default=1e-3)
     st.set_defaults(fn=_cmd_sampler_test)
 
@@ -341,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--d", type=int, required=True)
     dl.add_argument("--trials", type=int, required=True)
     dl.add_argument("--C", type=str, default="1", help="deloc constant (rational)")
-    _add_sampler(dl, budget=True)
+    _add_sampler(dl)
     dl.set_defaults(fn=_cmd_deloc_stats)
 
     en = subs.add_parser("enumerate", help="stream every matrix of a family")

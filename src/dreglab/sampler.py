@@ -121,7 +121,7 @@ def sample_stub(n: int, d: int, rng: np.random.Generator) -> BiregularMatrix | N
     cols = np.sort((perm // d).reshape(n, d), axis=1)
     if d > 1 and bool((cols[:, 1:] == cols[:, :-1]).any()):
         return None
-    return build(n, d, [tuple(int(v) for v in row) for row in cols])
+    return build(n, d, cols.tolist())
 
 
 def sample_uniform(
@@ -145,27 +145,31 @@ def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
     """Advance the lazy switching walk on mutable row supports by ``steps``
     proposals, in place.
 
-    Column regularity is preserved automatically: every switching moves
-    column k from row i to row j and column l the other way.
+    Slot (i, ki) holds column ``rows[i][ki]``.  A proposal draws two slots,
+    (i, ki) holding k and (j, lj) holding l, and swaps their columns unless
+    row i already has l or row j already has k.  Column regularity is
+    preserved automatically: every switching moves column k from row i to
+    row j and column l the other way.  All ``4 * steps`` draws come from one
+    ``integers`` call, so the walk's RNG use is fixed by ``steps`` alone.
     """
     if steps <= 0:
         return
     n, d = len(rows), len(rows[0])
     row_sets = [set(r) for r in rows]
     draws = rng.integers(0, (n, d, n, d), size=(steps, 4))
-    for i, ki, j, lj in draws.tolist():
-        k = rows[i][ki]
-        l = rows[j][lj]
+    # four column lists: a list per proposal costs allocation and garbage collection
+    for i, ki, j, lj in zip(*draws.T.tolist()):
+        ri, rj = rows[i], rows[j]
+        k = ri[ki]
+        l = rj[lj]
         si, sj = row_sets[i], row_sets[j]
         if l in si or k in sj:
             continue  # infeasible proposal: lazy step, stay in place
-        rl = rows[i]
-        rl[rl.index(k)] = l
-        rl = rows[j]
-        rl[rl.index(l)] = k
-        si.discard(k)
+        ri[ki] = l
+        rj[lj] = k
+        si.remove(k)
         si.add(l)
-        sj.discard(l)
+        sj.remove(l)
         sj.add(k)
 
 
@@ -178,7 +182,7 @@ def sample_mcmc(
         burn = burn_in_default(n, d)
     rows = [list(r) for r in circulant(n, d).row_supports]
     _walk(rows, burn, rng)
-    return build(n, d, [sorted(r) for r in rows])
+    return build(n, d, rows)
 
 
 def draw_sample(

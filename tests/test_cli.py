@@ -299,7 +299,6 @@ def test_C_beyond_float_range_is_a_usage_error(argv, capsys):
          "--spacing", "3"],
         ["sampler-test", "--n", "3", "--d", "2", "--samples", "6", "--kind", "mcmc",
          "--spacing", "3"],
-        ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--max-rejections", "5"],
     ],
 )
 def test_ignored_flags_are_refused(argv, capsys):
@@ -325,6 +324,8 @@ def test_ignored_flags_are_refused(argv, capsys):
         ["estimate", "--config", "GRID", "--kind", "mcmc"],
         ["estimate", "--config", "GRID", "--burn-in", "5"],
         ["estimate", "--config", "GRID", "--max-rejections", "5"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--kind", "mcmc",
+         "--max-rejections", "5"],
     ],
 )
 def test_sampler_flags_without_effect_are_refused(argv, tmp_path, capsys):
@@ -370,6 +371,17 @@ def test_sampler_test_stub_passes(capsys):
     assert payload["support_size"] == 90
     assert payload["chi_square"] <= payload["critical_value"]
     assert 0.3 < payload["acceptance_rate"] < 0.7
+
+
+def test_sampler_test_stub_stops_at_the_rejection_budget(capsys):
+    # (7,7) has one member, which a stub draw almost never hits: without a
+    # budget the loop would run for minutes
+    code, out, err = run_cli(
+        capsys, "sampler-test", "--n", "7", "--d", "7", "--samples", "1",
+        "--max-rejections", "50",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "50 draws" in err
 
 
 def test_sampler_test_broken_chain_fails(capsys):
