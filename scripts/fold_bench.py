@@ -9,10 +9,10 @@ with the same seeds and ``--seconds`` in both checkouts:
 Runs pair up by workload and seed.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, the output gives each side's median and
 quartiles, the number of pairs, the pairs the change wins (ties count for
-neither side), and two verdicts: ``gain`` (the change wins at least nine
-tenths of the pairs and its median is better by more than the parent's
-interquartile range) and ``within_bound`` (the change's median is no worse
-than the parent's by more than the declared bound).  Each side also keeps
+neither side), and two verdicts: ``gain`` (over at least ten pairs, the
+change wins at least nine tenths of them and its median is better by more
+than the parent's interquartile range) and ``within_bound`` (the change's
+median is no worse than the parent's by more than the declared bound).  Each side also keeps
 the stamp of its first run (machine, versions, commit) and its failures.
 """
 
@@ -25,6 +25,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# fewer pairs than this cannot show a gain, however many the change wins
+MIN_PAIRS = 10
 
 
 def _runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -58,7 +61,7 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "ratio": after["median"] / before["median"] if before["median"] else None,
         "pairs": len(parent),
         "wins": wins,
-        "gain": wins >= 0.9 * len(parent) and gain > before["iqr"],
+        "gain": len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and gain > before["iqr"],
         "within_bound": worse <= metric["bound"],
     }
 

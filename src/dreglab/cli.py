@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DreglabError, ParseError, RejectionBudgetExceeded, SizeGuardError
+from .errors import DreglabError, ParseError, SizeGuardError
 from .experiment import (
     GridSpec,
     run_grid,
@@ -31,7 +31,13 @@ from .experiment import (
 )
 from .linalg import RATIONAL_THRESHOLD, format_vector, rank_and_kernels
 from .matrix import parse, serialize
-from .sampler import SamplerConfig, chi_square_uniform, draw_sample, enumerate_all, sample_stub
+from .sampler import (
+    SamplerConfig,
+    _uniform_and_draws,
+    chi_square_uniform,
+    draw_sample,
+    enumerate_all,
+)
 from .verifiers import DelocParams, level_sets, run_family_checks
 
 __all__ = ["main"]
@@ -181,24 +187,10 @@ def _cmd_sampler_test(args: argparse.Namespace) -> int:
     support = list(enumerate_all(args.n, args.d))
     rng = trial_rng(master_seed, args.n, args.d, 0)
     attempts = 0
-
-    def stub_draws():
-        nonlocal attempts
-        for _ in range(args.samples):
-            for _ in range(config.max_rejections):
-                attempts += 1
-                m = sample_stub(args.n, args.d, rng)
-                if m is not None:
-                    yield m
-                    break
-            else:
-                raise RejectionBudgetExceeded(
-                    f"no simple matching in {config.max_rejections} draws "
-                    f"(n={args.n}, d={args.d})"
-                )
-
     if config.kind == "stub_rejection":
-        draws = stub_draws()
+        counted = [_uniform_and_draws(args.n, args.d, config, rng) for _ in range(args.samples)]
+        draws = [m for m, _ in counted]
+        attempts = sum(k for _, k in counted)
     else:
         draws = (draw_sample(args.n, args.d, config, rng) for _ in range(args.samples))
     stat, critical, strays = chi_square_uniform(support, draws, args.significance)

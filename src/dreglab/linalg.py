@@ -1,8 +1,9 @@
 """Exact rank and kernel computations for 0/1 matrices.
 
 Everything here is exact, so reported ranks are never floating-point
-guesses.  A rank starts as one sparse elimination over GF(p) for a fixed
-prime p just below 2^30, touching only nonzero entries.  A modular rank
+guesses.  A rank starts as one elimination over GF(p) for a fixed prime p
+just below 2^30: sparse while the pivots touch few entries, then, once
+fill-in sets in, finished on a dense int64 numpy block.  A modular rank
 never exceeds the rational rank, so a modular rank of n proves full rank
 and ends the work there.  A deficient modular rank r_p is proven, up to
 ``RATIONAL_THRESHOLD``, by a sandwich certificate built from the same
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, DimensionError
 from .matrix import BiregularMatrix
@@ -66,6 +69,10 @@ RATIONAL_THRESHOLD = 128
 # bound on the rational rank.
 _PRIMES = (2**30 - 35, 2**61 - 1)
 
+# Sparse elimination hands over to the dense finish at the first pivot whose
+# step would touch more than this many entries (see _rank_rows_mod_p).
+_DENSE_AFTER = 250
+
 
 # ─── elimination cores ──────────────────────────────────────────────────────
 
@@ -78,11 +85,26 @@ def _rank_rows_mod_p(
     ``rows[s]`` lists the columns where row s is 1, as
     ``BiregularMatrix.row_supports`` does; the matrix is square, so there
     are ``len(rows)`` columns.  Structured elimination over GF(p)
-    (LaMacchia & Odlyzko, CRYPTO 1990): each column keeps the set of rows
-    that are nonzero in it, columns are taken left to right, and the pivot
-    is the candidate row with the fewest nonzeros.  A pivot updates only the
-    rows nonzero in its column, and only at the pivot row's nonzero columns;
-    entries that cancel are removed.
+    (LaMacchia & Odlyzko, CRYPTO 1990), in two phases.  The sparse phase
+    keeps, for each column, the set of rows that are nonzero in it; columns
+    are taken left to right, and the pivot is the candidate row with the
+    fewest nonzeros.  A pivot updates only the rows nonzero in its column,
+    and only at the pivot row's nonzero columns; entries that cancel are
+    removed.  Fill-in makes each such entry a dict operation of 250-400 ns,
+    so at the first pivot whose step would touch more than ``_DENSE_AFTER``
+    = 250 entries (candidate rows times pivot-row length) the live rows go
+    to :func:`_finish_dense`, when p^2 < 2^63 keeps its int64 arithmetic
+    exact; 2^61 - 1 stays sparse throughout.
+
+    The switch was measured on 2 cores (Python 3.11, numpy 2.4), one
+    elimination modulo 2^30 - 35, medians over seeded samples: (256,3)
+    10.1 -> 6.2 ms, (128,3) 2.5 -> 1.8 ms, (48,8) mcmc 2.5 -> 1.7 ms,
+    (512,3) 58-75 -> 27-35 ms, (1024,3) 454-518 -> 174-201 ms and (512,8)
+    mcmc 2.6 -> 0.35 s.  Thresholds from 150 to 300 came within noise of
+    each other; 60 switched too early and lost at (128,3) and (256,3), and
+    400 lost at (48,8).  No (40,2) or (60,2) elimination reaches the switch
+    (600 samples), and 2 of 60 at (32,8) do; at (256,3) the dense block
+    holds the last 57-99 columns.
 
     Returns one ``(c, update)`` entry per pivot column c, in increasing c.
     ``update`` lists ``(col, coeff)`` pairs with col > c such that every
@@ -98,13 +120,18 @@ def _rank_rows_mod_p(
         for c in row:
             col_rows[c].add(s)
     echelon = []
+    limit = _DENSE_AFTER if p * p < 1 << 63 else inf
     for c in range(ncols):
         cand = col_rows[c]
         if not cand:
             continue
         piv = min(cand, key=lambda s: len(rows[s]))
-        cand.discard(piv)
         pivrow = rows[piv]
+        if len(cand) * len(pivrow) > limit:
+            # every row still nonzero past column c is a live, non-pivot row
+            live = sorted(set().union(*col_rows[c:]))
+            return echelon + _finish_dense([rows[s] for s in live], c, ncols, p)
+        cand.discard(piv)
         # row s becomes row s + f * update, where f is row s's entry in c
         ninv = p - pow(pivrow.pop(c), -1, p)
         update = [(col, v * ninv % p) for col, v in pivrow.items()]
@@ -127,6 +154,48 @@ def _rank_rows_mod_p(
                         col_rows[col].discard(s)
         echelon.append((c, update))
     return echelon
+
+
+def _finish_dense(
+    rows: list[dict[int, int]], c0: int, ncols: int, p: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The echelon of the live ``rows`` (nonzero only at columns >= c0) densely.
+
+    The rows go into one int64 block over columns c0..ncols-1, finished left
+    to right: the first row nonzero in the column is the pivot, swapped to
+    the top of the active rows and scaled by -1/pivot, and the rows below
+    get the rank-1 update row += f * pivot row, reduced mod p at once.  With
+    entries below p the largest intermediate is (p - 1) + (p - 1)^2 < p^2,
+    so p^2 < 2^63 keeps every step exact; a block reduced less often can
+    overflow.
+    The update lists are read off the pivot rows once, after the loop, in
+    :func:`_rank_rows_mod_p`'s form.
+    """
+    m = ncols - c0
+    block = np.zeros((len(rows), m), dtype=np.int64)
+    for i, row in enumerate(rows):
+        block[i, [col - c0 for col in row]] = list(row.values())
+    pivots = []
+    top = 0
+    for j in range(m):
+        nonzero = np.flatnonzero(block[top:, j])
+        if not nonzero.size:
+            continue
+        k = top + int(nonzero[0])
+        if k != top:
+            block[[top, k]] = block[[k, top]]
+        update = block[top, j + 1 :]
+        update *= p - pow(int(block[top, j]), -1, p)
+        update %= p
+        below = block[top + 1 :, j + 1 :]
+        below += np.multiply.outer(block[top + 1 :, j], update)
+        below %= p
+        pivots.append(j)
+        top += 1
+    return [
+        (c0 + j, [(c0 + j + 1 + t, v) for t, v in enumerate(block[r, j + 1 :].tolist()) if v])
+        for r, j in enumerate(pivots)
+    ]
 
 
 def _kernel_mod_p(

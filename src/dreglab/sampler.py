@@ -132,10 +132,17 @@ def sample_uniform(
     Raises :class:`RejectionBudgetExceeded` after ``config.max_rejections``
     rejected matchings.
     """
-    for _ in range(config.max_rejections):
+    return _uniform_and_draws(n, d, config, rng)[0]
+
+
+def _uniform_and_draws(
+    n: int, d: int, config: SamplerConfig, rng: np.random.Generator
+) -> tuple[BiregularMatrix, int]:
+    """:func:`sample_uniform`'s matrix and the number of stub draws it took."""
+    for draws in range(1, config.max_rejections + 1):
         a = sample_stub(n, d, rng)
         if a is not None:
-            return a
+            return a, draws
     raise RejectionBudgetExceeded(
         f"no simple matching in {config.max_rejections} draws (n={n}, d={d})"
     )

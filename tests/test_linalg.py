@@ -223,6 +223,72 @@ def test_rank_mod_p_matches_oracle():
     assert drops > 0
 
 
+def _dense_spy(monkeypatch):
+    """Log ``(p, c0, pivot columns)`` for every dense finish of the modular core."""
+    log = []
+    finish = linalg._finish_dense
+
+    def spied(rows, c0, ncols, p):
+        echelon = finish(rows, c0, ncols, p)
+        log.append((p, c0, {c for c, _ in echelon}))
+        return echelon
+
+    monkeypatch.setattr(linalg, "_finish_dense", spied)
+    return log
+
+
+def test_rank_mod_p_dense_finish_matches_sparse(monkeypatch):
+    # past the switch the echelon is finished densely; its pivot columns and
+    # back-substituted kernel vectors must be the sparse-only route's
+    mcmc = SamplerConfig(kind="mcmc")
+    rng = np.random.default_rng(48)
+    cases = [draw_sample(48, 8, mcmc, rng) for _ in range(3)]
+    cases += _stub_samples(128, 3, 3, 128) + _stub_samples(256, 3, 2, 256)
+    log = _dense_spy(monkeypatch)
+    dense = set()
+    for a in cases:
+        for p in (2, 3, 97, 2**30 - 35):
+            log.clear()
+            echelon = linalg._rank_rows_mod_p(a.row_supports, p)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_DENSE_AFTER", float("inf"))
+                sparse = linalg._rank_rows_mod_p(a.row_supports, p)
+            assert [c for c, _ in echelon] == [c for c, _ in sparse]
+            assert all(c < col and 0 < v < p for c, update in echelon for col, v in update)
+            vectors = linalg._kernel_mod_p(echelon, a.n, p)
+            assert vectors == linalg._kernel_mod_p(sparse, a.n, p)
+            if a.n == 48:
+                assert len(echelon) == oracle_rank_mod_p(a.dense_rows(), p)
+            if not log:
+                continue
+            dense.add((a.n, p))
+            if p == 3 and a.d == 3:
+                # A 1 = 3 1, so the columns sum to 0 mod 3 and the last one,
+                # inside the dense block, never has a pivot
+                (_, c0, pivots), = log
+                assert c0 < a.n - 1 and a.n - 1 not in pivots
+                assert all(
+                    sum(x[c] for c in support) % p == 0
+                    for x in vectors
+                    for support in a.row_supports
+                )
+    # small primes cancel more, so the sparse phase finishes some alone
+    assert {(n, p) for n in (48, 128, 256) for p in (97, 2**30 - 35)} <= dense
+    assert {(256, 2), (256, 3), (48, 3)} <= dense
+
+
+def test_rank_mod_p_dense_finish_only_below_int64(monkeypatch):
+    # int64 products stay exact only for p * p < 2^63, so 2^61 - 1 stays sparse
+    log = _dense_spy(monkeypatch)
+    (a,) = _stub_samples(256, 3, 1, 256)
+    mcmc = draw_sample(48, 8, SamplerConfig(kind="mcmc"), np.random.default_rng(48))
+    for m in (a, mcmc):
+        for p in linalg._PRIMES:
+            log.clear()
+            assert len(linalg._rank_rows_mod_p(m.row_supports, p)) == rational_rank(m)
+            assert [q for q, _, _ in log] == ([p] if p * p < 2**63 else [])
+
+
 def _count_routes(monkeypatch):
     """Patch the modular core, Bareiss and the lift check with call loggers.
 

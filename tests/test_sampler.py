@@ -27,6 +27,7 @@ from dreglab import (
     serialize,
     trial_rng,
 )
+from dreglab import sampler
 
 # ─── independent oracles ─────────────────────────────────────────────────────
 
@@ -126,6 +127,21 @@ def test_rejection_budget():
         # d = n = 6 only admits the all-ones matrix; stub draws almost
         # always produce a repeat column in some row
         sample_uniform(6, 6, cfg, np.random.default_rng(0))
+
+
+def test_uniform_draw_count_is_every_stub_draw():
+    # the count sampler-test sums is the number of sample_stub calls made,
+    # and the accepted matrix is the last of them
+    cfg = SamplerConfig()
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    counts = []
+    for _ in range(20):
+        a, draws = sampler._uniform_and_draws(6, 3, cfg, rng)
+        seen = [sample_stub(6, 3, replay) for _ in range(draws)]
+        assert seen[-1] == a and all(m is None for m in seen[:-1])
+        counts.append(draws)
+    assert max(counts) > 1
+    assert sample_uniform(6, 3, cfg, rng) == sample_uniform(6, 3, cfg, replay)
 
 
 def test_mcmc_zero_burn_in_is_start_state():
