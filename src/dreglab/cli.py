@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,9 +57,9 @@ def _add_common(
     """
     sub.add_argument("--out", type=str, default=None, help="output path (prefix for estimate)")
     if seed:
-        sub.add_argument("--seed", type=int, default=None, help="master seed (u64)")
+        sub.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     if workers:
-        sub.add_argument("--workers", type=int, default=None, help="process count")
+        sub.add_argument("--workers", type=int, default=1, help="process count")
 
 
 def _add_sampler(sub: argparse.ArgumentParser) -> None:
@@ -82,11 +81,11 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
     )
 
 
-def _resolve_seed(args: argparse.Namespace, config: SamplerConfig) -> int:
-    seed = args.seed if args.seed is not None else config.seed
-    if not (0 <= seed < 1 << 64):
-        raise ValueError(f"seed must fit in u64, got {seed}")
-    return seed
+def _resolve_seed(args: argparse.Namespace) -> int:
+    """The master seed; ``--seed`` is its only source."""
+    if not (0 <= args.seed < 1 << 64):
+        raise ValueError(f"seed must fit in u64, got {args.seed}")
+    return args.seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,24 +117,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 raise ValueError(f"--pairs token {token!r} is not of the form n:d") from None
             pairs.append((n, d))
         grid = GridSpec(pairs=tuple(pairs), trials=args.trials, sampler=_sampler_config(args))
-    # explicit CLI flags override whatever the config file said
-    if args.workers is not None:
-        grid = replace(grid, workers=args.workers)
-    if args.out is not None:
-        grid = replace(grid, out=args.out)
 
-    master_seed = _resolve_seed(args, grid.sampler)
-    records = run_grid(grid, master_seed, timings=args.timings)
+    master_seed = _resolve_seed(args)
+    records = run_grid(grid, master_seed, workers=args.workers, timings=args.timings)
     rows = summarize(records)
 
     write_summary = write_summary_csv if args.format == "csv" else write_summary_json
-    if grid.out is None:
+    if args.out is None:
         write_records(records, sys.stdout)
         write_summary(rows, sys.stdout)
     else:
-        with Path(f"{grid.out}.records.jsonl").open("w") as fp:
+        with Path(f"{args.out}.records.jsonl").open("w") as fp:
             write_records(records, fp)
-        with Path(f"{grid.out}.summary.{args.format}").open("w") as fp:
+        with Path(f"{args.out}.summary.{args.format}").open("w") as fp:
             write_summary(rows, fp)
     return EXIT_OK
 
@@ -183,7 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sampler_test(args: argparse.Namespace) -> int:
     config = _sampler_config(args)
-    master_seed = _resolve_seed(args, config)
+    master_seed = _resolve_seed(args)
     support = list(enumerate_all(args.n, args.d))
     rng = trial_rng(master_seed, args.n, args.d, 0)
     attempts = 0
@@ -222,17 +216,12 @@ def _cmd_deloc_stats(args: argparse.Namespace) -> int:
             f"n={args.n} exceeds the exact-arithmetic guard {RATIONAL_THRESHOLD}"
         )
     config = _sampler_config(args)
-    master_seed = _resolve_seed(args, config)
+    master_seed = _resolve_seed(args)
     params = DelocParams(C=args.C)
     theta = params.beta(args.n, args.d)
 
-    grid = GridSpec(
-        pairs=((args.n, args.d),),
-        trials=args.trials,
-        sampler=config,
-        workers=args.workers if args.workers is not None else 1,
-    )
-    records = run_grid(grid, master_seed)
+    grid = GridSpec(pairs=((args.n, args.d),), trials=args.trials, sampler=config)
+    records = run_grid(grid, master_seed, workers=args.workers)
     singular = [r for r in records if r.corank is not None and r.corank >= 1]
     histogram: dict[int, int] = {}
     for rec in singular:
@@ -244,6 +233,7 @@ def _cmd_deloc_stats(args: argparse.Namespace) -> int:
         "n": args.n,
         "d": args.d,
         "trials": args.trials,
+        "errored_trials": sum(1 for r in records if r.error is not None),
         "C": str(params.C),
         "theta": theta,
         "singular_samples": len(singular),
@@ -308,7 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="summary format"
     )
-    est.add_argument("--config", type=str, default=None, help="GridSpec JSON file")
+    est.add_argument(
+        "--config", type=str, default=None, help="grid file: pairs, trials and sampler"
+    )
     est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
     est.add_argument("--trials", type=int, default=None)
     _add_sampler(est)

@@ -95,15 +95,14 @@ class TrialRecord:
 class GridSpec:
     """A grid of (n, d) pairs with a trial count and sampler configuration.
 
-    Every number must be an int and ``out`` a string or None; any other
-    type is refused rather than coerced.
+    This is what a grid file holds; the master seed, worker count and output
+    path are run settings and come from the caller.  Every number must be an
+    int; any other type is refused rather than coerced.
     """
 
     pairs: tuple[tuple[int, int], ...]
     trials: int
     sampler: SamplerConfig
-    out: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -118,9 +117,6 @@ class GridSpec:
                 raise ValueError(f"repeated pair (n={n}, d={d})")
             seen.add((n, d))
         _require_int("trials", self.trials, 1)
-        _require_int("workers", self.workers, 1)
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
@@ -138,17 +134,6 @@ class GridSpec:
             raise ValueError(f"grid config 'pairs' must be a list of [n, d] lists, got {pairs!r}")
         sampler = SamplerConfig.from_dict(data.get("sampler", {}))
         return cls(**{**data, "pairs": tuple(map(tuple, pairs)), "sampler": sampler})
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pairs": [list(p) for p in self.pairs],
-                "trials": self.trials,
-                "sampler": json.loads(self.sampler.to_json()),
-                "out": self.out,
-                "workers": self.workers,
-            }
-        )
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -224,24 +209,25 @@ def _trial_task(args: tuple) -> TrialRecord:
 
 
 def run_grid(
-    grid: GridSpec, master_seed: int, *, timings: bool = False
+    grid: GridSpec, master_seed: int, *, workers: int = 1, timings: bool = False
 ) -> list[TrialRecord]:
     """All trials of a grid, sorted by (n, d, trial_index).
 
-    With ``grid.workers > 1`` trials are distributed over a process pool;
+    With ``workers > 1`` trials are distributed over a process pool;
     scheduling cannot change any record because each trial owns a
     key-derived generator.
     """
+    _require_int("workers", workers, 1)
     tasks = [
         (n, d, grid.sampler, master_seed, t, timings)
         for (n, d) in grid.pairs
         for t in range(grid.trials)
     ]
-    if grid.workers == 1:
+    if workers == 1:
         records = [_trial_task(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (grid.workers * 8))
-        with get_context().Pool(grid.workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with get_context().Pool(workers) as pool:
             records = list(pool.imap_unordered(_trial_task, tasks, chunksize=chunk))
     records.sort(key=lambda r: (r.n, r.d, r.trial_index))
     return records

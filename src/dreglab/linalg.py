@@ -50,7 +50,6 @@ __all__ = [
     "rank_and_kernels",
     "kernel",
     "f_rows",
-    "f_perp",
     "format_vector",
     "RATIONAL_THRESHOLD",
 ]
@@ -564,15 +563,6 @@ def _f_rows(dense: Sequence[list[int]], i: int, j: int) -> list[list[int]]:
     del rows[max(i, j)], rows[min(i, j)]
     rows.append(list(map(add, dense[i], dense[j])))
     return rows
-
-
-def f_perp(a: BiregularMatrix, i: int, j: int) -> SubspaceBasis:
-    """Canonical basis of F(A; i, j)^perp, the kernel of :func:`f_rows`.
-
-    Always nonzero: n - 1 spanning vectors leave dimension at least 1.
-    """
-    pivot_cols, pivot_rows = _int_echelon(f_rows(a, i, j))
-    return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
 
 
 def format_vector(x: Sequence[int | Fraction]) -> str:

@@ -21,7 +21,6 @@ Every sampler output passes full construction-time validation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -56,7 +55,7 @@ def _require_int(name: str, value: object, low: int) -> None:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Serializable description of how matrices are drawn.
+    """How matrices are drawn: the sampler kind and that sampler's own field.
 
     Each sampler reads its own field, and a config that names the other
     sampler's field is refused: ``max_rejections`` belongs to
@@ -64,14 +63,12 @@ class SamplerConfig:
     to ``mcmc``.  ``burn_in_steps = None`` means the scale-aware default
     10 * n * d^2 proposals.  A burn-in of 0 is allowed and returns the start
     state unchanged.  Every number must be an int; a float, string or bool
-    is refused rather than coerced.  JSON fields follow the declaration
-    order, so serialized configs are byte-stable.
+    is refused rather than coerced.
     """
 
     kind: str = "stub_rejection"
     max_rejections: int | None = None
     burn_in_steps: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -86,15 +83,6 @@ class SamplerConfig:
             raise ValueError("max_rejections applies only to the stub_rejection sampler")
         if self.burn_in_steps is not None:
             _require_int("burn_in_steps", self.burn_in_steps, 0)
-        _require_int("seed", self.seed, 0)
-
-    def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SamplerConfig":
-        data = json.loads(text)
-        return cls.from_dict(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
@@ -205,10 +193,9 @@ def enumerate_all(n: int, d: int) -> Iterator[BiregularMatrix]:
     """Stream every d-biregular 0/1 matrix of size n, each exactly once.
 
     Backtracking over rows: a column whose remaining capacity equals the
-    number of unfilled rows must appear in all of them; one whose capacity
-    exceeds that count is a dead end.  The guard (n <= 7 or n*d <= 16)
-    raises :class:`SizeGuardError` before an infeasibly large enumeration
-    starts.
+    number of unfilled rows must appear in all of them.  The guard (n <= 7
+    or n*d <= 16) raises :class:`SizeGuardError` before an infeasibly large
+    enumeration starts.
     """
     if n < 1 or not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
@@ -225,13 +212,11 @@ def enumerate_all(n: int, d: int) -> Iterator[BiregularMatrix]:
             yield build(n, d, list(chosen))
             return
         remaining = n - s
+        # every capacity is at most ``remaining`` and they sum to d * remaining,
+        # so at most d columns are forced and the optional ones can fill the row
         forced = [c for c in range(n) if caps[c] == remaining]
-        if len(forced) > d:
-            return
         optional = [c for c in range(n) if 0 < caps[c] < remaining]
         need = d - len(forced)
-        if need > len(optional):
-            return
         for combo in combinations(optional, need):
             support = tuple(sorted(forced + list(combo)))
             for c in support:

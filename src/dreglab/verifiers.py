@@ -518,17 +518,16 @@ def _left_vector_vanishing_at(
 ) -> tuple[int, ...]:
     """A nonzero combination of left-kernel basis vectors with coordinate i = 0.
 
-    Exists whenever the basis has at least two vectors; deterministic via
-    the canonical basis of the eliminated set.
+    ``basis[0]`` must be nonzero at i; it serves as the pivot that clears
+    coordinate i from the others.  The combination exists whenever the basis
+    has at least two vectors; deterministic via the canonical basis of the
+    eliminated set.
     """
-    pivot = next((u for u in basis if u[i] != 0), None)
-    if pivot is None:
-        return tuple(basis[0])
+    pivot = basis[0]
     p = pivot[i]
     reduced = [
         tuple(p * wt - w[i] * pt for wt, pt in zip(w, pivot))
-        for w in basis
-        if w is not pivot
+        for w in basis[1:]
     ]
     canon = SubspaceBasis(len(pivot), reduced).vectors
     if not canon:

@@ -85,16 +85,48 @@ def test_estimate_workers_do_not_change_bytes(tmp_path):
 
 
 def test_estimate_config_file(tmp_path, capsys):
-    cfg = {
-        "pairs": [[5, 1]],
-        "trials": 3,
-        "sampler": {"kind": "stub_rejection", "seed": 5},
-    }
+    cfg = {"pairs": [[5, 1]], "trials": 3, "sampler": {"kind": "stub_rejection"}}
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "estimate", "--config", str(path), "--format", "json")
+    code, out, _ = run_cli(
+        capsys, "estimate", "--config", str(path), "--seed", "5", "--format", "json"
+    )
     assert code == 0
     assert '"frac_full_rank": 1.0' in out
+
+
+def test_estimate_config_file_equals_flags(tmp_path):
+    # a grid file only replaces --pairs/--trials/--kind: the run flags act the same
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"pairs": [[12, 3], [9, 2]], "trials": 5}))
+    run = ["--seed", "3", "--workers", "2", "--format", "json"]
+    assert main(["estimate", "--config", str(path), *run, "--out", str(tmp_path / "c")]) == 0
+    flags = ["estimate", "--pairs", "12:3,9:2", "--trials", "5", *run]
+    assert main([*flags, "--out", str(tmp_path / "f")]) == 0
+    for suffix in (".records.jsonl", ".summary.json"):
+        config_bytes = (tmp_path / f"c{suffix}").read_bytes()
+        assert config_bytes == (tmp_path / f"f{suffix}").read_bytes()
+        assert config_bytes
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": 5}}, "seed"),
+        ({"pairs": [[5, 2]], "trials": 2, "out": "results"}, "out"),
+        ({"pairs": [[5, 2]], "trials": 2, "workers": 2}, "workers"),
+    ],
+)
+def test_estimate_config_refuses_run_settings(cfg, field, tmp_path, monkeypatch, capsys):
+    # the seed, worker count and output path come from the flags alone, so a
+    # grid file naming one is refused however well-typed, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"'{field}'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
 
 
 def test_estimate_config_refuses_unknown_sampler_field(tmp_path, capsys):
@@ -425,6 +457,20 @@ def test_deloc_stats_reports(capsys):
     assert payload["singular_samples"] == sum(payload["level_set_histogram"].values())
     assert 0.0 <= payload["violation_fraction"] <= 1.0
     assert payload["theta"] > 0
+    assert payload["errored_trials"] == 0
+
+
+def test_deloc_stats_counts_errored_trials(capsys):
+    # (5,5) has one member, which 3 stub draws almost never hit: both trials
+    # end at the rejection budget and must be counted, not hidden
+    code, out, _ = run_cli(
+        capsys, "deloc-stats", "--n", "5", "--d", "5", "--trials", "2",
+        "--max-rejections", "3",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["errored_trials"] == 2
+    assert payload["singular_samples"] == 0
 
 
 # ─── enumerate and rank ──────────────────────────────────────────────────────

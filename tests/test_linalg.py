@@ -20,7 +20,6 @@ from dreglab import (
     circulant,
     draw_sample,
     enumerate_all,
-    f_perp,
     f_rows,
     format_vector,
     identity,
@@ -74,6 +73,11 @@ def oracle_nullspace(rows, ncols) -> tuple[tuple[Fraction, ...], ...]:
             x[pc] = -row[fc]
         basis.append(x)
     return oracle_rref(basis)
+
+
+def oracle_f_perp(a, i, j) -> SubspaceBasis:
+    """F(A; i, j)^perp: the oracle's nullspace of the rows :func:`f_rows` lists."""
+    return SubspaceBasis(a.n, integer_form(oracle_nullspace(f_rows(a, i, j), a.n)))
 
 
 def integer_form(rref) -> tuple[tuple[int, ...], ...]:
@@ -513,16 +517,12 @@ def test_kernel_side_validation():
 
 
 def test_f_perp_dimensions():
-    # f_perp returns the orthogonal complement of span{rows != i,j; R_i+R_j}.
+    # F(A; i, j)^perp is the orthogonal complement of span{rows != i,j; R_i+R_j}.
     # For the identity that span has dimension n-1, so the complement is the
     # line through e_i - e_j.
-    s = f_perp(identity(5), 0, 1)
+    s = oracle_f_perp(identity(5), 0, 1)
     assert s.dim == 1
-    assert s.vectors == ((Fraction(1), Fraction(-1), Fraction(0), Fraction(0), Fraction(0)),)
-    with pytest.raises(ValueError):
-        f_perp(identity(5), 2, 2)
-    with pytest.raises(IndexError):
-        f_perp(identity(5), 0, 5)
+    assert s.vectors == ((1, -1, 0, 0, 0),)
     # f_rows lists F's n - 1 spanning rows, the sum of rows i and j last
     rows = f_rows(identity(5), 0, 1)
     assert len(rows) == 4
@@ -541,7 +541,7 @@ def test_f_perp_block_equals_kernel():
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert f_perp(b, i, j) == k
+                assert oracle_f_perp(b, i, j) == k
 
 
 def _contains(space, vector):
@@ -551,14 +551,14 @@ def _contains(space, vector):
 
 def test_subspace_basis_equality_and_dimensions():
     b = block_diagonal(2, 2)
-    s1 = f_perp(b, 0, 2)
-    s2 = f_perp(b, 1, 3)
+    s1 = oracle_f_perp(b, 0, 2)
+    s2 = oracle_f_perp(b, 1, 3)
     assert s1 == s2  # the protected spans coincide, so do complements
     assert _contains(s1, (1, -1, 0, 0))
     assert _contains(s1, (1, -1, 1, -1))
     assert not _contains(s1, (1, 1, 0, 0))
     assert not _contains(s1, (1, 0, 0, 0))
-    assert s1 != f_perp(identity(5), 0, 1)
+    assert s1 != oracle_f_perp(identity(5), 0, 1)
     # a zero-dimensional space still knows its ambient dimension
     assert kernel(identity(3)) != kernel(identity(5))
     assert kernel(identity(3)) == SubspaceBasis(3, ()) != SubspaceBasis(4, ())
@@ -597,6 +597,8 @@ def test_kernel_matches_oracle_on_stub_samples(n, d):
 
 
 def test_f_perp_matches_oracle_on_small_families():
+    # the Bareiss echelon of F's n - 1 rows, the verifiers' route to F's rank,
+    # yields the oracle's nullspace on every pair
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
             dense = m.dense_rows()
@@ -607,7 +609,9 @@ def test_f_perp_matches_oracle_on_small_families():
                     rows = [dense[s] for s in range(n) if s not in (i, j)]
                     rows.append([x + y for x, y in zip(dense[i], dense[j])])
                     assert f_rows(m, i, j) == rows
-                    assert f_perp(m, i, j).vectors == integer_form(
+                    pivot_cols, pivot_rows = linalg._int_echelon(rows)
+                    vectors = linalg._kernel_from_echelon(pivot_cols, pivot_rows, n)
+                    assert SubspaceBasis(n, vectors).vectors == integer_form(
                         oracle_nullspace(rows, n)
                     ), (m, i, j)
 
@@ -633,7 +637,7 @@ def test_span_basis_canonical_under_disguise():
     rng = random.Random(0)
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
-            spaces = [kernel(m, "right")] + ([f_perp(m, 0, 1)] if n >= 2 else [])
+            spaces = [kernel(m, "right")] + ([oracle_f_perp(m, 0, 1)] if n >= 2 else [])
             for space in spaces:
                 if not space.vectors:
                     continue

@@ -26,7 +26,7 @@ from dreglab import (
     double_count_check,
     enumerate_all,
     enumerate_switches,
-    f_perp,
+    f_rows,
     identity,
     kernel,
     level_sets,
@@ -39,7 +39,7 @@ from dreglab import (
     sample_uniform,
     verify_increase_mechanism,
 )
-from dreglab import verifiers
+from dreglab import linalg, verifiers
 
 F = Fraction
 BLOCK = block_diagonal(2, 2)
@@ -115,13 +115,19 @@ def test_ka_none_on_invertible():
     assert len(compute_KA(identity(4))) == 0
 
 
+def _f_perp(a, i, j):
+    """F(A; i, j)^perp as the kernel of the Bareiss echelon of :func:`f_rows`."""
+    pivot_cols, pivot_rows = linalg._int_echelon(f_rows(a, i, j))
+    return SubspaceBasis(a.n, linalg._kernel_from_echelon(pivot_cols, pivot_rows, a.n))
+
+
 def _ka_by_definition(a):
     ker = kernel(a, "right")
     return {
         (i, j)
         for i in range(a.n)
         for j in range(a.n)
-        if i != j and ker == f_perp(a, i, j)
+        if i != j and ker == _f_perp(a, i, j)
     }
 
 
