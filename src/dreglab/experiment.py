@@ -213,9 +213,9 @@ def run_grid(
 ) -> list[TrialRecord]:
     """All trials of a grid, sorted by (n, d, trial_index).
 
-    With ``workers > 1`` trials are distributed over a process pool;
-    scheduling cannot change any record because each trial owns a
-    key-derived generator.
+    With ``workers > 1`` trials are distributed over a process pool of at
+    most one process per trial; scheduling cannot change any record because
+    each trial owns a key-derived generator.
     """
     _require_int("workers", workers, 1)
     tasks = [
@@ -223,6 +223,7 @@ def run_grid(
         for (n, d) in grid.pairs
         for t in range(grid.trials)
     ]
+    workers = min(workers, len(tasks))
     if workers == 1:
         records = [_trial_task(task) for task in tasks]
     else:

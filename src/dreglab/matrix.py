@@ -2,9 +2,9 @@
 
 Matrices are stored by row support (sorted tuples of column indices), which
 is the natural representation for adjacency matrices of d-regular directed
-graphs on n vertices: loops are allowed, multi-edges are not.  Column
-supports are derived once at construction and kept alongside, so both the
-out-neighbourhood and in-neighbourhood of a vertex are O(1) to fetch.
+graphs on n vertices: loops are allowed, multi-edges are not.  The row
+supports are the whole matrix; :meth:`BiregularMatrix.transpose` derives
+the column supports when they are needed.
 
 The text format is line-oriented and bit-stable for golden-file tests::
 
@@ -18,7 +18,7 @@ The identity at n=2 serializes as ``"2 1\\n0\\n1\\n"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -44,33 +44,20 @@ __all__ = [
 class BiregularMatrix:
     """Immutable n-by-n 0/1 matrix with d ones per row and per column.
 
-    Instances compare and hash by (n, d, row_supports); column supports are
-    a derived view.  Use :func:`build` rather than the constructor so the
-    biregularity invariants are actually checked.
+    Instances compare and hash by (n, d, row_supports).  Use :func:`build`
+    rather than the constructor so the biregularity invariants are actually
+    checked.
     """
 
     n: int
     d: int
     row_supports: tuple[tuple[int, ...], ...]
-    col_supports: tuple[tuple[int, ...], ...] = field(compare=False)
-    _row_sets: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_row_sets", tuple(frozenset(r) for r in self.row_supports)
-        )
 
     def entry(self, s: int, t: int) -> int:
         """Return the (s, t) entry as 0 or 1.  Indices must lie in [0, n)."""
         if not (0 <= s < self.n and 0 <= t < self.n):
             raise IndexError(f"entry ({s}, {t}) outside [0, {self.n})^2")
-        return 1 if t in self._row_sets[s] else 0
-
-    def row_set(self, s: int) -> frozenset[int]:
-        """Column support of row s as a frozenset (O(1) membership)."""
-        return self._row_sets[s]
+        return 1 if t in self.row_supports[s] else 0
 
     def dense_rows(self) -> list[list[int]]:
         """Expand to a dense list-of-lists of 0/1 ints."""
@@ -84,7 +71,11 @@ class BiregularMatrix:
 
     def transpose(self) -> "BiregularMatrix":
         """The transpose, which is again d-biregular."""
-        return BiregularMatrix(self.n, self.d, self.col_supports, self.row_supports)
+        cols: list[list[int]] = [[] for _ in range(self.n)]
+        for s, support in enumerate(self.row_supports):
+            for t in support:
+                cols[t].append(s)  # rows visited in order, so each column comes out sorted
+        return BiregularMatrix(self.n, self.d, tuple(map(tuple, cols)))
 
     def ones(self) -> Iterator[tuple[int, int]]:
         """Iterate the positions of all n*d one-entries in row-major order."""
@@ -131,14 +122,7 @@ def build(n: int, d: int, rows: Iterable[Iterable[int]]) -> BiregularMatrix:
     for t, c in enumerate(col_count):
         if c != d:
             raise ColDegreeError(f"column {t}: {c} entries, expected {d}")
-
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for s, support in enumerate(normalized):
-        for t in support:
-            cols[t].append(s)  # rows visited in order, so each col list is sorted
-    return BiregularMatrix(
-        n, d, tuple(normalized), tuple(tuple(c) for c in cols)
-    )
+    return BiregularMatrix(n, d, tuple(normalized))
 
 
 def circulant(n: int, d: int) -> BiregularMatrix:

@@ -150,14 +150,17 @@ def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
     if steps <= 0:
         return
     n, d = len(rows), len(rows[0])
-    row_sets = [set(r) for r in rows]
+    # The walk keeps a set per row, unlike BiregularMatrix: at d = 8 a set
+    # lookup beats scanning the row list, and the walk is most of a
+    # grid-mcmc trial.
+    sets = [set(r) for r in rows]
     draws = rng.integers(0, (n, d, n, d), size=(steps, 4))
     # four column lists: a list per proposal costs allocation and garbage collection
     for i, ki, j, lj in zip(*draws.T.tolist()):
         ri, rj = rows[i], rows[j]
         k = ri[ki]
         l = rj[lj]
-        si, sj = row_sets[i], row_sets[j]
+        si, sj = sets[i], sets[j]
         if l in si or k in sj:
             continue  # infeasible proposal: lazy step, stay in place
         ri[ki] = l

@@ -68,7 +68,7 @@ def can_perform(a: BiregularMatrix, sw: Switch) -> bool:
     """True when the feasibility pattern of ``sw`` holds in ``a``."""
     _check_indices(a, sw)
     i, j, k, l = sw
-    ri, rj = a.row_set(i), a.row_set(j)
+    ri, rj = a.row_supports[i], a.row_supports[j]
     return k in ri and l in rj and l not in ri and k not in rj
 
 
@@ -83,11 +83,12 @@ def apply_switch(a: BiregularMatrix, sw: Switch) -> BiregularMatrix:
 
 
 def _switched_rows(a: BiregularMatrix, sw: Switch) -> tuple[tuple[int, ...], ...]:
-    """Row supports of ``a`` after the feasible switching ``sw``, unvalidated."""
+    """Row supports of ``a`` after the feasible switching ``sw``, unvalidated:
+    l takes k's place in row i and k takes l's place in row j."""
     i, j, k, l = sw
     rows = list(a.row_supports)
-    rows[i] = tuple(sorted(a.row_set(i) - {k} | {l}))
-    rows[j] = tuple(sorted(a.row_set(j) - {l} | {k}))
+    rows[i] = tuple(sorted(l if t == k else t for t in rows[i]))
+    rows[j] = tuple(sorted(k if t == l else t for t in rows[j]))
     return tuple(rows)
 
 
@@ -99,15 +100,15 @@ def enumerate_switches(a: BiregularMatrix) -> Iterator[Switch]:
     """
     supports = a.row_supports
     for i in range(a.n):
-        ri = a.row_set(i)
-        for k in supports[i]:
+        ri = supports[i]
+        for k in ri:
             for j in range(a.n):
                 if j == i:
                     continue
-                rj = a.row_set(j)
+                rj = supports[j]
                 if k in rj:
                     continue
-                for l in supports[j]:
+                for l in rj:
                     if l not in ri:
                         yield Switch(i, j, k, l)
 
@@ -187,7 +188,7 @@ def random_switch(
         ki, lj = (int(v) for v in rng.integers(0, d, size=2))
         k = supports[i][ki]
         l = supports[j][lj]
-        if l not in a.row_set(i) and k not in a.row_set(j):
+        if l not in supports[i] and k not in supports[j]:
             # l != k and j != i are implied: (j, l) is a one-entry.
             return Switch(i, j, k, l)
     raise NoSwitchError(f"no feasible switching found in {max_tries} tries (n={n}, d={d})")

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import dreglab.experiment as experiment
 from dreglab import (
     GridSpec,
     SamplerConfig,
@@ -159,6 +160,34 @@ def test_run_grid_sorted_and_reproducible():
 def test_run_grid_workers_equivalent():
     grid = GridSpec(pairs=((6, 2),), trials=8, sampler=CFG)
     assert run_grid(grid, master_seed=9, workers=1) == run_grid(grid, master_seed=9, workers=4)
+
+
+class _SerialPool:
+    """Stands in for a process pool: maps in this process, starting none."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, func, tasks, chunksize=1):
+        return map(func, tasks)
+
+
+@pytest.mark.parametrize("workers, trials, sizes", [(64, 2, [2]), (3, 8, [3]), (64, 1, [])])
+def test_run_grid_starts_at_most_one_process_per_trial(monkeypatch, workers, trials, sizes):
+    asked = []
+
+    class FakeContext:
+        def Pool(self, k):
+            asked.append(k)
+            return _SerialPool()
+
+    monkeypatch.setattr(experiment, "get_context", FakeContext)
+    grid = GridSpec(pairs=((6, 2),), trials=trials, sampler=CFG)
+    assert run_grid(grid, master_seed=9, workers=workers) == run_grid(grid, master_seed=9)
+    assert asked == sizes
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.0, True])

@@ -1,5 +1,7 @@
 """Construction, validation, and serialization of d-biregular 0/1 matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from dreglab import (
     DuplicateIndexError,
     ParseError,
     RowDegreeError,
+    SamplerConfig,
     all_ones,
     block_diagonal,
     build,
     circulant,
+    draw_sample,
     identity,
     parse,
     serialize,
@@ -101,6 +105,20 @@ def test_transpose_involution_and_columns():
         at = a.transpose()
         assert np.array_equal(dense(at), dense(a).T)
         assert at.transpose() == a
+
+
+def test_matrix_is_its_row_supports():
+    assert [f.name for f in dataclasses.fields(BiregularMatrix)] == ["n", "d", "row_supports"]
+
+
+def test_transpose_equals_build_from_columns_on_samples():
+    rng = np.random.default_rng(18)
+    samples = [draw_sample(128, 3, SamplerConfig(), rng) for _ in range(3)]
+    samples += [draw_sample(48, 8, SamplerConfig(kind="mcmc"), rng) for _ in range(2)]
+    for a in samples:
+        m = dense(a)
+        columns = [np.flatnonzero(m[:, t]).tolist() for t in range(a.n)]
+        assert a.transpose() == build(a.n, a.d, columns)
 
 
 def test_build_rejects_bad_shapes():

@@ -18,11 +18,13 @@ from dreglab import (
     circulant,
     count_with_bounds,
     dedup_switches,
+    enumerate_all,
     enumerate_switches,
     identity,
     per_entry_counts,
     random_switch,
 )
+from dreglab.switching import _switched_rows
 
 # ─── independent oracle: quartic scan over the dense matrix ──────────────────
 
@@ -119,6 +121,24 @@ def test_apply_flips_exactly_four_entries():
 def test_apply_rejects_infeasible():
     with pytest.raises(InfeasibleSwitchError):
         apply_switch(block_diagonal(2, 2), Switch(0, 1, 0, 1))
+
+
+def _dense_flip(a: BiregularMatrix, sw: Switch) -> tuple[tuple[int, ...], ...]:
+    m = np.array(a.dense_rows())
+    i, j, k, l = sw
+    m[i, k] = m[j, l] = 0
+    m[i, l] = m[j, k] = 1
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in m)
+
+
+def test_switched_rows_is_the_dense_flip():
+    members = list(enumerate_all(4, 2))
+    family = list(enumerate_all(5, 3))
+    rng = np.random.default_rng(53)
+    members += [family[int(t)] for t in rng.choice(len(family), size=40, replace=False)]
+    for a in members:
+        for sw in enumerate_switches(a):
+            assert _switched_rows(a, sw) == _dense_flip(a, sw)
 
 
 def test_reverse_and_mirror():
