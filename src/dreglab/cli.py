@@ -99,24 +99,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        flags = (args.pairs, args.trials, args.kind, args.max_rejections, args.burn_in)
-        if any(v is not None for v in flags):
-            raise ValueError(
-                "--config excludes --pairs/--trials/--kind/--max-rejections/--burn-in"
-            )
-        grid = GridSpec.from_json(Path(args.config).read_text())
-    else:
-        if args.pairs is None or args.trials is None:
-            raise ValueError("estimate needs --config or both --pairs and --trials")
-        pairs = []
-        for token in args.pairs.split(","):
-            try:
-                n, d = map(int, token.split(":"))
-            except ValueError:  # a bad int, or not exactly two fields
-                raise ValueError(f"--pairs token {token!r} is not of the form n:d") from None
-            pairs.append((n, d))
-        grid = GridSpec(pairs=tuple(pairs), trials=args.trials, sampler=_sampler_config(args))
+    pairs = []
+    for token in args.pairs.split(","):
+        try:
+            n, d = map(int, token.split(":"))
+        except ValueError:  # a bad int, or not exactly two fields
+            raise ValueError(f"--pairs token {token!r} is not of the form n:d") from None
+        pairs.append((n, d))
+    grid = GridSpec(pairs=tuple(pairs), trials=args.trials, sampler=_sampler_config(args))
 
     master_seed = _resolve_seed(args)
     records = run_grid(grid, master_seed, workers=args.workers, timings=args.timings)
@@ -298,11 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="summary format"
     )
-    est.add_argument(
-        "--config", type=str, default=None, help="grid file: pairs, trials and sampler"
-    )
-    est.add_argument("--pairs", type=str, default=None, help='inline grid, e.g. "40:2,60:2"')
-    est.add_argument("--trials", type=int, default=None)
+    est.add_argument("--pairs", type=str, required=True, help='the grid, e.g. "40:2,60:2"')
+    est.add_argument("--trials", type=int, required=True)
     _add_sampler(est)
     est.add_argument(
         "--timings",

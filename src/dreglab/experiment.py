@@ -95,9 +95,9 @@ class TrialRecord:
 class GridSpec:
     """A grid of (n, d) pairs with a trial count and sampler configuration.
 
-    This is what a grid file holds; the master seed, worker count and output
-    path are run settings and come from the caller.  Every number must be an
-    int; any other type is refused rather than coerced.
+    The master seed, worker count and output path are run settings and come
+    from the caller.  Every number must be an int; any other type is refused
+    rather than coerced.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -117,23 +117,6 @@ class GridSpec:
                 raise ValueError(f"repeated pair (n={n}, d={d})")
             seen.add((n, d))
         _require_int("trials", self.trials, 1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("grid config must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown grid config fields: {sorted(unknown)}")
-        if "pairs" not in data or "trials" not in data:
-            raise ValueError("grid config requires 'pairs' and 'trials'")
-        pairs = data["pairs"]
-        shaped = isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)
-        if not shaped:
-            raise ValueError(f"grid config 'pairs' must be a list of [n, d] lists, got {pairs!r}")
-        sampler = SamplerConfig.from_dict(data.get("sampler", {}))
-        return cls(**{**data, "pairs": tuple(map(tuple, pairs)), "sampler": sampler})
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

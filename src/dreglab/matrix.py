@@ -179,8 +179,6 @@ def parse(text: str) -> BiregularMatrix:
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
     lines = text.split("\n")[:-1]  # drop the empty tail produced by the final \n
-    if not lines:
-        raise ParseError("empty input")
 
     header = lines[0].split()
     if len(header) != 2:

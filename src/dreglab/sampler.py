@@ -21,7 +21,7 @@ Every sampler output passes full construction-time validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -83,15 +83,6 @@ class SamplerConfig:
             raise ValueError("max_rejections applies only to the stub_rejection sampler")
         if self.burn_in_steps is not None:
             _require_int("burn_in_steps", self.burn_in_steps, 0)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplerConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"sampler config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown sampler config fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 def burn_in_default(n: int, d: int) -> int:

@@ -749,7 +749,11 @@ def qr_relation_stats(
     ``enumerate_all(n, d)``); r runs over 1..n-2 only.  Every edge is
     verified to connect rank r to rank r + 1, distinct canonical
     switchings are verified to give distinct results, and the exact
-    degree maps are fed through :func:`double_count_check`.
+    degree maps are fed through :func:`double_count_check`: out-degrees
+    from the sources' switchings, in-degrees from the targets' own
+    switchings back to a source.  ``double_count_ok`` also requires the two
+    totals to be equal; a hypothesis the in-degrees break raises
+    :class:`PreconditionError`.
     """
     pool = _family(matrices)
     n = pool[0].n
@@ -788,8 +792,14 @@ def _qr_relation(
         out_deg[m] = len(results)
         edges.extend((m, bar) for bar in results)
 
+    # each target's in-degree counted from its own side: the reverse of a
+    # switching is a switching, so its switchings back to a source are its edges
+    facts = {memo.of(m) for m in sources}
+    targets = classes.get(r + 1, [])
+    t = {bar: sum(g in facts for g in memo.switched(memo.of(bar)).values()) for bar in targets}
+    ok = double_count_check(edges, out_deg, t) and sum(out_deg.values()) == sum(t.values())
+
     in_deg = Counter(bar for _, bar in edges)
-    ok = double_count_check(edges, out_deg, dict(in_deg))
 
     out_hist = tuple(sorted(Counter(out_deg.values()).items()))
     in_hist = tuple(sorted(Counter(in_deg.values()).items()))
@@ -966,8 +976,13 @@ def run_family_checks(
 
     for r in range(1, n - 1):
         qr.instances_checked += 1
-        if not _qr_relation(memo, pool, r, params).double_count_ok:
-            _witness(qr, {"r": r, "note": "double count failed"})
+        try:
+            ok = _qr_relation(memo, pool, r, params).double_count_ok
+        except PreconditionError as exc:
+            _witness(qr, {"r": r, "error": str(exc)})
+        else:
+            if not ok:
+                _witness(qr, {"r": r, "note": "double count failed"})
     lap(qr)
 
     for rep in reports:

@@ -84,76 +84,6 @@ def test_estimate_workers_do_not_change_bytes(tmp_path):
     )
 
 
-def test_estimate_config_file(tmp_path, capsys):
-    cfg = {"pairs": [[5, 1]], "trials": 3, "sampler": {"kind": "stub_rejection"}}
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(
-        capsys, "estimate", "--config", str(path), "--seed", "5", "--format", "json"
-    )
-    assert code == 0
-    assert '"frac_full_rank": 1.0' in out
-
-
-def test_estimate_config_file_equals_flags(tmp_path):
-    # a grid file only replaces --pairs/--trials/--kind: the run flags act the same
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"pairs": [[12, 3], [9, 2]], "trials": 5}))
-    run = ["--seed", "3", "--workers", "2", "--format", "json"]
-    assert main(["estimate", "--config", str(path), *run, "--out", str(tmp_path / "c")]) == 0
-    flags = ["estimate", "--pairs", "12:3,9:2", "--trials", "5", *run]
-    assert main([*flags, "--out", str(tmp_path / "f")]) == 0
-    for suffix in (".records.jsonl", ".summary.json"):
-        config_bytes = (tmp_path / f"c{suffix}").read_bytes()
-        assert config_bytes == (tmp_path / f"f{suffix}").read_bytes()
-        assert config_bytes
-
-
-@pytest.mark.parametrize(
-    "cfg, field",
-    [
-        ({"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": 5}}, "seed"),
-        ({"pairs": [[5, 2]], "trials": 2, "out": "results"}, "out"),
-        ({"pairs": [[5, 2]], "trials": 2, "workers": 2}, "workers"),
-    ],
-)
-def test_estimate_config_refuses_run_settings(cfg, field, tmp_path, monkeypatch, capsys):
-    # the seed, worker count and output path come from the flags alone, so a
-    # grid file naming one is refused however well-typed, and nothing is written
-    monkeypatch.chdir(tmp_path)
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and f"'{field}'" in err
-    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
-
-
-def test_estimate_config_refuses_unknown_sampler_field(tmp_path, capsys):
-    # the walk has no thinning knob, so a config asking for one is refused
-    cfg = {
-        "pairs": [[5, 2]],
-        "trials": 3,
-        "sampler": {"kind": "mcmc", "steps_between_samples": 3},
-    }
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
-    assert code == 2 and out == ""
-    assert "unknown sampler config fields" in err
-
-
-def test_estimate_config_refuses_exhaustive_sampler(tmp_path, capsys):
-    # enumeration cannot draw independent samples, so the config is refused
-    # when it is read, before any trial runs
-    cfg = {"pairs": [[5, 2]], "trials": 3, "sampler": {"kind": "exhaustive"}}
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
-    assert code == 2 and out == ""
-    assert "unknown sampler kind" in err
-
-
 def test_estimate_refuses_repeated_pair(capsys):
     # a repeated pair would run its trials twice and count them as 2x trials
     code, out, err = run_cli(capsys, "estimate", "--pairs", "12:3,12:3", "--trials", "3")
@@ -170,42 +100,6 @@ def test_estimate_refuses_malformed_pairs(pairs, token, capsys):
     assert err == f"error: --pairs token {token!r} is not of the form n:d\n"
 
 
-def test_estimate_config_refuses_repeated_pair(tmp_path, capsys):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"pairs": [[5, 2], [6, 2], [5, 2]], "trials": 3}))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
-    assert code == 2 and out == ""
-    assert "repeated pair" in err
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        {"pairs": [[5, 2]], "trials": 2.7},
-        {"pairs": [[5, 2]], "trials": "3"},
-        {"pairs": [[5, 2]], "trials": True},
-        {"pairs": [[5.9, 2]], "trials": 2},
-        {"pairs": [[5, 2.0]], "trials": 2},
-        {"pairs": [5], "trials": 2},
-        {"pairs": [[5, 2]], "trials": 2, "workers": 1.5},
-        {"pairs": [[5, 2]], "trials": 2, "sampler": {"max_rejections": True}},
-        {"pairs": [[5, 2]], "trials": 2, "sampler": {"max_rejections": 2.5}},
-        {"pairs": [[5, 2]], "trials": 2, "sampler": {"kind": "mcmc", "burn_in_steps": 1.5}},
-        {"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": 1.5}},
-        {"pairs": [[5, 2]], "trials": 2, "sampler": {"seed": "7"}},
-        {"pairs": [[5, 2]], "trials": 2, "out": 5},
-    ],
-)
-def test_estimate_config_refuses_mistyped_values(cfg, tmp_path, monkeypatch, capsys):
-    # a grid file's values are taken as written or refused, never coerced
-    monkeypatch.chdir(tmp_path)  # where a coerced "out" would write
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
-
-
 def test_estimate_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--pairs", "5:1", "--trials", "2", "--seed", "0",
@@ -218,13 +112,26 @@ def test_estimate_json_summary(capsys):
 
 
 def test_estimate_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "estimate", "--pairs", "5:1")
-    assert code == 2 and "trials" in err
-    code, _, err = run_cli(
-        capsys, "estimate", "--pairs", "5:1", "--trials", "2",
-        "--config", "/nonexistent.json",
-    )
-    assert code == 2
+    # the grid has no default: a missing --pairs or --trials is a usage error
+    for argv, missing in ((["--pairs", "5:1"], "--trials"), (["--trials", "2"], "--pairs")):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"required: {missing}" in captured.err
+
+
+def test_estimate_refuses_a_grid_file(tmp_path, monkeypatch, capsys):
+    # the grid comes from --pairs, --trials and the sampler flags alone
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"pairs": [[5, 2]], "trials": 2}))
+    for grid in ([], ["--pairs", "5:2", "--trials", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", *grid, "--config", "g.json", "--seed", "1", "--out", "g"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --config g.json" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
 
 
 def test_estimate_timings_flag(capsys):
@@ -353,35 +260,61 @@ def test_ignored_flags_are_refused(argv, capsys):
         ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--burn-in", "5"],
         ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--kind", "mcmc",
          "--max-rejections", "5"],
-        ["estimate", "--config", "GRID", "--kind", "mcmc"],
-        ["estimate", "--config", "GRID", "--burn-in", "5"],
-        ["estimate", "--config", "GRID", "--max-rejections", "5"],
         ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--kind", "mcmc",
          "--max-rejections", "5"],
     ],
 )
-def test_sampler_flags_without_effect_are_refused(argv, tmp_path, capsys):
-    # the stub sampler reads no burn-in, the walk no rejection budget, and a
-    # grid file names its own sampler
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"pairs": [[5, 2]], "trials": 2}))
-    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+def test_sampler_flags_without_effect_are_refused(argv, capsys):
+    # the stub sampler reads no burn-in, and the walk no rejection budget
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
 
 
+def _refuse_work(monkeypatch):
+    # a refusal must come before any sample is drawn or any rank computed
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_grid", "enumerate_all", "rank_and_kernels"):
+        monkeypatch.setattr(cli, name, started)
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 @pytest.mark.parametrize(
-    "sampler",
-    [{"burn_in_steps": 7}, {"kind": "mcmc", "max_rejections": 1}],
+    "argv",
+    [
+        ["estimate", "--pairs", "5:2", "--trials", "2"],
+        ["sampler-test", "--n", "3", "--d", "2", "--samples", "6"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
 )
-def test_grid_file_sampler_fields_without_effect_are_refused(sampler, tmp_path, capsys):
-    # a grid file follows the same rule as the flags
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"pairs": [[5, 2]], "trials": 2, "sampler": sampler}))
-    code, out, err = run_cli(capsys, "estimate", "--config", str(grid))
+def test_seed_outside_u64_is_a_usage_error(argv, seed, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: seed must fit in u64, got {seed}\n"
+
+
+def test_deloc_stats_size_guard(monkeypatch, capsys):
+    # exact kernels stop at n = 128, so n = 129 is refused before any trial
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(capsys, "deloc-stats", "--n", "129", "--d", "3", "--trials", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("size guard: ")
+
+
+@pytest.mark.parametrize(
+    "text", ["x 2\n0 1\n0 1\n", "2 3\n0 1\n0 1\n"], ids=["non-integer", "d-above-n"]
+)
+def test_rank_refuses_a_bad_header(text, tmp_path, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: ")
 
 
 def test_verify_size_guard(capsys):

@@ -133,18 +133,24 @@ def test_grid_spec_refuses_repeated_pair():
         GridSpec(pairs=((12, 3), (6, 2), (12, 3)), trials=5, sampler=CFG)
 
 
-def test_grid_spec_from_json():
-    sampler = {"kind": "mcmc", "burn_in_steps": 100}
-    text = json.dumps({"pairs": [[6, 2], [5, 1]], "trials": 7, "sampler": sampler})
-    assert GridSpec.from_json(text) == GridSpec(
-        pairs=((6, 2), (5, 1)),
-        trials=7,
-        sampler=SamplerConfig(kind="mcmc", burn_in_steps=100),
-    )
-    with pytest.raises(ValueError):
-        GridSpec.from_json('{"pairs": [[4, 2]], "trials": 3, "bogus": 1}')
-    with pytest.raises(ValueError):
-        GridSpec.from_json('{"pairs": [[4, 2]]}')  # trials required
+_MISTYPED_FIELDS = {
+    "trials": lambda v: GridSpec(pairs=((5, 2),), trials=v, sampler=CFG),
+    "n": lambda v: GridSpec(pairs=((v, 2),), trials=2, sampler=CFG),
+    "d": lambda v: GridSpec(pairs=((5, v),), trials=2, sampler=CFG),
+    "max_rejections": lambda v: SamplerConfig(max_rejections=v),
+    "burn_in_steps": lambda v: SamplerConfig(kind="mcmc", burn_in_steps=v),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [3.0, 2.5, "3", True], ids=["float3.0", "float2.5", "str", "bool"]
+)
+@pytest.mark.parametrize("field", list(_MISTYPED_FIELDS))
+def test_constructors_refuse_mistyped_numbers(field, value):
+    # a number is taken as an int or refused, never coerced: 3.0 would pass
+    # an int() call and True would count as 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _MISTYPED_FIELDS[field](value)
 
 
 def test_run_grid_sorted_and_reproducible():

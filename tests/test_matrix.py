@@ -155,8 +155,10 @@ def test_parse_round_trip():
 
 
 def test_parse_rejections():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="trailing newline"):
         parse("")
+    with pytest.raises(ParseError, match="line 1"):
+        parse("\n")  # the shortest text that ends in a newline has an empty header
     with pytest.raises(ParseError):
         parse("2 1\n0\n1")  # missing trailing newline
     with pytest.raises(ParseError):

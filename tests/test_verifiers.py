@@ -519,6 +519,34 @@ def test_failed_replay_stops_qr_relation(monkeypatch):
         qr_relation_stats(2, pool, DelocParams())
 
 
+def test_qr_relation_fires_when_a_target_loses_a_switching(monkeypatch):
+    # in-degrees are counted from each rank-3 member's own switchings back to
+    # a source, so one member that forgets such a switching breaks the double
+    # count at r = 2; in-degrees read off the edge list could not disagree.
+    # C = 100 lets all 18 rank-2 members through the event, as sources
+    pool = list(enumerate_all(4, 2))
+    memo, params = verifiers._Memo(pool), DelocParams(C=F(100))
+    victim, lost = next(
+        (f.a, sw)
+        for f in map(memo.of, pool)
+        if f.rank == 3
+        for sw, g in memo.switched(f).items()
+        if g.rank == 2 and verifiers._deloc(g, params).holds
+    )
+    real = verifiers._Memo.switched
+
+    def lossy(memo, f):
+        out = real(memo, f)
+        return {sw: g for sw, g in out.items() if sw != lost} if f.a == victim else out
+
+    monkeypatch.setattr(verifiers._Memo, "switched", lossy)
+    rep = _check(run_family_checks(pool, params), "qr-relation")
+    assert rep.instances_checked == 2
+    assert rep.violations == 1 and rep.witnesses[0]["r"] == 2
+    with pytest.raises(PreconditionError, match="exceeds t"):
+        qr_relation_stats(2, pool, params)
+
+
 def test_all_ones_no_switches_everything_trivial():
     reports = run_family_checks([all_ones(3)])
     by_name = {r.check_name: r for r in reports}
