@@ -260,6 +260,13 @@ def test_ignored_flags_are_refused(argv, capsys):
         ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--burn-in", "5"],
         ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2", "--kind", "mcmc",
          "--max-rejections", "5"],
+        ["estimate", "--pairs", "5:2", "--trials", "2", "--kind", "stub_rejection",
+         "--burn-in", "5"],
+        ["deloc-stats", "--n", "4", "--d", "2", "--trials", "2",
+         "--kind", "stub_rejection", "--burn-in", "5"],
+        # a flag the kind reads does not excuse one beside it that it would not
+        ["estimate", "--pairs", "5:2", "--trials", "2", "--kind", "mcmc",
+         "--burn-in", "5", "--max-rejections", "5"],
         ["sampler-test", "--n", "3", "--d", "2", "--samples", "60", "--kind", "mcmc",
          "--max-rejections", "5"],
     ],
