@@ -30,13 +30,7 @@ from .experiment import (
 )
 from .linalg import RATIONAL_THRESHOLD, format_vector, rank_and_kernels
 from .matrix import parse, serialize
-from .sampler import (
-    SamplerConfig,
-    _uniform_and_draws,
-    chi_square_uniform,
-    draw_sample,
-    enumerate_all,
-)
+from .sampler import SamplerConfig, _draw, chi_square_uniform, enumerate_all
 from .verifiers import DelocParams, level_sets, run_family_checks
 
 __all__ = ["main"]
@@ -67,7 +61,7 @@ def _add_sampler(sub: argparse.ArgumentParser) -> None:
 
     SamplerConfig refuses whichever of the last two the chosen kind would not read.
     """
-    sub.add_argument("--kind", choices=("stub_rejection", "mcmc"), default=None)
+    sub.add_argument("--kind", choices=("stub_rejection", "mcmc"), default="stub_rejection")
     sub.add_argument("--max-rejections", type=int, default=None)
     sub.add_argument("--burn-in", type=int, default=None)
 
@@ -75,7 +69,7 @@ def _add_sampler(sub: argparse.ArgumentParser) -> None:
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
     """The sampler the flags name; SamplerConfig refuses a flag it would not read."""
     return SamplerConfig(
-        kind=args.kind or "stub_rejection",
+        kind=args.kind,
         max_rejections=args.max_rejections,
         burn_in_steps=args.burn_in,
     )
@@ -170,14 +164,16 @@ def _cmd_sampler_test(args: argparse.Namespace) -> int:
     master_seed = _resolve_seed(args)
     support = list(enumerate_all(args.n, args.d))
     rng = trial_rng(master_seed, args.n, args.d, 0)
-    attempts = 0
-    if config.kind == "stub_rejection":
-        counted = [_uniform_and_draws(args.n, args.d, config, rng) for _ in range(args.samples)]
-        draws = [m for m, _ in counted]
-        attempts = sum(k for _, k in counted)
-    else:
-        draws = (draw_sample(args.n, args.d, config, rng) for _ in range(args.samples))
-    stat, critical, strays = chi_square_uniform(support, draws, args.significance)
+    attempts = 0  # stub draws over all samples; the walk makes none
+
+    def draws():
+        nonlocal attempts
+        for _ in range(args.samples):
+            a, k = _draw(args.n, args.d, config, rng)
+            attempts += k
+            yield a
+
+    stat, critical, strays = chi_square_uniform(support, draws(), args.significance)
     passed = stat <= critical and strays == 0
 
     payload = {

@@ -16,7 +16,9 @@ Three ways to produce matrices:
 * ``enumerate_all`` — exhaustive backtracking over row supports with column
   capacity pruning, for ground-truth checks at small sizes.
 
-Every sampler output passes full construction-time validation.
+``draw_sample`` draws with whichever of the two samplers a
+:class:`SamplerConfig` names.  Every sampler output passes full
+construction-time validation.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ from .matrix import BiregularMatrix, build, circulant
 
 __all__ = [
     "SamplerConfig",
-    "burn_in_default",
     "sample_stub",
-    "sample_uniform",
-    "sample_mcmc",
     "draw_sample",
     "enumerate_all",
     "count_all",
@@ -85,11 +84,6 @@ class SamplerConfig:
             _require_int("burn_in_steps", self.burn_in_steps, 0)
 
 
-def burn_in_default(n: int, d: int) -> int:
-    """Default number of burn-in proposals for the switching walk."""
-    return 10 * n * d * d
-
-
 def sample_stub(n: int, d: int, rng: np.random.Generator) -> BiregularMatrix | None:
     """One configuration-model draw; ``None`` when a multi-edge came up.
 
@@ -101,30 +95,6 @@ def sample_stub(n: int, d: int, rng: np.random.Generator) -> BiregularMatrix | N
     if d > 1 and bool((cols[:, 1:] == cols[:, :-1]).any()):
         return None
     return build(n, d, cols.tolist())
-
-
-def sample_uniform(
-    n: int, d: int, config: SamplerConfig, rng: np.random.Generator
-) -> BiregularMatrix:
-    """Exactly uniform draw from the d-biregular matrices by stub rejection.
-
-    Raises :class:`RejectionBudgetExceeded` after ``config.max_rejections``
-    rejected matchings.
-    """
-    return _uniform_and_draws(n, d, config, rng)[0]
-
-
-def _uniform_and_draws(
-    n: int, d: int, config: SamplerConfig, rng: np.random.Generator
-) -> tuple[BiregularMatrix, int]:
-    """:func:`sample_uniform`'s matrix and the number of stub draws it took."""
-    for draws in range(1, config.max_rejections + 1):
-        a = sample_stub(n, d, rng)
-        if a is not None:
-            return a, draws
-    raise RejectionBudgetExceeded(
-        f"no simple matching in {config.max_rejections} draws (n={n}, d={d})"
-    )
 
 
 def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
@@ -162,25 +132,39 @@ def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
         sj.add(k)
 
 
-def sample_mcmc(
+def _draw(
     n: int, d: int, config: SamplerConfig, rng: np.random.Generator
-) -> BiregularMatrix:
-    """Approximately uniform draw via the switching walk from the circulant."""
-    burn = config.burn_in_steps
-    if burn is None:
-        burn = burn_in_default(n, d)
-    rows = [list(r) for r in circulant(n, d).row_supports]
-    _walk(rows, burn, rng)
-    return build(n, d, rows)
+) -> tuple[BiregularMatrix, int]:
+    """One matrix from the sampler ``config`` names, and the stub draws it took.
+
+    ``stub_rejection`` repeats :func:`sample_stub` until a draw is simple, so
+    the matrix is exactly uniform and the count is every draw made; it raises
+    :class:`RejectionBudgetExceeded` after ``config.max_rejections`` rejected
+    matchings.  ``mcmc`` walks from the circulant for ``config.burn_in_steps``
+    proposals (None: 10 * n * d^2), approximately uniform, and counts 0.
+    """
+    if config.kind == "mcmc":
+        burn = 10 * n * d * d if config.burn_in_steps is None else config.burn_in_steps
+        rows = [list(r) for r in circulant(n, d).row_supports]
+        _walk(rows, burn, rng)
+        return build(n, d, rows), 0
+    for draws in range(1, config.max_rejections + 1):
+        a = sample_stub(n, d, rng)
+        if a is not None:
+            return a, draws
+    raise RejectionBudgetExceeded(
+        f"no simple matching in {config.max_rejections} draws (n={n}, d={d})"
+    )
 
 
 def draw_sample(
     n: int, d: int, config: SamplerConfig, rng: np.random.Generator
 ) -> BiregularMatrix:
-    """Draw one matrix with whichever sampler the config names."""
-    if config.kind == "mcmc":
-        return sample_mcmc(n, d, config, rng)
-    return sample_uniform(n, d, config, rng)
+    """Draw one matrix with whichever sampler the config names.
+
+    The one public function that reads a :class:`SamplerConfig`.
+    """
+    return _draw(n, d, config, rng)[0]
 
 
 def enumerate_all(n: int, d: int) -> Iterator[BiregularMatrix]:

@@ -890,6 +890,10 @@ def run_family_checks(
     shared fact it is the first to need: the enumeration is charged to
     switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
     and K_A to increase-mechanism.
+
+    qr-relation reports a hypothesis its double count breaks, or the error
+    of a failed replay its level-set filter reads, as a witness
+    ``{"r", "error"}``, so the sweep still returns every report.
     """
     params = params or DelocParams()
     pool = _family(matrices)
@@ -978,7 +982,7 @@ def run_family_checks(
         qr.instances_checked += 1
         try:
             ok = _qr_relation(memo, pool, r, params).double_count_ok
-        except PreconditionError as exc:
+        except (PreconditionError, WitnessConstructionError) as exc:
             _witness(qr, {"r": r, "error": str(exc)})
         else:
             if not ok:

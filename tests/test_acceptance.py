@@ -34,7 +34,6 @@ from dreglab import (
     rational_rank,
     replay_KA_bound,
     run_grid,
-    sample_uniform,
     summarize,
     verify_increase_mechanism,
 )
@@ -219,7 +218,7 @@ def test_criterion_07_sampler_exactness():
     for n, d in [(4, 2), (5, 2), (4, 1)]:
         support = list(enumerate_all(n, d))
         rng = np.random.default_rng(300 + n)
-        draws = (sample_uniform(n, d, cfg, rng) for _ in range(100_000))
+        draws = (draw_sample(n, d, cfg, rng) for _ in range(100_000))
         stat, critical, strays = chi_square_uniform(support, draws, 1e-3)
         ok = ok and stat <= critical and strays == 0
         details.append(f"({n},{d}) X2={stat:.1f}<={critical:.1f} over {len(support)}")

@@ -9,6 +9,7 @@ import pytest
 from dreglab import (
     ConsistencyError,
     SamplerConfig,
+    WitnessConstructionError,
     circulant,
     cli,
     experiment,
@@ -17,6 +18,7 @@ from dreglab import (
     parse,
     run_trial,
     serialize,
+    verifiers,
 )
 from dreglab.cli import main
 
@@ -324,6 +326,23 @@ def test_rank_refuses_a_bad_header(text, tmp_path, monkeypatch, capsys):
     assert err.startswith("error: line 1: ")
 
 
+def test_verify_keeps_its_report_when_a_replay_fails(monkeypatch, tmp_path, capsys):
+    # a failed replay is a witness of ka-replay and of qr-relation, not an
+    # error that ends the sweep before its report is written
+    def refused(basis, i):
+        raise WitnessConstructionError("patched")
+
+    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", refused)
+    out = tmp_path / "verify.json"
+    code, _, err = run_cli(capsys, "verify", "--n-max", "4", "--d-max", "2", "--out", str(out))
+    assert code == 1 and err == ""
+    family = json.loads(out.read_text())["families"][-1]
+    checks = {check["check_name"]: check for check in family["checks"]}
+    assert (family["n"], family["d"]) == (4, 2)
+    assert checks["ka-replay"]["violations"] == 18
+    assert checks["qr-relation"]["witnesses"] == [{"r": 2, "error": "patched"}]
+
+
 def test_verify_size_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "30", "--d-max", "3")
     assert code == 3 and "guard" in err.lower()
@@ -366,6 +385,20 @@ def test_sampler_test_broken_chain_fails(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["acceptance_rate"] is None
+
+
+def test_sampler_test_mcmc_passes(capsys):
+    # the walk's default burn-in is uniform enough for the chi-square gate,
+    # and it makes no stub draws, so it has no acceptance rate
+    code, out, _ = run_cli(
+        capsys, "sampler-test", "--n", "4", "--d", "2", "--samples", "3000",
+        "--kind", "mcmc", "--seed", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "mcmc"
+    assert payload["acceptance_rate"] is None
+    assert payload["passed"] is True
 
 
 @pytest.mark.parametrize("significance", ["0", "1", "1.5", "-0.1", "nan"])

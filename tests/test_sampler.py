@@ -14,15 +14,12 @@ from dreglab import (
     SizeGuardError,
     all_ones,
     build,
-    burn_in_default,
     chi_square_uniform,
     circulant,
     count_all,
     draw_sample,
     enumerate_all,
-    sample_mcmc,
     sample_stub,
-    sample_uniform,
     serialize,
     trial_rng,
 )
@@ -114,7 +111,7 @@ def test_stub_uniform_on_tiny_family():
     rng = np.random.default_rng(7)
     tallies = {}
     for _ in range(4000):
-        a = sample_uniform(2, 1, SamplerConfig(), rng)
+        a = draw_sample(2, 1, SamplerConfig(), rng)
         tallies[a] = tallies.get(a, 0) + 1
     assert set(tallies) == brute_force_family(2, 1)
     assert min(tallies.values()) > 1800
@@ -125,7 +122,7 @@ def test_rejection_budget():
     with pytest.raises(RejectionBudgetExceeded):
         # d = n = 6 only admits the all-ones matrix; stub draws almost
         # always produce a repeat column in some row
-        sample_uniform(6, 6, cfg, np.random.default_rng(0))
+        draw_sample(6, 6, cfg, np.random.default_rng(0))
 
 
 def test_uniform_draw_count_is_every_stub_draw():
@@ -135,17 +132,21 @@ def test_uniform_draw_count_is_every_stub_draw():
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     counts = []
     for _ in range(20):
-        a, draws = sampler._uniform_and_draws(6, 3, cfg, rng)
+        a, draws = sampler._draw(6, 3, cfg, rng)
         seen = [sample_stub(6, 3, replay) for _ in range(draws)]
         assert seen[-1] == a and all(m is None for m in seen[:-1])
         counts.append(draws)
     assert max(counts) > 1
-    assert sample_uniform(6, 3, cfg, rng) == sample_uniform(6, 3, cfg, replay)
+    assert draw_sample(6, 3, cfg, rng) == draw_sample(6, 3, cfg, replay)
+    # the walk makes no stub draw, and its matrix is draw_sample's
+    mcmc = SamplerConfig(kind="mcmc")
+    a, draws = sampler._draw(6, 3, mcmc, np.random.default_rng(5))
+    assert draws == 0 and a == draw_sample(6, 3, mcmc, np.random.default_rng(5))
 
 
 def test_mcmc_zero_burn_in_is_start_state():
     cfg = SamplerConfig(kind="mcmc", burn_in_steps=0)
-    a = sample_mcmc(6, 2, cfg, np.random.default_rng(3))
+    a = draw_sample(6, 2, cfg, np.random.default_rng(3))
     assert a == circulant(6, 2)
 
 
@@ -154,7 +155,7 @@ def test_mcmc_stays_in_family_and_moves():
     rng = np.random.default_rng(11)
     seen = set()
     for _ in range(20):
-        a = sample_mcmc(7, 2, cfg, rng)
+        a = draw_sample(7, 2, cfg, rng)
         assert a.n == 7 and a.d == 2
         seen.add(a)
     assert len(seen) > 1
@@ -163,7 +164,7 @@ def test_mcmc_stays_in_family_and_moves():
 def test_mcmc_terminal_family():
     # d = n has a single member; the walk must stay put
     cfg = SamplerConfig(kind="mcmc", burn_in_steps=100)
-    assert sample_mcmc(3, 3, cfg, np.random.default_rng(0)) == all_ones(3)
+    assert draw_sample(3, 3, cfg, np.random.default_rng(0)) == all_ones(3)
 
 
 def test_mcmc_visits_whole_small_family():
@@ -171,7 +172,7 @@ def test_mcmc_visits_whole_small_family():
     # all 90 members
     cfg = SamplerConfig(kind="mcmc", burn_in_steps=12)
     rng = np.random.default_rng(13)
-    seen = {sample_mcmc(4, 2, cfg, rng) for _ in range(3000)}
+    seen = {draw_sample(4, 2, cfg, rng) for _ in range(3000)}
     assert seen == set(enumerate_all(4, 2))
 
 
@@ -184,8 +185,15 @@ def test_draw_sample_dispatch():
         SamplerConfig(kind="exhaustive")
 
 
-def test_burn_in_default_formula():
-    assert burn_in_default(10, 3) == 10 * 10 * 9
+def test_default_burn_in_is_ten_n_d_squared_proposals():
+    # no burn-in given walks as far as 10 * n * d^2 given: the same matrix,
+    # and the same RNG state after it
+    for n, d in [(10, 3), (7, 2)]:
+        rng, given = np.random.default_rng(4), np.random.default_rng(4)
+        a = draw_sample(n, d, SamplerConfig(kind="mcmc"), rng)
+        b = draw_sample(n, d, SamplerConfig(kind="mcmc", burn_in_steps=10 * n * d * d), given)
+        assert a == b
+        assert rng.integers(1 << 62) == given.integers(1 << 62)
 
 
 def test_config_validation():
@@ -251,7 +259,7 @@ def test_same_seed_same_draws():
 def test_stub_draws_are_members(n, data):
     d = data.draw(st.integers(1, min(n - 1, 3)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    a = sample_uniform(n, d, SamplerConfig(), np.random.default_rng(seed))
+    a = draw_sample(n, d, SamplerConfig(), np.random.default_rng(seed))
     assert a.n == n and a.d == d
 
 

@@ -24,6 +24,7 @@ from dreglab import (
     deloc_event,
     dedup_switches,
     double_count_check,
+    draw_sample,
     enumerate_all,
     enumerate_switches,
     f_rows,
@@ -36,7 +37,6 @@ from dreglab import (
     rational_rank,
     replay_KA_bound,
     run_family_checks,
-    sample_uniform,
     verify_increase_mechanism,
 )
 from dreglab import linalg, verifiers
@@ -144,7 +144,7 @@ def test_compute_KA_matches_definition():
     ]
     singular.append(all_ones(5))  # the whole (5,5) family
     rng = np.random.default_rng(12)
-    stubs = [sample_uniform(12, 3, SamplerConfig(), rng) for _ in range(24)]
+    stubs = [draw_sample(12, 3, SamplerConfig(), rng) for _ in range(24)]
     assert len(singular) == 94
     assert any(rational_rank(m) < 12 for m in stubs)
     for a in singular + stubs:
@@ -504,17 +504,22 @@ def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
 
 def test_failed_replay_stops_qr_relation(monkeypatch):
     # the 18 corank-2 members of (4,2) fail their replay; ka-replay records
-    # each failure, and qr-relation's deloc_event then raises the kept error
-    # without replaying again, as a direct qr_relation_stats call raises
+    # each failure, and qr-relation's level-set filter meets the kept error
+    # without replaying again.  The sweep reports it as a qr-relation
+    # witness at r = 2 and keeps its report; a direct qr_relation_stats
+    # call raises it
     def refused(basis, i):
         raise WitnessConstructionError("patched")
 
     monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", refused)
     pool = list(enumerate_all(4, 2))
     calls = _counting(monkeypatch, ["_replay"])
-    with pytest.raises(WitnessConstructionError, match="patched"):
-        run_family_checks(pool)
+    reports = run_family_checks(pool)
     assert calls == {"_replay": 90}
+    replay, qr = _check(reports, "ka-replay"), _check(reports, "qr-relation")
+    assert replay.violations == 18
+    assert qr.instances_checked == 2 and qr.violations == 1
+    assert qr.witnesses == [{"r": 2, "error": "patched"}]
     with pytest.raises(WitnessConstructionError, match="patched"):
         qr_relation_stats(2, pool, DelocParams())
 
