@@ -11,7 +11,8 @@ Runs pair up by workload and seed.  For every end-to-end metric that
 quartiles, the number of pairs, the pairs the change wins (ties count for
 neither side), and two verdicts: ``gain`` (over at least ten pairs, the
 change wins at least nine tenths of them and its median is better by more
-than the parent's interquartile range) and ``within_bound`` (the change's
+than the parent's interquartile range, and for ``peak_rss_mb`` by at least
+5%) and ``within_bound`` (the change's
 median is no worse than the parent's by more than the declared bound).  Each side also keeps
 the stamp of its first run (machine, versions, commit) and its failures.
 """
@@ -28,6 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # fewer pairs than this cannot show a gain, however many the change wins
 MIN_PAIRS = 10
+
+# smallest relative change of the median that can count as a gain.  Peak RSS
+# varies so little between runs that a 1% shift in import or allocation
+# clears the interquartile-range rule on every pair
+MIN_EFFECT = {"peak_rss_mb": 0.05}
 
 
 def _runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -51,7 +57,7 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     before, after = _summary(parent), _summary(change)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gain = sign * (after["median"] - before["median"])
-    worse = -gain / before["median"] if before["median"] else 0.0
+    relative = gain / before["median"] if before["median"] else 0.0
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -61,8 +67,11 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "ratio": after["median"] / before["median"] if before["median"] else None,
         "pairs": len(parent),
         "wins": wins,
-        "gain": len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and gain > before["iqr"],
-        "within_bound": worse <= metric["bound"],
+        "gain": len(parent) >= MIN_PAIRS
+        and wins >= 0.9 * len(parent)
+        and gain > before["iqr"]
+        and relative >= MIN_EFFECT.get(metric["name"], 0.0),
+        "within_bound": -relative <= metric["bound"],
     }
 
 

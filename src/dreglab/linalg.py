@@ -3,7 +3,8 @@
 Everything here is exact, so reported ranks are never floating-point
 guesses.  A rank starts as one elimination over GF(p) for a fixed prime p
 just below 2^30: sparse while the pivots touch few entries, then, once
-fill-in sets in, finished on a dense int64 numpy block.  A modular rank
+fill-in sets in, finished on a dense uint64 numpy block that is reduced
+mod p only as often as its bound requires.  A modular rank
 never exceeds the rational rank, so a modular rank of n proves full rank
 and ends the work there.  A deficient modular rank r_p is proven, up to
 ``RATIONAL_THRESHOLD``, by a sandwich certificate built from the same
@@ -17,6 +18,12 @@ to about 2^30; only then does fraction-free integer elimination (Bareiss)
 decide.  Above the threshold the second prime runs, the two modular ranks
 deciding when they agree and Bareiss when they do not.
 
+The left kernel, which a singular trial needs as well, comes from the same
+elimination: recorded, its row operations turn each row that never became
+a pivot into a vector y with y^T A = 0 mod p, lifted and checked exactly
+like the right kernel's.  Its fallbacks climb the same ladder, the second
+prime's recorded elimination and then Bareiss on the transpose.
+
 Vectors are integers from elimination to the caller: integer
 back-substitution on the Bareiss echelon and the lifted modular vectors
 both give integer vectors, and one fraction-free Gauss-Jordan reduction
@@ -29,11 +36,11 @@ equal iff their bases compare ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,9 +83,47 @@ _DENSE_AFTER = 250
 # ─── elimination cores ──────────────────────────────────────────────────────
 
 
-def _rank_rows_mod_p(
-    rows: Sequence[Sequence[int]], p: int
-) -> list[tuple[int, list[tuple[int, int]]]]:
+@dataclass(eq=False)
+class _Echelon:
+    """One elimination modulo ``p``, as :func:`_rank_rows_mod_p` returns it.
+
+    Its ``len`` is the rank over GF(p).  Iterating gives one ``(c, update)``
+    pair per pivot column c, in increasing c.  ``update`` lists ``(col,
+    coeff)`` pairs with col > c such that every solution of the rows over
+    GF(p) has x_c = sum of coeff * x_col.  The sparse phase keeps its pairs
+    in ``sparse``.  The dense finish keeps its pivot rows in ``block``:
+    row t is the t-th pivot row over columns ``c0`` on, and ``pivots``
+    holds their columns counted from c0.  They are read out into pairs only
+    when iterated, that is when a kernel is back-substituted.
+
+    ``live`` and ``live_rows`` are the rows handed to the dense finish, as
+    indices and as their sparse rows, which the finish leaves unchanged.
+    ``ops`` and ``scale`` are the record of the sparse phase's row
+    operations, kept only when asked for (see :func:`_rank_rows_mod_p`).
+    """
+
+    p: int
+    sparse: list[tuple[int, list[tuple[int, int]]]] = field(default_factory=list)
+    ops: list[tuple[int, int, int]] | None = None
+    scale: dict[int, int] | None = None
+    c0: int = 0
+    pivots: list[int] = field(default_factory=list)
+    block: np.ndarray | None = None
+    live: list[int] = field(default_factory=list)
+    live_rows: list[dict[int, int]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.sparse) + len(self.pivots)
+
+    def __iter__(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        yield from self.sparse
+        for t, j in enumerate(self.pivots):
+            c = self.c0 + j
+            tail = self.block[t, j + 1 :].tolist()
+            yield c, [(c + 1 + u, v) for u, v in enumerate(tail) if v]
+
+
+def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False) -> _Echelon:
     """Forward echelon modulo p of a square 0/1 matrix given by its row supports.
 
     ``rows[s]`` lists the columns where row s is 1, as
@@ -92,8 +137,8 @@ def _rank_rows_mod_p(
     removed.  Fill-in makes each such entry a dict operation of 250-400 ns,
     so at the first pivot whose step would touch more than ``_DENSE_AFTER``
     = 250 entries (candidate rows times pivot-row length) the live rows go
-    to :func:`_finish_dense`, when p^2 < 2^63 keeps its int64 arithmetic
-    exact; 2^61 - 1 stays sparse throughout.
+    to :func:`_finish_dense`, when p^2 < 2^63 leaves its uint64 block room
+    for at least two unreduced updates; 2^61 - 1 stays sparse throughout.
 
     The switch was measured on 2 cores (Python 3.11, numpy 2.4), one
     elimination modulo 2^30 - 35, medians over seeded samples: (256,3)
@@ -105,12 +150,20 @@ def _rank_rows_mod_p(
     (600 samples), and 2 of 60 at (32,8) do; at (256,3) the dense block
     holds the last 57-99 columns.
 
-    Returns one ``(c, update)`` entry per pivot column c, in increasing c.
-    ``update`` lists ``(col, coeff)`` pairs with col > c such that every
-    solution of the rows over GF(p) has x_c = sum of coeff * x_col.  Its
-    length is the rank over GF(p), which does not depend on the pivot
-    choice, and neither do the pivot columns: c is one iff column c is not
-    in the span of the columns before it.
+    Returns the :class:`_Echelon`.  Its length is the rank over GF(p),
+    which does not depend on the pivot choice, and neither do the pivot
+    columns: c is one iff column c is not in the span of the columns before
+    it.
+
+    With ``record``, the echelon also keeps the sparse phase's row
+    operations, for :func:`_left_kernel_mod_p`.  Pivot row ``piv`` at
+    column c has ``scale[piv]`` = -1 / (its entry in c).  Each step "row s
+    += f * scale[piv] * row piv", where f is row s's entry in c, is one
+    triple ``(piv, s, f)`` in ``ops``, in the order the steps ran; f is
+    multiplied by the scale only at replay.  Replaying ``ops`` last first
+    as ``y[piv] += f * scale[piv] * y[s]`` rewrites a combination y of the
+    rows as the sparse phase left them as a combination of the input rows
+    with the same sum.
     """
     ncols = len(rows)
     rows = [dict.fromkeys(support, 1) for support in rows]
@@ -118,7 +171,8 @@ def _rank_rows_mod_p(
     for s, row in enumerate(rows):
         for c in row:
             col_rows[c].add(s)
-    echelon = []
+    ops, scale = ([], {}) if record else (None, None)
+    echelon = _Echelon(p, [], ops, scale)
     limit = _DENSE_AFTER if p * p < 1 << 63 else inf
     for c in range(ncols):
         cand = col_rows[c]
@@ -129,16 +183,24 @@ def _rank_rows_mod_p(
         if len(cand) * len(pivrow) > limit:
             # every row still nonzero past column c is a live, non-pivot row
             live = sorted(set().union(*col_rows[c:]))
-            return echelon + _finish_dense([rows[s] for s in live], c, ncols, p)
+            live_rows = [rows[s] for s in live]
+            echelon.c0, echelon.block = c, _dense_block(live_rows, c, ncols)
+            echelon.pivots = _finish_dense(echelon.block, ncols - c, p)
+            echelon.live, echelon.live_rows = live, live_rows
+            return echelon
         cand.discard(piv)
         # row s becomes row s + f * update, where f is row s's entry in c
         ninv = p - pow(pivrow.pop(c), -1, p)
+        if record:
+            scale[piv] = ninv
         update = [(col, v * ninv % p) for col, v in pivrow.items()]
         for col, _ in update:
             col_rows[col].discard(piv)
         for s in cand:
             row = rows[s]
             f = row.pop(c)
+            if record:
+                ops.append((piv, s, f))
             for col, v in update:
                 old = row.get(col)
                 if old is None:  # fill-in: f * v is nonzero since p is prime
@@ -151,54 +213,85 @@ def _rank_rows_mod_p(
                     else:
                         del row[col]
                         col_rows[col].discard(s)
-        echelon.append((c, update))
+        echelon.sparse.append((c, update))
     return echelon
 
 
-def _finish_dense(
-    rows: list[dict[int, int]], c0: int, ncols: int, p: int
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The echelon of the live ``rows`` (nonzero only at columns >= c0) densely.
+def _dense_block(
+    rows: list[dict[int, int]], c0: int, ncols: int, identity: bool = False
+) -> np.ndarray:
+    """The sparse ``rows`` (nonzero only at columns >= c0) as one uint64 block.
 
-    The rows go into one int64 block over columns c0..ncols-1, finished left
-    to right: the first row nonzero in the column is the pivot, swapped to
-    the top of the active rows and scaled by -1/pivot, and the rows below
-    get the rank-1 update row += f * pivot row, reduced mod p at once.  With
-    entries below p the largest intermediate is (p - 1) + (p - 1)^2 < p^2,
-    so p^2 < 2^63 keeps every step exact; a block reduced less often can
-    overflow.
-    The update lists are read off the pivot rows once, after the loop, in
-    :func:`_rank_rows_mod_p`'s form.
+    The block spans columns c0..ncols-1, followed, with ``identity``, by
+    one identity column per row.
     """
     m = ncols - c0
-    block = np.zeros((len(rows), m), dtype=np.int64)
+    block = np.zeros((len(rows), m + len(rows) * identity), dtype=np.uint64)
     for i, row in enumerate(rows):
         block[i, [col - c0 for col in row]] = list(row.values())
-    pivots = []
-    top = 0
+    if identity:
+        block[:, m:] = np.eye(len(rows), dtype=np.uint64)
+    return block
+
+
+def _finish_dense(block: np.ndarray, m: int, p: int) -> list[int]:
+    """Echelon the first ``m`` columns of the uint64 ``block`` modulo p, in place.
+
+    Columns are finished left to right: the first row nonzero in the column
+    is the pivot, swapped to the top of the active rows and scaled by
+    -1/pivot, and the rows below get the rank-1 update row += f * pivot
+    row.  Columns past the m-th take part in the updates but never give a
+    pivot, so an identity placed there records each row's combination of
+    the input rows.  Returns the pivot columns; row t then holds the t-th
+    pivot row, reduced mod p, and the rows after the last pivot row are
+    zero mod p in the first m columns.
+
+    The reduction is delayed.  With entries below 2^64, a column is reduced
+    mod p before its pivot is looked for, and the pivot row before it is
+    scaled, so both factors of an update are below p and each update adds
+    at most (p - 1)^2 to an entry.  The active block is reduced after every
+    K = floor((2^64 - p) / (p - 1)^2) updates, so no entry exceeds
+    (p - 1) + K (p - 1)^2 < 2^64, and every step stays exact.  K is 16 at
+    p = 2^30 - 35.  An int64 block reduced every 7 columns without reducing
+    the pivot column and row first overflowed.  Against reducing the whole
+    block at every step and reading every pivot row out, this took one
+    (256,3) block from 2.7-3.1 to 1.8-2.0 ms and one (128,3) block from
+    0.56-0.61 to 0.45-0.48 ms (2 cores, Python 3.11, numpy 2.4; best of 5
+    over 40 stub samples each).  Reading the pivot rows out, which only a
+    kernel's back-substitution does, adds 0.3 and 0.06 ms.
+    """
+    rows = len(block)
+    every = ((1 << 64) - p) // (p - 1) ** 2
+    pivots: list[int] = []
+    top = pending = 0
     for j in range(m):
-        nonzero = np.flatnonzero(block[top:, j])
+        if top == rows:
+            break
+        column = block[top:, j]
+        column %= p
+        nonzero = np.flatnonzero(column)
         if not nonzero.size:
             continue
         k = top + int(nonzero[0])
         if k != top:
             block[[top, k]] = block[[k, top]]
         update = block[top, j + 1 :]
+        update %= p
         update *= p - pow(int(block[top, j]), -1, p)
         update %= p
         below = block[top + 1 :, j + 1 :]
         below += np.multiply.outer(block[top + 1 :, j], update)
-        below %= p
+        pending += 1
+        if pending == every:
+            below %= p
+            pending = 0
         pivots.append(j)
         top += 1
-    return [
-        (c0 + j, [(c0 + j + 1 + t, v) for t, v in enumerate(block[r, j + 1 :].tolist()) if v])
-        for r, j in enumerate(pivots)
-    ]
+    return pivots
 
 
 def _kernel_mod_p(
-    echelon: list[tuple[int, list[tuple[int, int]]]], ncols: int, p: int
+    echelon: Iterable[tuple[int, list[tuple[int, int]]]], ncols: int, p: int
 ) -> list[list[int]]:
     """Back-substitute one kernel vector over GF(p) per free column.
 
@@ -206,17 +299,62 @@ def _kernel_mod_p(
     other free column; the pivot entries follow from the echelon, last
     pivot first.
     """
-    pivots = {c for c, _ in echelon}
+    steps = list(echelon)
+    steps.reverse()
+    pivots = {c for c, _ in steps}
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         x = [0] * ncols
         x[fc] = 1
-        for c, update in reversed(echelon):
+        for c, update in steps:
             x[c] = sum([v * x[col] for col, v in update]) % p
         basis.append(x)
     return basis
+
+
+def _left_kernel_mod_p(echelon: _Echelon, n: int) -> list[list[int]]:
+    """One vector y over GF(p) with y^T A = 0 per row that never became a pivot.
+
+    ``echelon`` is a recorded elimination of A.  A row that the sparse
+    phase never took as a pivot, and never handed to the dense block, is
+    zero there, so its unit vector, replayed through the record, is such a
+    y.  When the dense block has fewer pivots than rows, it is eliminated
+    once more with an identity beside it (the rows are unchanged, since
+    the first finish read them into its own block).  Each of its rows
+    without a pivot ends zero in the block, and its identity part is the
+    combination of the live rows that gives zero; that combination seeds
+    the replay.
+
+    A row only ever gains multiples of pivot rows, so each y is 1 at its
+    own row and 0 at the other rows without a pivot: the n - r vectors are
+    independent by their pattern.
+    """
+    p, ops, scale, live = echelon.p, echelon.ops, echelon.scale, echelon.live
+    vectors = []
+    done = set(scale).union(live)
+    for s in range(n):
+        if s not in done:
+            y = [0] * n
+            y[s] = 1
+            vectors.append(y)
+    if len(echelon.pivots) < len(live):
+        m = n - echelon.c0
+        block = _dense_block(echelon.live_rows, echelon.c0, n, identity=True)
+        found = len(_finish_dense(block, m, p))
+        block = block[found:, m:] % p
+        for combination in block.tolist():
+            y = [0] * n
+            for s, v in zip(live, combination):
+                y[s] = v
+            vectors.append(y)
+    for y in vectors:
+        for piv, s, f in reversed(ops):
+            v = y[s]
+            if v:
+                y[piv] = (y[piv] + f * v % p * scale[piv]) % p
+    return vectors
 
 
 def _lift(x: list[int], m: int) -> list[int] | None:
@@ -255,9 +393,10 @@ def _lift(x: list[int], m: int) -> list[int] | None:
 def _certified_kernel(a: BiregularMatrix, vectors: list[list[int]], m: int) -> SubspaceBasis | None:
     """The kernel of ``a`` spanned by the lifts of ``vectors`` mod m, or None.
 
-    Every lift must satisfy A x = 0 exactly over Z.  The vectors come one
-    per free column with 1 there and 0 at the other free columns, so they
-    are independent: together with a modular rank of n - len(vectors) they
+    Every lift must satisfy A x = 0 exactly over Z.  Each vector is 1 at
+    an index of its own and 0 at the others' (a free column, or a row that
+    never became a pivot), and a lift keeps that pattern, so they are
+    independent: together with a modular rank of n - len(vectors) they
     prove both the rank and that they span the kernel.
     """
     lifted = []
@@ -485,22 +624,32 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
     decides; it is authoritative, and a modular rank above it raises
     :class:`ConsistencyError`.
     """
+    return _rank_exact(a)[0]
+
+
+def _rank_exact(a: BiregularMatrix) -> tuple[RankReport, list[_Echelon]]:
+    """:func:`rank_exact`, with the modular eliminations it ran, in order.
+
+    They record their row operations when n <= ``RATIONAL_THRESHOLD``, the
+    only case where kernels are built.
+    """
     small = a.n <= RATIONAL_THRESHOLD
-    ranks = []
+    runs = []
     for used, prime in enumerate(_PRIMES, 1):
-        echelon = _rank_rows_mod_p(a.row_supports, prime)
+        echelon = _rank_rows_mod_p(a.row_supports, prime, small)
+        runs.append(echelon)
         r = len(echelon)
-        ranks.append(r)
         # above the threshold a full rank mod the second prime after a
         # deficient one mod the first is a disagreement, for Bareiss to settle
         if r == a.n and (small or used == 1):
-            return RankReport(r, 0, _PRIMES[:used], small, None)
+            return RankReport(r, 0, _PRIMES[:used], small, None), runs
         if small:
             basis = _certified_kernel(a, _kernel_mod_p(echelon, a.n, prime), prime)
             if basis is not None:
-                return RankReport(r, a.n - r, _PRIMES[:used], True, basis)
+                return RankReport(r, a.n - r, _PRIMES[:used], True, basis), runs
+    ranks = [len(echelon) for echelon in runs]
     if not small and ranks[0] == ranks[1]:
-        return RankReport(r, a.n - r, _PRIMES, False, None)
+        return RankReport(r, a.n - r, _PRIMES, False, None), runs
     top = max(ranks)
     rank = rational_rank(a)
     if rank < top:
@@ -508,25 +657,41 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
             f"modular rank {top} exceeds rational rank {rank} (n={a.n}, d={a.d})"
         )
     basis = kernel(a) if small and rank < a.n else None
-    return RankReport(rank, a.n - rank, _PRIMES, True, basis)
+    return RankReport(rank, a.n - rank, _PRIMES, True, basis), runs
 
 
 def rank_and_kernels(a: BiregularMatrix) -> tuple[RankReport, SubspaceBasis | None]:
     """:func:`rank_exact` of ``a``, with the left kernel when it has a kernel.
 
-    The left kernel is the ``kernel`` of ``rank_exact`` on the transpose, so
-    it is None exactly when ``RankReport.kernel`` is.  Row rank and column
-    rank must agree; a difference raises :class:`ConsistencyError`.
+    The left kernel is None exactly when ``RankReport.kernel`` is.  It comes
+    from the elimination that gave the rank, which records its row
+    operations: each row that never became a pivot, replayed back through
+    them (:func:`_left_kernel_mod_p`), gives a vector y with y^T A = 0 mod
+    p.  The n - r vectors are lifted like the right kernel's and checked
+    exactly as y^T A = 0 over Z, which also proves the rank from the left
+    side.  When a lift or a check fails, the left kernel climbs the right
+    kernel's ladder: the second prime's recorded elimination (run now if
+    the first prime settled the rank), then Bareiss ``kernel(a, "left")``.
+    Its dimension must equal the corank; a difference raises
+    :class:`ConsistencyError`.
     """
-    report = rank_exact(a)
+    report, runs = _rank_exact(a)
     if report.kernel is None:
         return report, None
-    left = rank_exact(a.transpose())
-    if left.rank != report.rank:
+    at = a.transpose()
+    for i, prime in enumerate(_PRIMES):
+        echelon = runs[i] if i < len(runs) else _rank_rows_mod_p(a.row_supports, prime, True)
+        if len(echelon) == report.rank:
+            left = _certified_kernel(at, _left_kernel_mod_p(echelon, a.n), prime)
+            if left is not None:
+                break
+    else:
+        left = kernel(a, "left")
+    if left.dim != report.corank:
         raise ConsistencyError(
-            f"row rank {left.rank} != column rank {report.rank} (n={a.n}, d={a.d})"
+            f"row rank {a.n - left.dim} != column rank {report.rank} (n={a.n}, d={a.d})"
         )
-    return report, left.kernel
+    return report, left
 
 
 def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:

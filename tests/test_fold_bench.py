@@ -25,3 +25,20 @@ def test_gain_needs_ten_pairs():
     assert ten["wins"] == ten["pairs"] == 10
     assert ten["gain"]
     assert five["within_bound"] and ten["within_bound"]
+
+
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2}
+
+
+def test_peak_rss_gain_needs_five_percent():
+    # verify-exhaustive's peak RSS once fell 37.69 -> 37.21 MB (1.3%) on all
+    # ten pairs, with a parent interquartile range of about 0.08 MB, for a change
+    # that did not aim at memory: that is not a gain
+    parent = [37.60, 37.63, 37.65, 37.66, 37.69, 37.69, 37.72, 37.73, 37.75, 37.78]
+    shift = fold_bench._compare(RSS, parent, [v - 0.48 for v in parent])
+    assert shift["wins"] == shift["pairs"] == 10
+    assert shift["change"]["median"] < shift["parent"]["median"] - shift["parent"]["iqr"]
+    assert not shift["gain"] and shift["within_bound"]
+    # the same ten wins at 6% are a gain, and other metrics keep no minimum
+    assert fold_bench._compare(RSS, parent, [0.94 * v for v in parent])["gain"]
+    assert fold_bench._compare(dict(RSS, name="trial_ms_p50"), parent, [v - 0.48 for v in parent])["gain"]

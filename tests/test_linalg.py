@@ -228,14 +228,19 @@ def test_rank_mod_p_matches_oracle():
 
 
 def _dense_spy(monkeypatch):
-    """Log ``(p, c0, pivot columns)`` for every dense finish of the modular core."""
+    """Log every dense finish of the modular core.
+
+    An entry is ``(p, m, pivots, extra)``: the block's last m columns are
+    the matrix's, ``pivots`` are counted from its first column, and
+    ``extra`` counts the identity columns beside it (a left-kernel re-run).
+    """
     log = []
     finish = linalg._finish_dense
 
-    def spied(rows, c0, ncols, p):
-        echelon = finish(rows, c0, ncols, p)
-        log.append((p, c0, {c for c, _ in echelon}))
-        return echelon
+    def spied(block, m, p):
+        pivots = finish(block, m, p)
+        log.append((p, m, set(pivots), block.shape[1] - m))
+        return pivots
 
     monkeypatch.setattr(linalg, "_finish_dense", spied)
     return log
@@ -269,8 +274,8 @@ def test_rank_mod_p_dense_finish_matches_sparse(monkeypatch):
             if p == 3 and a.d == 3:
                 # A 1 = 3 1, so the columns sum to 0 mod 3 and the last one,
                 # inside the dense block, never has a pivot
-                (_, c0, pivots), = log
-                assert c0 < a.n - 1 and a.n - 1 not in pivots
+                (_, m, pivots, _), = log
+                assert m > 1 and m - 1 not in pivots
                 assert all(
                     sum(x[c] for c in support) % p == 0
                     for x in vectors
@@ -282,7 +287,7 @@ def test_rank_mod_p_dense_finish_matches_sparse(monkeypatch):
 
 
 def test_rank_mod_p_dense_finish_only_below_int64(monkeypatch):
-    # int64 products stay exact only for p * p < 2^63, so 2^61 - 1 stays sparse
+    # the uint64 block is finished only for p * p < 2^63, so 2^61 - 1 stays sparse
     log = _dense_spy(monkeypatch)
     (a,) = _stub_samples(256, 3, 1, 256)
     mcmc = draw_sample(48, 8, SamplerConfig(kind="mcmc"), np.random.default_rng(48))
@@ -290,7 +295,7 @@ def test_rank_mod_p_dense_finish_only_below_int64(monkeypatch):
         for p in linalg._PRIMES:
             log.clear()
             assert len(linalg._rank_rows_mod_p(m.row_supports, p)) == rational_rank(m)
-            assert [q for q, _, _ in log] == ([p] if p * p < 2**63 else [])
+            assert [q for q, *_ in log] == ([p] if p * p < 2**63 else [])
 
 
 def _count_routes(monkeypatch):
@@ -302,9 +307,9 @@ def _count_routes(monkeypatch):
     log = []
     core, bareiss, certify = linalg._rank_rows_mod_p, linalg._int_echelon, linalg._certified_kernel
 
-    def counted_mod_p(rows, p):
+    def counted_mod_p(rows, p, record=False):
         log.append(p)
-        return core(rows, p)
+        return core(rows, p, record)
 
     def counted_bareiss(rows):
         log.append("bareiss")
@@ -362,7 +367,9 @@ def test_rank_exact_cross_check_raises(monkeypatch):
     # and this fake echelon claims rank 5 with pivots 0..4 and x_c = x_5
     log = _count_routes(monkeypatch)
     fake = [(c, [(5, 1)]) for c in range(5)]
-    monkeypatch.setattr(linalg, "_rank_rows_mod_p", lambda rows, p: log.append(p) or fake)
+    monkeypatch.setattr(
+        linalg, "_rank_rows_mod_p", lambda rows, p, record=False: log.append(p) or fake
+    )
     with pytest.raises(ConsistencyError):
         _route(log, circulant(6, 3))
     p, q = linalg._PRIMES
@@ -370,7 +377,9 @@ def test_rank_exact_cross_check_raises(monkeypatch):
     # above it, disagreeing primes reach Bareiss: circulant(132, 3) has rank 130
     ranks = {p: 131, q: 129}
     monkeypatch.setattr(
-        linalg, "_rank_rows_mod_p", lambda rows, p: [(c, []) for c in range(ranks[p])]
+        linalg,
+        "_rank_rows_mod_p",
+        lambda rows, p, record=False: [(c, []) for c in range(ranks[p])],
     )
     with pytest.raises(ConsistencyError):
         rank_exact(circulant(132, 3))
@@ -464,6 +473,162 @@ def test_singular_trials_run_no_bareiss(monkeypatch):
                 assert rec.max_kernel_level_set is not None
             assert "bareiss" not in log
     assert singular >= 10
+
+
+def _doubled(a):
+    """[[A, A], [A, A]]: every row and column of ``a`` twice, so rank A = rank of the result."""
+    rows = [[c for t in support for c in (t, t + a.n)] for support in a.row_supports]
+    return build(2 * a.n, 2 * a.d, rows + rows)
+
+
+def _kernels_route(log, a):
+    log.clear()
+    report, left = linalg.rank_and_kernels(a)
+    return report, left, list(log)
+
+
+def test_left_kernel_from_the_record_is_the_bareiss_kernel(monkeypatch):
+    # rank_and_kernels reads the left kernel off the row operations of the
+    # elimination that gave the rank; it must be kernel(a, "left"), which
+    # runs Bareiss on the transpose, and Bareiss itself must never run
+    cases = [m for n in range(1, 6) for d in range(1, n + 1) for m in enumerate_all(n, d)]
+    cases += _singular_stub_samples(40, 2, 20, 41) + _singular_stub_samples(60, 2, 20, 61)
+    cases += _singular_stub_samples(128, 3, 6, 129)
+    log = _count_routes(monkeypatch)
+    p = linalg._PRIMES[0]
+    singular = 0
+    routes = set()
+    for a in cases:
+        left_oracle = kernel(a, "left")
+        report, left, calls = _kernels_route(log, a)
+        assert report.rank == rational_rank(a)
+        if not report.corank:
+            assert left is None and calls == [p]
+            continue
+        singular += 1
+        assert left == left_oracle and left.dim == report.corank
+        assert "bareiss" not in calls
+        if a.n <= 60:  # one elimination gives both kernels
+            assert calls == [p, ("lift", p, True), ("lift", p, True)]
+        else:  # kernel entries can outgrow the first prime's lift on either side
+            routes.add(tuple(calls))
+    assert singular > 1000
+    q = linalg._PRIMES[1]
+    # where the first prime's right lift fails, its record still gives the left kernel
+    assert (p, ("lift", p, False), q, ("lift", q, True), ("lift", p, True)) in routes
+
+
+def test_left_kernel_from_a_dense_finish(monkeypatch):
+    # a doubled sample is singular, and its elimination reaches the dense
+    # block with rows to spare: the block runs once more with an identity
+    # beside it, whose rows without a pivot seed the replay
+    samples = _stub_samples(32, 4, 1, 32) + _stub_samples(64, 4, 1, 64)
+    log = _dense_spy(monkeypatch)
+    p = linalg._PRIMES[0]
+    for a in map(_doubled, samples):
+        log.clear()
+        report, left = linalg.rank_and_kernels(a)
+        assert report.corank == a.n // 2 == rational_rank(a)
+        assert left == kernel(a, "left") and report.kernel == kernel(a, "right")
+        # the rank run, then the re-run with one identity column per live row
+        (q, m, pivots, extra), (q2, m2, pivots2, live) = log
+        assert q == q2 == p and m == m2 and pivots == pivots2 and extra == 0
+        assert live > len(pivots) >= 1
+
+
+def test_left_kernel_after_a_prime_drops_the_rank(monkeypatch):
+    # det circulant(3, 2) = 2, so its doubling has rank 3 but rank 2 mod 2:
+    # the first prime's vectors fail their checks on both sides, and the
+    # second prime's recorded elimination gives both kernels.  With both
+    # primes 2, Bareiss decides, and the left kernel is Bareiss's too
+    cases = _singular_stub_samples(128, 3, 12, 7)
+    log = _count_routes(monkeypatch)
+    a = _doubled(circulant(3, 2))
+    q = 2**61 - 1
+    assert rank_mod_p(a, 2) == 2 < 3 == rational_rank(a)
+    routes = {
+        (2, q): [2, ("lift", 2, False), q, ("lift", q, True), ("lift", q, True)],
+        (2, 2): [2, ("lift", 2, False), 2, ("lift", 2, False)] + ["bareiss"] * 3,
+    }
+    for primes, route in routes.items():
+        monkeypatch.setattr(linalg, "_PRIMES", primes)
+        report, left, calls = _kernels_route(log, a)
+        assert calls == route
+        assert report.rank == 3 and left == kernel(a, "left")
+    # p = 101 lifts entries only up to 7: where the first prime's right
+    # kernel lifts and its left kernel does not, the second prime runs for
+    # the left kernel alone
+    monkeypatch.setattr(linalg, "_PRIMES", (101, q))
+    routes = set()
+    for a in cases:
+        report, left, calls = _kernels_route(log, a)
+        routes.add(tuple(calls))
+        assert "bareiss" not in calls
+        assert left == kernel(a, "left") and report.kernel == kernel(a)
+    assert (101, ("lift", 101, True), ("lift", 101, False), q, ("lift", q, True)) in routes
+
+
+def test_singular_kernel_trials_run_one_elimination(monkeypatch):
+    # the left kernel comes from the rank's own elimination, so a singular
+    # (40,2) or (60,2) trial certified by the first prime runs it once
+    log = _count_routes(monkeypatch)
+    p = linalg._PRIMES[0]
+    singular = 0
+    for n, trials in ((40, 12), (60, 8)):
+        for t in range(trials):
+            log.clear()
+            if run_trial(n, 2, SamplerConfig(), 3, t).corank:
+                singular += 1
+                assert log == [p, ("lift", p, True), ("lift", p, True)]
+    assert singular >= 10
+
+
+def _reference_finish(block, m, p):
+    """:func:`linalg._finish_dense` on Python ints, reduced after every update."""
+    work = [[v % p for v in row] for row in block.tolist()]
+    pivots = []
+    for j in range(m):
+        top = len(pivots)
+        k = next((i for i in range(top, len(work)) if work[i][j]), None)
+        if k is None:
+            continue
+        work[top], work[k] = work[k], work[top]
+        scale = p - pow(work[top][j], -1, p)
+        work[top][j + 1 :] = [v * scale % p for v in work[top][j + 1 :]]
+        for row in work[top + 1 :]:
+            f = row[j]
+            row[j + 1 :] = [(a + f * b) % p for a, b in zip(row[j + 1 :], work[top][j + 1 :])]
+        pivots.append(j)
+    return pivots, work
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2**30 - 35])
+def test_dense_finish_delayed_reduction_is_exact(p):
+    # the block reduces its rows only every K updates; entry (i, j) =
+    # p - 1 - min(i, j) keeps every column entry and every scaled pivot
+    # entry at p - 1, so each update adds the largest (p - 1)^2, for more
+    # than K updates at the largest p.  Random blocks, with an identity
+    # beside them as the left-kernel re-run has, must agree as well
+    every = ((1 << 64) - p) // (p - 1) ** 2
+    m = 40
+    worst = np.array(
+        [[(p - 1 - min(i, j)) % p for j in range(m)] for i in range(m)], dtype=np.uint64
+    )
+    rng = np.random.default_rng(p)
+    blocks = [(worst, m)]
+    for rows, cols in ((30, 40), (40, 30), (24, 24)):
+        block = rng.integers(0, p, size=(rows, cols), dtype=np.uint64)
+        block[rng.random((rows, cols)) < 0.3] = 0
+        blocks.append((block, cols))
+        blocks.append((np.hstack([block, np.eye(rows, dtype=np.uint64)]), cols))
+    for block, cols in blocks:
+        expected = _reference_finish(block, cols, p)
+        work = block.copy()
+        pivots = linalg._finish_dense(work, cols, p)
+        assert (pivots, (work % p).tolist()) == expected
+    assert len(_reference_finish(worst, m, p)[0]) == m  # m - 1 updates
+    if p == 2**30 - 35:
+        assert every == 16 < m - 1
 
 
 def test_rank_exact_matches_rational_rank_on_grid_samples():
