@@ -52,7 +52,6 @@ __all__ = [
     "SubspaceBasis",
     "rank_mod_p",
     "rational_rank",
-    "rational_rank_rows",
     "rank_exact",
     "rank_and_kernels",
     "kernel",
@@ -602,11 +601,6 @@ def rank_mod_p(a: BiregularMatrix, p: int) -> int:
 def rational_rank(a: BiregularMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
     return len(_int_echelon(a.dense_rows())[0])
-
-
-def rational_rank_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an explicit integer matrix (not necessarily biregular)."""
-    return len(_int_echelon(rows)[0])
 
 
 def rank_exact(a: BiregularMatrix) -> RankReport:

@@ -27,11 +27,12 @@ after a switching, kernel containment takes dot products with them, and K_A
 compares rank F with rank A.
 
 A family sweep (:func:`run_family_checks`) reads one memo that lives for
-the call: each member's rank, and per matrix its feasible switchings, its
-switched members, both kernels, K_A and the replay, each computed once.
-The single-matrix functions are thin wrappers over the same private
-helpers, each on a memo of its one matrix, so every check has one
-implementation.
+the call: per matrix its feasible switchings, its switched members, K_A
+and the replay, each computed once.  Ranks and kernels come from a table
+inside the memo that runs one Bareiss elimination per row multiset, so
+the row- and column-permuted members of a family share them.  The
+single-matrix functions are thin wrappers over the same private helpers,
+each on a memo of its one matrix, so every check has one implementation.
 
 Everything is exact: kernel vectors are the canonical integer bases of
 :mod:`dreglab.linalg`, and the questions asked of them (orthogonality to
@@ -63,10 +64,10 @@ from .linalg import (
     RATIONAL_THRESHOLD,
     SubspaceBasis,
     _f_rows,
+    _int_echelon,
+    _kernel_from_echelon,
     format_vector,
-    kernel,
     rational_rank,
-    rational_rank_rows,
 )
 from .matrix import BiregularMatrix, serialize
 from .switching import (
@@ -207,24 +208,45 @@ def compute_KA(a: BiregularMatrix) -> frozenset[tuple[int, int]]:
     """K_A: the ordered pairs (i, j), i != j, with ker A = F(A; i, j)^perp.
 
     Found by brute force as the pairs with rank F(A; i, j) == rank A.  Each
-    spanning row of F is a row of A or the sum of two rows, so F lies in the row space of A and
-    ker A is contained in F^perp for every A; the kernel-containment check
-    of :func:`run_family_checks` confirms this on every pair it visits.  The
-    two spaces are therefore equal iff their dimensions agree, which means
-    rank F = rank A.  F(A; i, j) = F(A; j, i), so the rank runs once per
-    unordered pair and membership is recorded symmetrically.
+    spanning row of F is a row of A or the sum of two rows, so F lies in the
+    row space of A and ker A is contained in F^perp for every A; the
+    kernel-containment check of :func:`run_family_checks` confirms this on
+    every pair it visits.  The two spaces are therefore equal iff their
+    dimensions agree, which means rank F = rank A.  F(A; i, j) = F(A; j, i),
+    so the rank runs once per unordered pair and membership is recorded
+    symmetrically.
+
+    Closed form: (i, j) is in K_A iff some left-kernel vector y (y^T A = 0)
+    has y_i != y_j.  Proof: write r_s for row s of A.  The row space of A is
+    F + span{r_i}, because r_j = (r_i + r_j) - r_i, so rank F = rank A iff
+    r_i lies in F, that is, iff r_i = c (r_i + r_j) + sum_{s != i, j} c_s r_s
+    for some rationals c and c_s.  Such a relation, moved to one side, is a
+    left-kernel vector y with y_i = 1 - c, y_j = -c and y_s = -c_s, so
+    y_i - y_j = 1.  Conversely, a left-kernel y with y_i != y_j, divided by
+    y_i - y_j, has y_i - y_j = 1, and c = -y_j, c_s = -y_s give the relation,
+    since r_i - c (r_i + r_j) - sum c_s r_s = sum_s y_s r_s = 0.  A basis
+    decides the "some": if every basis vector has y_i = y_j, so does every
+    combination.  So K_A is empty at full rank, and its complement is the
+    set of pairs in one joint level set of a left-kernel basis.  The tests
+    compare the closed form with this function; the checks keep the
+    definition, which ka-replay confirms its certified pairs against.
     """
     _guard(a.n)
     return _Memo([a]).of(a).ka
 
 
 def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
-    """K_A of the matrix of ``f``, from its dense rows and its rank."""
-    n = f.a.n
+    """K_A of the matrix of ``f``, from the ranks of F(A; i, j) and of A.
+
+    F(A; i, j) is read as row supports: the rows other than i and j, and the
+    merged row i + j, which lists twice any column the two rows share.
+    """
+    rows = f.a.row_supports
     pairs: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rational_rank_rows(_f_rows(f.dense, i, j)) == f.rank:
+    for i in range(f.a.n):
+        for j in range(i + 1, f.a.n):
+            merged = tuple(sorted(rows[i] + rows[j]))
+            if f.table.rank((*rows[:i], *rows[i + 1 : j], *rows[j + 1 :], merged)) == f.rank:
                 pairs.add((i, j))
                 pairs.add((j, i))
     return frozenset(pairs)
@@ -233,19 +255,79 @@ def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
 # ─── the family memo ────────────────────────────────────────────────────────
 
 
+class _Table:
+    """Exact rank and right kernel of n-column matrices, one Bareiss
+    elimination per row multiset.
+
+    A matrix is given by its row supports, each listing a column as often as
+    the row's entry there: the merged row i + j of F(A; i, j) repeats the
+    columns rows i and j share, and a zeroed row is ``()``.  Permuting rows
+    changes neither the rank nor {x : Bx = 0}, so both are kept under the
+    sorted tuple of supports, and every matrix with the same multiset of
+    rows reads one entry.  That covers a member, its switched results,
+    F(A; i, j) and A with a row zeroed.  The left kernel of A is the right
+    kernel of A^T, whose rows are A's columns: permuting A's columns leaves
+    it unchanged, and it is read under the multiset of A's columns.
+
+    The right kernel is back-substituted from the same echelon only when
+    asked for.  An entry made for its rank alone would be eliminated again
+    for its kernel, which a sweep never asks: it reads kernels of members
+    and their transposes only, and ranks alone of F and of zeroed rows,
+    whose multisets no member has.  The table holds no :class:`_Facts`.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._known: dict[tuple[tuple[int, ...], ...], tuple[int, SubspaceBasis | None]] = {}
+
+    def rank(self, rows: Sequence[tuple[int, ...]]) -> int:
+        return self.exact(rows)[0]
+
+    def exact(
+        self, rows: Sequence[tuple[int, ...]], kernel: bool = False
+    ) -> tuple[int, SubspaceBasis | None]:
+        """The rank of the matrix with these row supports and, with
+        ``kernel``, its right kernel (else None)."""
+        key = tuple(sorted(rows))
+        got = self._known.get(key)
+        if got is None or (kernel and got[1] is None):
+            dense = [[0] * self.n for _ in key]
+            for row, support in zip(dense, key):
+                for t in support:
+                    row[t] += 1
+            pivot_cols, pivot_rows = _int_echelon(dense)
+            basis = (
+                SubspaceBasis(self.n, _kernel_from_echelon(pivot_cols, pivot_rows, self.n))
+                if kernel
+                else None
+            )
+            got = self._known[key] = (len(pivot_cols), basis)
+        return got
+
+
 class _Facts:
-    """One matrix and its rank, with the facts the checks share about it.
+    """One matrix, with the facts the checks share about it.
 
     Each fact is computed on first use and then kept, so every check of a
     family reads the same switchings, kernels, K_A and replay, and none of
-    them is computed twice.  No fact refers to another matrix's facts: the
-    switched matrices are kept by :class:`_Memo`, so a memo holds no
-    reference cycle and is freed as soon as its call returns.
+    them is computed twice.  The rank and the right kernel are read from
+    ``table`` under the multiset of the matrix's rows, the left kernel under
+    the multiset of its columns (see :class:`_Table`), so facts that a row
+    or column permutation cannot change are shared with every member that
+    has them, while each member keeps its own switchings, K_A and replay.
+    No fact refers to another matrix's facts: the switched matrices are
+    kept by :class:`_Memo`, and the table holds only ranks and kernels, so a
+    memo holds no reference cycle and is freed as soon as its call returns.
     """
 
-    def __init__(self, a: BiregularMatrix, rank: int):
+    def __init__(self, a: BiregularMatrix, table: _Table):
         self.a = a
-        self.rank = rank
+        self.table = table
+
+    @cached_property
+    def rank(self) -> int:
+        # asked with the kernel, so that one elimination gives both
+        return self.table.exact(self.a.row_supports, kernel=True)[0]
 
     @cached_property
     def switches(self) -> list[Switch]:
@@ -258,15 +340,14 @@ class _Facts:
 
     @cached_property
     def right(self) -> SubspaceBasis:
-        return self._kernel("right")
+        return self.table.exact(self.a.row_supports, kernel=True)[1]
 
     @cached_property
     def left(self) -> SubspaceBasis:
-        return self._kernel("left")
-
-    def _kernel(self, side: str) -> SubspaceBasis:
-        # a full-rank matrix has zero kernels and needs no elimination
-        return kernel(self.a, side) if self.rank < self.a.n else SubspaceBasis(self.a.n, ())
+        # a full-rank matrix has a zero left kernel and needs no elimination
+        if self.rank == self.a.n:
+            return SubspaceBasis(self.a.n, ())
+        return self.table.exact(self.a.transpose().row_supports, kernel=True)[1]
 
     @cached_property
     def ka(self) -> frozenset[tuple[int, int]]:
@@ -291,15 +372,18 @@ class _Memo:
     """Facts about the members of one (n, d) family, kept for one call.
 
     ``index`` maps each member's row supports to its :class:`_Facts`, and is
-    filled from the pool once, with one rank per member.
+    filled from the pool once.  ``table`` holds the ranks and kernels, which
+    members with the same rows or columns up to order share.
     """
 
-    def __init__(self, pool: Iterable[BiregularMatrix]):
+    def __init__(self, pool: Sequence[BiregularMatrix]):
+        self.table = _Table(pool[0].n)
         self.index: dict[tuple[tuple[int, ...], ...], _Facts] = {}
         self._switched: dict[tuple[tuple[int, ...], ...], dict[Switch, _Facts]] = {}
+        self._results: dict[tuple[tuple[tuple[int, ...], ...], Switch], _Facts] = {}
         for m in pool:
             if m.row_supports not in self.index:
-                self.index[m.row_supports] = _Facts(m, rational_rank(m))
+                self.index[m.row_supports] = _Facts(m, self.table)
 
     def of(self, a: BiregularMatrix) -> _Facts:
         return self.index[a.row_supports]
@@ -309,9 +393,18 @@ class _Memo:
         of its result."""
         out = self._switched.get(f.a.row_supports)
         if out is None:
-            out = {sw: self.switch(f, sw) for sw in dedup_switches(f.switches)}
+            out = {sw: self.result(f, sw) for sw in dedup_switches(f.switches)}
             self._switched[f.a.row_supports] = out
         return out
+
+    def result(self, f: _Facts, sw: Switch) -> _Facts:
+        """Facts after the canonical switching ``sw`` of ``f``'s matrix,
+        switched once however often it is read."""
+        key = (f.a.row_supports, sw)
+        g = self._results.get(key)
+        if g is None:
+            g = self._results[key] = self.switch(f, sw)
+        return g
 
     def switch(self, f: _Facts, sw: Switch) -> _Facts:
         """Facts of ``f``'s matrix after the feasible switching ``sw``.
@@ -319,13 +412,13 @@ class _Memo:
         Switching preserves biregularity, so over a whole family the result
         is a member and is looked up.  A result outside the memo, as from a
         partial pool, is built by :func:`apply_switch`, which validates it,
-        and is then kept with its rank.
+        and is then kept.
         """
         rows = _switched_rows(f.a, sw)
         g = self.index.get(rows)
         if g is None:
             bar = apply_switch(f.a, sw)
-            g = self.index[rows] = _Facts(bar, rational_rank(bar))
+            g = self.index[rows] = _Facts(bar, self.table)
         return g
 
 
@@ -431,7 +524,9 @@ def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
     by exactly one.
 
     Raises :class:`NotSingularError` on full-rank input (the mechanism has
-    nothing to say there; K_A is empty anyway).
+    nothing to say there; K_A is empty anyway).  Only the switchings it
+    reads, those with (i, j) in K_A that some x does not make x-bad, are
+    applied and ranked, each once per canonical switching.
     """
     _guard(a.n)
     memo = _Memo([a])
@@ -445,7 +540,6 @@ def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
         raise NotSingularError(f"matrix has full rank {r0}")
     ka = f.ka
     basis = f.right.vectors
-    switched = memo.switched(f)
 
     checked = x_bad = increased = 0
     violations: list[dict] = []
@@ -457,7 +551,7 @@ def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
             if x[sw.k] == x[sw.l]:
                 x_bad += 1
                 continue
-            delta = switched[sw.canonical()].rank - r0
+            delta = memo.result(f, sw.canonical()).rank - r0
             if delta == 1:
                 increased += 1
             else:
@@ -567,11 +661,11 @@ def _replay(f: _Facts) -> ReplayReport:
         raise WitnessConstructionError("left-kernel vector with empty support")
 
     ka = f.ka
+    rows = a.row_supports
     witnesses: list[ReplayWitness] = []
     certified: set[tuple[int, int]] = set()
     for i in support:
-        zeroed = [row if s != i else [0] * a.n for s, row in enumerate(f.dense)]
-        zr = rational_rank_rows(zeroed)
+        zr = f.table.rank((*rows[:i], (), *rows[i + 1 :]))
         if zr != r0:
             raise WitnessConstructionError(
                 f"zeroing row {i} changed rank {r0} -> {zr}, but row {i} is "
@@ -875,21 +969,28 @@ def run_family_checks(
     ``_MAX_WITNESSES`` violating instances.
 
     The checks read one memo that lives for this call.  It maps each
-    member's row supports to the member and its rank, and keeps, per
-    matrix, its feasible switchings (enumerated once), its deduped
-    switchings with their switched members (looked up, not rebuilt), its
-    two kernels, K_A and the replay.  The family is walked once: each
-    matrix runs the seven per-matrix checks in report order, and
-    qr-relation then runs on the whole family from the same facts.  A
-    switched matrix outside the pool is built by ``apply_switch``, which
-    validates it, and joins the memo.
+    member's row supports to the member, and keeps, per matrix, its feasible
+    switchings (enumerated once), its deduped switchings with their switched
+    members (looked up, not rebuilt), K_A and the replay.  Ranks and kernels
+    sit in the memo's table, one Bareiss elimination per row multiset (a
+    sorted tuple of row supports), because each is invariant under a
+    permutation: a rank and a right kernel {x : Ax = 0} under row
+    permutations, so they are keyed by the rows; a left kernel under column
+    permutations, so it is keyed by the columns.  Members that are row or
+    column permutations of one another, the ranks of F(A; i, j) behind K_A
+    and the zeroed-row ranks of the replay therefore share eliminations, and
+    every check still runs on every member.  The family is walked once: each
+    matrix runs the seven per-matrix checks in report order, and qr-relation
+    then runs on the whole family from the same facts.  A switched matrix
+    outside the pool is built by ``apply_switch``, which validates it, and
+    joins the memo.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  A report's
     ``wall_time_ms`` is the time spent in its own check, which includes any
     shared fact it is the first to need: the enumeration is charged to
     switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
-    and K_A to increase-mechanism.
+    K_A to increase-mechanism, and the zeroed-row ranks to ka-replay.
 
     qr-relation reports a hypothesis its double count breaks, or the error
     of a failed replay its level-set filter reads, as a witness

@@ -2,6 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dreglab import (
     all_ones,
     apply_switch,
     block_diagonal,
+    build,
     circulant,
     compute_KA,
     count_x_bad,
@@ -149,6 +152,31 @@ def test_compute_KA_matches_definition():
     assert any(rational_rank(m) < 12 for m in stubs)
     for a in singular + stubs:
         assert compute_KA(a) == _ka_by_definition(a)
+
+
+def _ka_by_closed_form(a):
+    """The pairs (i, j), i != j, where some left-kernel vector has y_i != y_j;
+    :func:`compute_KA`'s docstring proves that this is K_A."""
+    left = kernel(a, "left").vectors
+    return {
+        (i, j)
+        for i in range(a.n)
+        for j in range(a.n)
+        if i != j and any(y[i] != y[j] for y in left)
+    }
+
+
+def test_ka_closed_form_matches_compute_KA():
+    # every member of every n <= 5 family, then seeded stub samples up to n = 20
+    members = [m for n in range(1, 6) for d in range(1, n + 1) for m in enumerate_all(n, d)]
+    rng = np.random.default_rng(7)
+    sizes = [(8, 2), (10, 2), (12, 3), (16, 4), (20, 2)]
+    stubs = [draw_sample(n, d, SamplerConfig(), rng) for n, d in sizes for _ in range(8)]
+    assert len(members) == 4477
+    assert sum(rational_rank(m) < m.n for m in stubs) >= 20
+    assert max(m.n for m in stubs if rational_rank(m) < m.n) == 20
+    for a in members + stubs:
+        assert compute_KA(a) == _ka_by_closed_form(a)
 
 
 def test_replay_block_frozen_witnesses():
@@ -288,6 +316,32 @@ def test_mechanism_family_sweep():
         assert rep.violations == (), m
 
 
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2)])
+def test_mechanism_alone_switches_only_what_it_reads(n, d, monkeypatch):
+    # the mechanism reads a switching's result only when (i, j) is in K_A and
+    # some kernel vector x has x_k != x_l; called alone it applies each such
+    # canonical switching once, and none of the others.  The first singular
+    # member that skips some reads 0 of its 12 on (4,2) and 24 of 27 on (5,2)
+    def read(a):
+        ka, basis = compute_KA(a), kernel(a).vectors
+        return {
+            sw.canonical()
+            for sw in enumerate_switches(a)
+            if (sw.i, sw.j) in ka and any(x[sw.k] != x[sw.l] for x in basis)
+        }
+
+    a, wanted = next(
+        (m, r)
+        for m in enumerate_all(n, d)
+        if rational_rank(m) < n
+        and len(r := read(m)) < len(dedup_switches(enumerate_switches(m)))
+    )
+    calls = _counting(monkeypatch, ["apply_switch"])
+    rep = verify_increase_mechanism(a)
+    assert calls["apply_switch"] == len(wanted)
+    assert rep.increased == rep.checked - rep.x_bad and rep.violations == ()
+
+
 # ─── double counting and the rank-step relation ──────────────────────────────
 
 
@@ -410,26 +464,26 @@ def test_f_invariance_fires_when_the_switch_is_wrong(monkeypatch):
 
 
 def test_kernel_containment_fires_on_a_vector_outside_the_kernel(monkeypatch):
-    real = verifiers.kernel
+    real = verifiers._Facts.right.func
 
     def right_kernel_replaced(first_vector):
-        def broken(a, side="right"):
-            basis = real(a, side)
-            if side != "right" or basis.dim == 0:
+        def broken(f):
+            basis = real(f)
+            if basis.dim == 0:
                 return basis
-            return SubspaceBasis(a.n, [first_vector(a.n), *basis.vectors[1:]])
+            return SubspaceBasis(f.a.n, [first_vector(f.a.n), *basis.vectors[1:]])
 
-        return broken
+        return property(broken)
 
     # A 1 = d 1 != 0, so a "kernel" spanned with the all-ones vector leaves F^perp
-    monkeypatch.setattr(verifiers, "kernel", right_kernel_replaced(lambda n: (1,) * n))
+    monkeypatch.setattr(verifiers._Facts, "right", right_kernel_replaced(lambda n: (1,) * n))
     rep = _check(run_family_checks(list(enumerate_all(4, 2))), "kernel-containment")
     assert rep.violations > 0
     assert {"matrix", "pair", "vector"} == set(rep.witnesses[0])
     # e_0 is orthogonal to rows 2 and 3 of BLOCK, so for the pair (0, 1) only
     # the spanning row "row 0 + row 1" of F can catch it
     e0 = right_kernel_replaced(lambda n: (1,) + (0,) * (n - 1))
-    monkeypatch.setattr(verifiers, "kernel", e0)
+    monkeypatch.setattr(verifiers._Facts, "right", e0)
     rep = _check(run_family_checks([BLOCK]), "kernel-containment")
     assert [0, 1] in [w["pair"] for w in rep.witnesses]
 
@@ -471,32 +525,86 @@ def _counting(monkeypatch, names):
     return calls
 
 
+def _multisets(a):
+    """The row multisets whose rank or kernel a sweep reads for the singular
+    ``a``: its rows, its columns (for the left kernel), F(a; i, j) for every
+    pair, and ``a`` with row i zeroed for every i in the support of the
+    replay's y.  Rows are dense tuples here, a multiset a frozen Counter."""
+    dense = [tuple(row) for row in a.dense_rows()]
+    y = kernel(a, "left").vectors[0]
+    mats = [dense, list(zip(*dense))]
+    for i, j in combinations(range(a.n), 2):
+        others = [row for s, row in enumerate(dense) if s not in (i, j)]
+        mats.append([*others, tuple(map(add, dense[i], dense[j]))])
+    mats.extend([*dense[:i], (0,) * a.n, *dense[i + 1 :]] for i in range(a.n) if y[i])
+    return {frozenset(Counter(rows).items()) for rows in mats}
+
+
 def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
-    # all 90 members of (4,2) are singular: each is enumerated, ranked, given
-    # both kernels and K_A once, although the mechanism, the replay and
-    # qr-relation's deloc_event all read K_A or the kernels
-    calls = _counting(monkeypatch, ["enumerate_switches", "rational_rank", "kernel", "_ka_set"])
-    reports = run_family_checks(list(enumerate_all(4, 2)))
-    assert calls == {"enumerate_switches": 90, "rational_rank": 90, "kernel": 180, "_ka_set": 90}
+    # all 90 members of (4,2) are singular: each is enumerated and given K_A
+    # once, although the mechanism, the replay and qr-relation's deloc_event
+    # all read K_A or the kernels.  Ranks and kernels take one Bareiss
+    # elimination per row multiset: 45 for 1,134 ranks and kernels
+    pool = list(enumerate_all(4, 2))
+    multisets = set().union(*map(_multisets, pool))
+    assert len(multisets) == 45
+    calls = _counting(monkeypatch, ["enumerate_switches", "_int_echelon", "_ka_set"])
+    reports = run_family_checks(pool)
+    assert calls == {"enumerate_switches": 90, "_int_echelon": len(multisets), "_ka_set": 90}
     assert not any(rep.violations for rep in reports)
 
 
 def test_partial_pool_builds_each_switched_matrix_once(monkeypatch):
     # BLOCK alone: its 16 deduped switchings lead outside the pool, so each
-    # result is built (and validated) by apply_switch once and then ranked
-    calls = _counting(monkeypatch, ["apply_switch", "rational_rank"])
+    # result is built (and validated) by apply_switch once and then ranked,
+    # one Bareiss elimination per row multiset among them and BLOCK's own
+    results = [apply_switch(BLOCK, sw) for sw in dedup_switches(enumerate_switches(BLOCK))]
+    multisets = _multisets(BLOCK) | {
+        frozenset(Counter(map(tuple, m.dense_rows())).items()) for m in results
+    }
+    assert len(multisets) == 7
+    calls = _counting(monkeypatch, ["apply_switch", "_int_echelon"])
     reports = run_family_checks([BLOCK])
-    assert calls == {"apply_switch": 16, "rational_rank": 17}
+    assert calls == {"apply_switch": 16, "_int_echelon": len(multisets)}
     assert [rep.instances_checked for rep in reports] == [1, 16, 16, 6, 4, 1, 1, 2]
     assert not any(rep.violations or rep.witnesses for rep in reports)
+
+
+def test_shared_facts_are_each_members_own_on_families():
+    # one memo per family: every member's rank and kernels, read from entries
+    # that row- and column-permuted members share, equal its own Bareiss ones
+    for n, d in [(n, d) for n in range(1, 5) for d in range(1, n + 1)] + [(5, 2)]:
+        pool = list(enumerate_all(n, d))
+        memo = verifiers._Memo(pool)
+        for m in pool:
+            f = memo.of(m)
+            assert f.rank == rational_rank(m)
+            assert f.right == kernel(m)
+            assert f.left == kernel(m, "left")
+
+
+def test_left_kernel_is_shared_by_columns_not_rows(monkeypatch):
+    # PA swaps rows 1 and 2 of BLOCK: the same rows up to order, so one rank
+    # and one right kernel, but a different left kernel, which a left kernel
+    # keyed by the rows would take from BLOCK.  BLOCK is symmetric, so its
+    # columns are its rows again: two eliminations in all
+    pa = build(4, 2, [BLOCK.row_supports[s] for s in (0, 2, 1, 3)])
+    assert sorted(pa.row_supports) == sorted(BLOCK.row_supports)
+    assert kernel(pa, "left") != kernel(BLOCK, "left")
+    calls = _counting(monkeypatch, ["_int_echelon"])
+    memo = verifiers._Memo([BLOCK, pa])
+    for m in (BLOCK, pa):
+        f = memo.of(m)
+        assert (f.rank, f.right, f.left) == (rational_rank(m), kernel(m), kernel(m, "left"))
+    assert calls == {"_int_echelon": 2}
 
 
 def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
     # every switching of BLOCK takes rank 2 to 3, as Meyer's criterion
     # predicts from its kernels; a rank capped at 2 turns each +1 into 0,
     # which |delta| <= 1 alone would let through
-    real = verifiers.rational_rank
-    monkeypatch.setattr(verifiers, "rational_rank", lambda a: min(real(a), 2))
+    real = verifiers._Facts.rank.func
+    monkeypatch.setattr(verifiers._Facts, "rank", property(lambda f: min(real(f), 2)))
     rep = _check(run_family_checks([BLOCK]), "rank-delta-law")
     assert rep.violations == rep.instances_checked == 16
     assert rep.witnesses[0]["note"] == "delta=0, predicted 1"
