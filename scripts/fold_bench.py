@@ -11,8 +11,8 @@ Runs pair up by workload and seed.  For every end-to-end metric that
 quartiles, the number of pairs, the pairs the change wins (ties count for
 neither side), and two verdicts: ``gain`` (over at least ten pairs, the
 change wins at least nine tenths of them and its median is better by more
-than the parent's interquartile range, and for ``peak_rss_mb`` by at least
-5%) and ``within_bound`` (the change's
+than the parent's interquartile range, and for ``peak_rss_mb`` or on
+grid-mcmc by at least 5%) and ``within_bound`` (the change's
 median is no worse than the parent's by more than the declared bound).  Each side also keeps
 the stamp of its first run (machine, versions, commit) and its failures.
 """
@@ -35,6 +35,10 @@ MIN_PAIRS = 10
 # clears the interquartile-range rule on every pair
 MIN_EFFECT = {"peak_rss_mb": 0.05}
 
+# the same, per workload.  grid-mcmc moves by about 5% with the checkout's
+# directory alone, the same commit in two directories
+MIN_WORKLOAD_EFFECT = {"grid-mcmc": 0.05}
+
 
 def _runs(directory: Path) -> dict[tuple[str, int], dict]:
     runs = {}
@@ -52,7 +56,7 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
+def _compare(metric: dict, parent: list[float], change: list[float], workload: str = "") -> dict:
     sign = 1 if metric["better"] == "higher" else -1
     before, after = _summary(parent), _summary(change)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -70,7 +74,8 @@ def _compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "gain": len(parent) >= MIN_PAIRS
         and wins >= 0.9 * len(parent)
         and gain > before["iqr"]
-        and relative >= MIN_EFFECT.get(metric["name"], 0.0),
+        and relative >= MIN_EFFECT.get(metric["name"], 0.0)
+        and relative >= MIN_WORKLOAD_EFFECT.get(workload, 0.0),
         "within_bound": -relative <= metric["bound"],
     }
 
@@ -95,6 +100,7 @@ def fold(parent_dir: Path, change_dir: Path) -> dict:
                     m,
                     [r["metrics"][m["name"]]["value"] for r in sides["parent"]],
                     [r["metrics"][m["name"]]["value"] for r in sides["change"]],
+                    name,
                 )
                 for m in declared["end_to_end"]
             },

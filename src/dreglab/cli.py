@@ -28,10 +28,10 @@ from .experiment import (
     write_summary_csv,
     write_summary_json,
 )
-from .linalg import RATIONAL_THRESHOLD, format_vector, rank_and_kernels
+from .linalg import format_vector, rank_exact
 from .matrix import parse, serialize
 from .sampler import SamplerConfig, _draw, chi_square_uniform, enumerate_all
-from .verifiers import DelocParams, level_sets, run_family_checks
+from .verifiers import DelocParams, _guard, level_sets, run_family_checks
 
 __all__ = ["main"]
 
@@ -197,10 +197,7 @@ def _cmd_sampler_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_deloc_stats(args: argparse.Namespace) -> int:
-    if args.n > RATIONAL_THRESHOLD:
-        raise SizeGuardError(
-            f"n={args.n} exceeds the exact-arithmetic guard {RATIONAL_THRESHOLD}"
-        )
+    _guard(args.n)
     config = _sampler_config(args)
     master_seed = _resolve_seed(args)
     params = DelocParams(C=args.C)
@@ -249,7 +246,7 @@ def _rref_text(row: tuple[int, ...]) -> str:
 def _cmd_rank(args: argparse.Namespace) -> int:
     text = Path(args.matrix_file).read_text()
     a = parse(text)
-    report, left = rank_and_kernels(a)
+    report = rank_exact(a)
     payload = {
         "n": a.n,
         "d": a.d,
@@ -258,13 +255,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "rationally_confirmed": report.rationally_confirmed,
         "primes_used": list(report.primes_used),
     }
-    if left is not None:
-        right = report.kernel.vectors
+    if report.kernel is not None:
+        right, left = report.kernel.vectors, report.left_kernel.vectors
         payload["right_kernel"] = [_rref_text(v) for v in right]
-        payload["left_kernel"] = [_rref_text(v) for v in left.vectors]
-        payload["max_kernel_level_set"] = max(
-            level_sets(v).max_size for v in right + left.vectors
-        )
+        payload["left_kernel"] = [_rref_text(v) for v in left]
+        payload["max_kernel_level_set"] = max(level_sets(v).max_size for v in right + left)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 

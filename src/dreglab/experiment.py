@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import RejectionBudgetExceeded
-from .linalg import rank_and_kernels
+from .linalg import rank_exact
 from .sampler import SamplerConfig, _require_int, draw_sample
 from .verifiers import level_sets
 
@@ -168,11 +168,12 @@ def run_trial(
         elapsed = int((time.perf_counter() - start) * 1000) if timings else None
         return TrialRecord(**base, error=str(exc), wall_time_ms=elapsed)
 
-    report, left = rank_and_kernels(a)
+    report = rank_exact(a)
     max_level: int | None = None
-    if left is not None:
+    if report.kernel is not None:
         max_level = max(
-            level_sets(v).max_size for v in report.kernel.vectors + left.vectors
+            level_sets(v).max_size
+            for v in report.kernel.vectors + report.left_kernel.vectors
         )
     elapsed = int((time.perf_counter() - start) * 1000) if timings else None
     return TrialRecord(

@@ -1,28 +1,21 @@
 """Exact rank and kernel computations for 0/1 matrices.
 
 Everything here is exact, so reported ranks are never floating-point
-guesses.  A rank starts as one elimination over GF(p) for a fixed prime p
-just below 2^30: sparse while the pivots touch few entries, then, once
-fill-in sets in, finished on a dense uint64 numpy block that is reduced
-mod p only as often as its bound requires.  A modular rank
-never exceeds the rational rank, so a modular rank of n proves full rank
-and ends the work there.  A deficient modular rank r_p is proven, up to
-``RATIONAL_THRESHOLD``, by a sandwich certificate built from the same
-elimination: its echelon gives one kernel vector mod p per free column,
-rational reconstruction lifts each to integers, and an exact check of
-A x = 0 over Z shows the n - r_p lifted vectors lie in the kernel.  They
-are independent by their pattern on the free columns, so the rank is at
-most r_p as well.  When a lift or a check fails, the same rule runs on
-its own modulo the second prime, 2^61 - 1, whose lifts reach entries up
-to about 2^30; only then does fraction-free integer elimination (Bareiss)
-decide.  Above the threshold the second prime runs, the two modular ranks
-deciding when they agree and Bareiss when they do not.
-
-The left kernel, which a singular trial needs as well, comes from the same
-elimination: recorded, its row operations turn each row that never became
-a pivot into a vector y with y^T A = 0 mod p, lifted and checked exactly
-like the right kernel's.  Its fallbacks climb the same ladder, the second
-prime's recorded elimination and then Bareiss on the transpose.
+guesses.  A rank is certified on one ladder, one rung per fixed prime:
+2^30 - 35, then 2^61 - 1, then fraction-free integer elimination
+(Bareiss).  A rung eliminates over GF(p), sparse while the pivots touch
+few entries and then, once fill-in sets in, on a dense uint64 numpy block
+reduced mod p only as often as its bound requires.  A modular rank never
+exceeds the rational rank, so a modular rank of n proves full rank and
+ends the work.  A deficient modular rank r is proven, up to
+``RATIONAL_THRESHOLD``, together with both kernels: the echelon gives one
+right kernel vector mod p per free column, the recorded row operations one
+left kernel vector per row that never became a pivot, and rational
+reconstruction lifts each to integers, checked exactly as A x = 0 or
+y^T A = 0 over Z.  Each side's n - r vectors are independent by their
+pattern, so the rank is at most r as well.  A failed lift or check hands
+the whole rung over to the next.  Above the threshold two agreeing
+modular ranks decide, and Bareiss settles a disagreement.
 
 Vectors are integers from elimination to the caller: integer
 back-substitution on the Bareiss echelon and the lifted modular vectors
@@ -53,7 +46,6 @@ __all__ = [
     "rank_mod_p",
     "rational_rank",
     "rank_exact",
-    "rank_and_kernels",
     "kernel",
     "f_rows",
     "format_vector",
@@ -555,10 +547,11 @@ class RankReport:
     item 1).  A deficient rank there on which both primes agree is a
     consensus, not a proof, and is reported False too.
 
-    ``kernel`` is the canonical basis of the right kernel when the rank is
-    deficient and n <= ``RATIONAL_THRESHOLD``: the lifted vectors that
-    certified the rank, or the Bareiss kernel when the fallback decided.
-    It is None for a full rank and above the threshold.
+    ``kernel`` and ``left_kernel`` are the canonical bases of the right and
+    left kernels when the rank is deficient and n <= ``RATIONAL_THRESHOLD``:
+    the lifted vectors that certified the rank, or Bareiss's kernels when
+    the fallback decided.  Both are None for a full rank and above the
+    threshold.
     """
 
     rank: int
@@ -566,6 +559,7 @@ class RankReport:
     primes_used: tuple[int, ...]
     rationally_confirmed: bool
     kernel: SubspaceBasis | None
+    left_kernel: SubspaceBasis | None
 
 
 @dataclass(frozen=True)
@@ -604,88 +598,59 @@ def rational_rank(a: BiregularMatrix) -> int:
 
 
 def rank_exact(a: BiregularMatrix) -> RankReport:
-    """Exact rank: one prime proves full rank; only a deficiency costs more.
+    """Exact rank, with both kernels when it is deficient and n is small.
 
-    The first elimination is modulo ``_PRIMES[0]``.  A rank of n returns at
-    once with ``primes_used == _PRIMES[:1]``: a modular rank never exceeds
-    the rational rank.  For ``n <= RATIONAL_THRESHOLD`` a deficient modular
-    rank r is proven by the sandwich certificate: the n - r kernel vectors
-    of the same echelon, lifted to integers, must satisfy A x = 0 exactly.
-    If a lift or a check fails, the second prime runs: a rank of n there
-    proves full rank, and otherwise its own kernel vectors are lifted and
-    checked the same way.  Above the threshold the second prime runs too,
-    and two agreeing modular ranks decide.  Otherwise rational elimination
-    decides; it is authoritative, and a modular rank above it raises
-    :class:`ConsistencyError`.
-    """
-    return _rank_exact(a)[0]
-
-
-def _rank_exact(a: BiregularMatrix) -> tuple[RankReport, list[_Echelon]]:
-    """:func:`rank_exact`, with the modular eliminations it ran, in order.
-
-    They record their row operations when n <= ``RATIONAL_THRESHOLD``, the
-    only case where kernels are built.
+    One rung per prime of ``_PRIMES``, recorded when n <=
+    ``RATIONAL_THRESHOLD``.  A modular rank of n proves full rank at once,
+    since a modular rank never exceeds the rational rank.  Otherwise, up to
+    the threshold, a rung settles the rank and both kernels or hands over to
+    the next: the right kernel vectors of its echelon and then the left ones
+    of its record (:func:`_left_kernel_mod_p`) are lifted and checked
+    exactly, as A x = 0 and y^T A = 0.  Above the threshold two agreeing
+    modular ranks decide.  Bareiss is last: ``rational_rank``, and
+    ``kernel(a)`` with ``kernel(a, "left")``; it is authoritative, and a
+    modular rank above it raises :class:`ConsistencyError`, as does a left
+    kernel whose dimension differs from the corank.
     """
     small = a.n <= RATIONAL_THRESHOLD
-    runs = []
+    ranks = []
     for used, prime in enumerate(_PRIMES, 1):
         echelon = _rank_rows_mod_p(a.row_supports, prime, small)
-        runs.append(echelon)
         r = len(echelon)
+        ranks.append(r)
         # above the threshold a full rank mod the second prime after a
         # deficient one mod the first is a disagreement, for Bareiss to settle
         if r == a.n and (small or used == 1):
-            return RankReport(r, 0, _PRIMES[:used], small, None), runs
+            return RankReport(r, 0, _PRIMES[:used], small, None, None)
         if small:
-            basis = _certified_kernel(a, _kernel_mod_p(echelon, a.n, prime), prime)
-            if basis is not None:
-                return RankReport(r, a.n - r, _PRIMES[:used], True, basis), runs
-    ranks = [len(echelon) for echelon in runs]
+            right = _certified_kernel(a, _kernel_mod_p(echelon, a.n, prime), prime)
+            left = right and _certified_kernel(
+                a.transpose(), _left_kernel_mod_p(echelon, a.n), prime
+            )
+            if left is not None:
+                return _report(a, r, _PRIMES[:used], right, left)
     if not small and ranks[0] == ranks[1]:
-        return RankReport(r, a.n - r, _PRIMES, False, None), runs
+        return RankReport(r, a.n - r, _PRIMES, False, None, None)
     top = max(ranks)
     rank = rational_rank(a)
     if rank < top:
         raise ConsistencyError(
             f"modular rank {top} exceeds rational rank {rank} (n={a.n}, d={a.d})"
         )
-    basis = kernel(a) if small and rank < a.n else None
-    return RankReport(rank, a.n - rank, _PRIMES, True, basis), runs
+    if small and rank < a.n:
+        return _report(a, rank, _PRIMES, kernel(a), kernel(a, "left"))
+    return RankReport(rank, a.n - rank, _PRIMES, True, None, None)
 
 
-def rank_and_kernels(a: BiregularMatrix) -> tuple[RankReport, SubspaceBasis | None]:
-    """:func:`rank_exact` of ``a``, with the left kernel when it has a kernel.
-
-    The left kernel is None exactly when ``RankReport.kernel`` is.  It comes
-    from the elimination that gave the rank, which records its row
-    operations: each row that never became a pivot, replayed back through
-    them (:func:`_left_kernel_mod_p`), gives a vector y with y^T A = 0 mod
-    p.  The n - r vectors are lifted like the right kernel's and checked
-    exactly as y^T A = 0 over Z, which also proves the rank from the left
-    side.  When a lift or a check fails, the left kernel climbs the right
-    kernel's ladder: the second prime's recorded elimination (run now if
-    the first prime settled the rank), then Bareiss ``kernel(a, "left")``.
-    Its dimension must equal the corank; a difference raises
-    :class:`ConsistencyError`.
-    """
-    report, runs = _rank_exact(a)
-    if report.kernel is None:
-        return report, None
-    at = a.transpose()
-    for i, prime in enumerate(_PRIMES):
-        echelon = runs[i] if i < len(runs) else _rank_rows_mod_p(a.row_supports, prime, True)
-        if len(echelon) == report.rank:
-            left = _certified_kernel(at, _left_kernel_mod_p(echelon, a.n), prime)
-            if left is not None:
-                break
-    else:
-        left = kernel(a, "left")
-    if left.dim != report.corank:
+def _report(
+    a: BiregularMatrix, rank: int, primes: tuple[int, ...], right: SubspaceBasis, left: SubspaceBasis
+) -> RankReport:
+    """The certified report of a deficient ``rank``, its two kernels cross-checked."""
+    if left.dim != a.n - rank:
         raise ConsistencyError(
-            f"row rank {a.n - left.dim} != column rank {report.rank} (n={a.n}, d={a.d})"
+            f"row rank {a.n - left.dim} != column rank {rank} (n={a.n}, d={a.d})"
         )
-    return report, left
+    return RankReport(rank, a.n - rank, primes, True, right, left)
 
 
 def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:

@@ -171,15 +171,18 @@ def enumerate_all(n: int, d: int) -> Iterator[BiregularMatrix]:
     """Stream every d-biregular 0/1 matrix of size n, each exactly once.
 
     Backtracking over rows: a column whose remaining capacity equals the
-    number of unfilled rows must appear in all of them.  The guard (n <= 7
-    or n*d <= 16) raises :class:`SizeGuardError` before an infeasibly large
-    enumeration starts.
+    number of unfilled rows must appear in all of them.  The guard admits
+    n <= 6 (A(6,2) has 67,950 members), and n <= 8 when d or n - d is at
+    most 1 (at most 8! = 40,320 members); anything else, such as (7,2)
+    with 3,110,940 or (16,1) with 16!, raises :class:`SizeGuardError` at
+    the call, before a member is built.
     """
     if n < 1 or not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
-    if n > 7 and n * d > 16:
+    if n > 6 and (n > 8 or min(d, n - d) > 1):
         raise SizeGuardError(
-            f"enumeration of n={n}, d={d} exceeds the size guard (n <= 7 or n*d <= 16)"
+            f"enumeration of n={n}, d={d} exceeds the size guard"
+            " (n <= 6, or n <= 8 with d or n - d at most 1)"
         )
 
     caps = [d] * n

@@ -15,6 +15,7 @@ from dreglab import (
     linalg,
     parse,
     run_trial,
+    sampler,
     serialize,
     verifiers,
 )
@@ -283,7 +284,7 @@ def _refuse_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("run_grid", "enumerate_all", "rank_and_kernels"):
+    for name in ("run_grid", "enumerate_all", "rank_exact"):
         monkeypatch.setattr(cli, name, started)
 
 
@@ -413,6 +414,18 @@ def test_sampler_test_refuses_significance_outside_unit_interval(significance, c
 def test_sampler_test_size_guard(capsys):
     code, _, _ = run_cli(capsys, "sampler-test", "--n", "12", "--d", "3", "--samples", "10")
     assert code == 3
+
+
+def test_sampler_test_refuses_a_factorial_family(monkeypatch, capsys):
+    # n * d = 16 once admitted (16,1), whose 16! members no run could finish;
+    # the guard refuses it before a member is built
+    def built(*args):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(sampler, "build", built)
+    code, out, err = run_cli(capsys, "sampler-test", "--n", "16", "--d", "1", "--samples", "10")
+    assert code == 3 and out == ""
+    assert err.startswith("size guard: ")
 
 
 # ─── deloc-stats ─────────────────────────────────────────────────────────────

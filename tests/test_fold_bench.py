@@ -42,3 +42,20 @@ def test_peak_rss_gain_needs_five_percent():
     # the same ten wins at 6% are a gain, and other metrics keep no minimum
     assert fold_bench._compare(RSS, parent, [0.94 * v for v in parent])["gain"]
     assert fold_bench._compare(dict(RSS, name="trial_ms_p50"), parent, [v - 0.48 for v in parent])["gain"]
+
+
+HIGHER = {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
+
+
+def test_grid_mcmc_gain_needs_five_percent():
+    # grid-mcmc moves by about 5% between two checkout directories of one
+    # commit, so 4% on ten of ten pairs is no gain there, and 6% is; the
+    # same 4% is a gain on grid-kernel
+    parent = [88.0 + 0.05 * k for k in range(10)]
+    plus = {f: [f * v for v in parent] for f in (1.04, 1.06)}
+    four = fold_bench._compare(HIGHER, parent, plus[1.04], "grid-mcmc")
+    assert four["wins"] == four["pairs"] == 10
+    assert four["change"]["median"] > four["parent"]["median"] + four["parent"]["iqr"]
+    assert not four["gain"] and four["within_bound"]
+    assert fold_bench._compare(HIGHER, parent, plus[1.06], "grid-mcmc")["gain"]
+    assert fold_bench._compare(HIGHER, parent, plus[1.04], "grid-kernel")["gain"]

@@ -134,6 +134,7 @@ def test_rank_exact_consensus_and_report():
         # one prime runs at n <= 128, and its lifted kernel settles a deficient rank
         assert rep.primes_used == linalg._PRIMES[:1]
         assert rep.kernel == (kernel(a) if rep.corank else None)
+        assert rep.left_kernel == (kernel(a, "left") if rep.corank else None)
 
 
 def test_rank_exact_deterministic_primes():
@@ -339,25 +340,26 @@ def test_rank_exact_routing(monkeypatch):
     (big,) = _stub_samples(128, 3, 1, 128)
     for a in (identity(9), circulant(7, 3), big, circulant(130, 3)):
         rep, calls = _route(log, a)
-        assert rep.corank == 0 and rep.kernel is None
+        assert rep.corank == 0 and rep.kernel is None and rep.left_kernel is None
         assert rep.rationally_confirmed == (a.n <= linalg.RATIONAL_THRESHOLD)
         assert rep.primes_used == (p,)
         assert calls == [p]
-    # deficient at n <= RATIONAL_THRESHOLD: one prime and its lifted kernel,
-    # no Bareiss; the certified kernel is the Bareiss kernel
+    # deficient at n <= RATIONAL_THRESHOLD: one prime and its lifted kernels,
+    # right then left, no Bareiss; the certified kernels are Bareiss's
     for a in (circulant(6, 2), circulant(6, 3), HALVES):
         rep, calls = _route(log, a)
         assert rep.corank >= 1 and rep.rationally_confirmed
         assert rep.primes_used == (p,)
-        assert calls == [p, ("lift", p, True)]
+        assert calls == [p, ("lift", p, True), ("lift", p, True)]
         assert rep.kernel == kernel(a, "right")
-        assert rep.kernel.dim == rep.corank
+        assert rep.left_kernel == kernel(a, "left")
+        assert rep.kernel.dim == rep.left_kernel.dim == rep.corank
     # deficient above it: both primes agree and decide, no Bareiss, no kernel
     rep, calls = _route(log, circulant(130, 2))
     assert rep.corank == 1 and not rep.rationally_confirmed
     assert rep.primes_used == (p, q)
     assert calls == [p, q]
-    assert rep.kernel is None
+    assert rep.kernel is None and rep.left_kernel is None
 
 
 def test_rank_exact_cross_check_raises(monkeypatch):
@@ -402,7 +404,7 @@ def test_rank_exact_falls_back_when_a_prime_drops_the_rank(monkeypatch):
         rep, calls = _route(log, a)
         assert calls == route
         assert rep.rank == 3 == rational_rank(a)
-        assert rep.corank == 0 and rep.kernel is None
+        assert rep.corank == 0 and rep.kernel is None and rep.left_kernel is None
         assert rep.rationally_confirmed and rep.primes_used == primes
 
 
@@ -418,21 +420,24 @@ def _singular_stub_samples(n, d, count, seed):
 
 def test_rank_exact_small_first_prime_reaches_the_second(monkeypatch):
     # with p = 101 the lift only reaches entries up to 7, too few for most
-    # (128,3) kernels, so the second prime's own lift must certify them;
-    # either way rank and kernel are Bareiss's, and Bareiss never runs
+    # (128,3) kernels, so the second prime's own lifts must certify them;
+    # either way rank and both kernels are Bareiss's, and Bareiss never runs
     cases = _singular_stub_samples(128, 3, 4, 7)
     log = _count_routes(monkeypatch)
     q = 2**61 - 1
     monkeypatch.setattr(linalg, "_PRIMES", (101, q))
-    first = [101, ("lift", 101, True)]
-    second = [101, ("lift", 101, False), q, ("lift", q, True)]
+    first = [101, ("lift", 101, True), ("lift", 101, True)]
+    both = [q, ("lift", q, True), ("lift", q, True)]
+    second = [101, ("lift", 101, False)] + both
+    left_only = [101, ("lift", 101, True), ("lift", 101, False)] + both
     routes = []
     for a in cases:
         rep, calls = _route(log, a)
         routes.append(calls)
-        assert calls in (first, second)
+        assert calls in (first, second, left_only)
+        assert rep.primes_used == ((101,) if calls == first else (101, q))
         assert rep.rank == rational_rank(a) < a.n
-        assert rep.kernel == kernel(a)
+        assert rep.kernel == kernel(a) and rep.left_kernel == kernel(a, "left")
     assert second in routes
 
 
@@ -451,10 +456,12 @@ def test_rank_exact_kernel_is_the_bareiss_kernel(monkeypatch):
             routes.add(tuple(calls))
             assert rep.rank == rational_rank(m)
             assert rep.kernel == (kernel(m) if rep.corank else None)
+            assert rep.left_kernel == (kernel(m, "left") if rep.corank else None)
     p, q = linalg._PRIMES
-    # the first prime certifies most, and the second the rest of the (128,3) kernels
-    assert (p, ("lift", p, True)) in routes
-    assert (p, ("lift", p, False), q, ("lift", q, True)) in routes
+    # the first prime certifies most, and the second the rest of the (128,3)
+    # kernels; a deficient route logs both of a prime's lifts
+    assert (p, ("lift", p, True), ("lift", p, True)) in routes
+    assert (p, ("lift", p, False), q, ("lift", q, True), ("lift", q, True)) in routes
     assert not any("bareiss" in calls for calls in routes)
 
 
@@ -482,13 +489,12 @@ def _doubled(a):
 
 
 def _kernels_route(log, a):
-    log.clear()
-    report, left = linalg.rank_and_kernels(a)
-    return report, left, list(log)
+    report, calls = _route(log, a)
+    return report, report.left_kernel, calls
 
 
 def test_left_kernel_from_the_record_is_the_bareiss_kernel(monkeypatch):
-    # rank_and_kernels reads the left kernel off the row operations of the
+    # rank_exact reads the left kernel off the row operations of the
     # elimination that gave the rank; it must be kernel(a, "left"), which
     # runs Bareiss on the transpose, and Bareiss itself must never run
     cases = [m for n in range(1, 6) for d in range(1, n + 1) for m in enumerate_all(n, d)]
@@ -503,7 +509,7 @@ def test_left_kernel_from_the_record_is_the_bareiss_kernel(monkeypatch):
         report, left, calls = _kernels_route(log, a)
         assert report.rank == rational_rank(a)
         if not report.corank:
-            assert left is None and calls == [p]
+            assert left is None and report.kernel is None and calls == [p]
             continue
         singular += 1
         assert left == left_oracle and left.dim == report.corank
@@ -514,8 +520,13 @@ def test_left_kernel_from_the_record_is_the_bareiss_kernel(monkeypatch):
             routes.add(tuple(calls))
     assert singular > 1000
     q = linalg._PRIMES[1]
-    # where the first prime's right lift fails, its record still gives the left kernel
-    assert (p, ("lift", p, False), q, ("lift", q, True), ("lift", p, True)) in routes
+    # where the first prime's right lift fails, the second prime gives both kernels
+    assert (p, ("lift", p, False), q, ("lift", q, True), ("lift", q, True)) in routes
+    assert all(
+        calls[-3:] == (q, ("lift", q, True), ("lift", q, True))
+        for calls in routes
+        if ("lift", p, False) in calls
+    )
 
 
 def test_left_kernel_from_a_dense_finish(monkeypatch):
@@ -527,7 +538,8 @@ def test_left_kernel_from_a_dense_finish(monkeypatch):
     p = linalg._PRIMES[0]
     for a in map(_doubled, samples):
         log.clear()
-        report, left = linalg.rank_and_kernels(a)
+        report = rank_exact(a)
+        left = report.left_kernel
         assert report.corank == a.n // 2 == rational_rank(a)
         assert left == kernel(a, "left") and report.kernel == kernel(a, "right")
         # the rank run, then the re-run with one identity column per live row
@@ -556,8 +568,8 @@ def test_left_kernel_after_a_prime_drops_the_rank(monkeypatch):
         assert calls == route
         assert report.rank == 3 and left == kernel(a, "left")
     # p = 101 lifts entries only up to 7: where the first prime's right
-    # kernel lifts and its left kernel does not, the second prime runs for
-    # the left kernel alone
+    # kernel lifts and its left kernel does not, the second prime's rung
+    # runs whole and gives both kernels
     monkeypatch.setattr(linalg, "_PRIMES", (101, q))
     routes = set()
     for a in cases:
@@ -565,7 +577,33 @@ def test_left_kernel_after_a_prime_drops_the_rank(monkeypatch):
         routes.add(tuple(calls))
         assert "bareiss" not in calls
         assert left == kernel(a, "left") and report.kernel == kernel(a)
-    assert (101, ("lift", 101, True), ("lift", 101, False), q, ("lift", q, True)) in routes
+    both = (q, ("lift", q, True), ("lift", q, True))
+    assert (101, ("lift", 101, True), ("lift", 101, False), *both) in routes
+
+
+def test_a_second_prime_certifying_the_left_side_is_reported(monkeypatch):
+    # where the first prime certifies only the right kernel, the second
+    # prime's rung settles the rank and both kernels, and primes_used lists
+    # both primes.  The seed-86 (128,3) stub sample is such a case at the
+    # real primes, as are some seed-7 samples at p = 101
+    (a,) = _stub_samples(128, 3, 1, 86)
+    cases = _singular_stub_samples(128, 3, 12, 7)
+    log = _count_routes(monkeypatch)
+    p, q = linalg._PRIMES
+    report, calls = _route(log, a)
+    assert calls == [p, ("lift", p, True), ("lift", p, False), q, ("lift", q, True), ("lift", q, True)]
+    assert report.primes_used == linalg._PRIMES
+    assert report.corank == 1 == report.left_kernel.dim
+    assert report.kernel == kernel(a) and report.left_kernel == kernel(a, "left")
+    monkeypatch.setattr(linalg, "_PRIMES", (101, q))
+    one_sided = 0
+    for a in cases:
+        report, calls = _route(log, a)
+        if calls[:3] == [101, ("lift", 101, True), ("lift", 101, False)]:
+            one_sided += 1
+            assert report.primes_used == (101, q)
+            assert report.kernel == kernel(a) and report.left_kernel == kernel(a, "left")
+    assert one_sided
 
 
 def test_singular_kernel_trials_run_one_elimination(monkeypatch):

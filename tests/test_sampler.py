@@ -87,8 +87,21 @@ def test_size_guard():
         list(enumerate_all(8, 3))
     with pytest.raises(SizeGuardError):
         count_all(30, 2)
-    # n = 8 passes the guard when n*d <= 16
+    # n = 7 and 8 pass the guard when d or n - d is at most 1: at most 8! members
     assert count_all(8, 1) == 40320
+    assert count_all(7, 7) == count_all(8, 8) == 1
+
+
+@pytest.mark.parametrize("n, d", [(16, 1), (9, 1), (7, 2), (8, 2)])
+def test_size_guard_refuses_at_the_call(n, d, monkeypatch):
+    # 16! is about 2.1e13 members and A(7,2) has 3,110,940: the call itself
+    # refuses, and a member built first would fail here instead of running on
+    def built(*args):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(sampler, "build", built)
+    with pytest.raises(SizeGuardError):
+        enumerate_all(n, d)
 
 
 def test_stub_sampler_d1_always_accepts():
