@@ -121,13 +121,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # full check battery is superlinear in family size
+_VERIFY_N_MAX = 5  # ka-replay still runs on every member of a family
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > _VERIFY_N_MAX:
-        # fail fast: A_{6,2} already holds 67950 matrices, and the sweep runs
-        # every check against every member — refuse before burning minutes
+        # fail fast: A_{6,2} already holds 67950 matrices.  Most checks run
+        # once per row multiset, but ka-replay runs on every member, and no
+        # n = 6 report checked member by member exists to compare against
         raise SizeGuardError(
             f"verify sweeps are capped at n <= {_VERIFY_N_MAX}; got n_max={args.n_max}"
         )

@@ -30,7 +30,9 @@ A family sweep (:func:`run_family_checks`) reads one memo that lives for
 the call: per matrix its feasible switchings, its switched members, K_A
 and the replay, each computed once.  Ranks and kernels come from a table
 inside the memo that runs one Bareiss elimination per row multiset, so
-the row- and column-permuted members of a family share them.  The
+the row- and column-permuted members of a family share them.  The checks
+whose counts a row permutation cannot change run once per row multiset,
+on its first member, and count for every member.  The
 single-matrix functions are thin wrappers over the same private helpers,
 each on a memo of its one matrix, so every check has one implementation.
 
@@ -315,6 +317,8 @@ class _Facts:
     the multiset of its columns (see :class:`_Table`), so facts that a row
     or column permutation cannot change are shared with every member that
     has them, while each member keeps its own switchings, K_A and replay.
+    A family sweep enumerates the switchings of each row multiset's first
+    member only, and gives every singular member its own K_A and replay.
     No fact refers to another matrix's facts: the switched matrices are
     kept by :class:`_Memo`, and the table holds only ranks and kernels, so a
     memo holds no reference cycle and is freed as soon as its call returns.
@@ -373,7 +377,9 @@ class _Memo:
 
     ``index`` maps each member's row supports to its :class:`_Facts`, and is
     filled from the pool once.  ``table`` holds the ranks and kernels, which
-    members with the same rows or columns up to order share.
+    members with the same rows or columns up to order share.  In a family
+    sweep only the first member of each row multiset, and the targets of
+    qr-relation when it has sources, are switched.
     """
 
     def __init__(self, pool: Sequence[BiregularMatrix]):
@@ -890,7 +896,11 @@ def _qr_relation(
     # switching is a switching, so its switchings back to a source are its edges
     facts = {memo.of(m) for m in sources}
     targets = classes.get(r + 1, [])
-    t = {bar: sum(g in facts for g in memo.switched(memo.of(bar)).values()) for bar in targets}
+    # without a source no target has an edge, and its switchings need not be read
+    t = {
+        bar: sum(g in facts for g in memo.switched(memo.of(bar)).values()) if facts else 0
+        for bar in targets
+    }
     ok = double_count_check(edges, out_deg, t) and sum(out_deg.values()) == sum(t.values())
 
     in_deg = Counter(bar for _, bar in edges)
@@ -947,8 +957,9 @@ _CHECK_NAMES = (
 )
 
 
-def _witness(rep: CheckReport, item: dict) -> None:
-    rep.violations += 1
+def _witness(rep: CheckReport, item: dict, weight: int = 1) -> None:
+    """Count ``weight`` violations, found as ``item``, and keep ``item`` once."""
+    rep.violations += weight
     if len(rep.witnesses) < _MAX_WITNESSES:
         rep.witnesses.append(item)
 
@@ -978,19 +989,30 @@ def run_family_checks(
     permutations, so they are keyed by the rows; a left kernel under column
     permutations, so it is keyed by the columns.  Members that are row or
     column permutations of one another, the ranks of F(A; i, j) behind K_A
-    and the zeroed-row ranks of the replay therefore share eliminations, and
-    every check still runs on every member.  The family is walked once: each
-    matrix runs the seven per-matrix checks in report order, and qr-relation
-    then runs on the whole family from the same facts.  A switched matrix
-    outside the pool is built by ``apply_switch``, which validates it, and
-    joins the memo.
+    and the zeroed-row ranks of the replay therefore share eliminations.
+
+    The pool falls into classes by row multiset, in order of first
+    appearance; a class's weight is its number of pool members, duplicates
+    included.  A row permutation relabels the rows of a member's switchings
+    and of K_A and permutes the coordinates of its left kernel, and leaves
+    the rank, the right kernel and every rank step alone, so each of the
+    first six checks counts the same instances and violations on every
+    member of a class.  Each runs once per class, on its first member, adds
+    weight times its instances and violations, and keeps that member's
+    witnesses.  ka-replay reads the first vector of the left kernel's
+    canonical basis, which a row permutation can change, so it runs on every
+    member in pool order.  qr-relation then runs on the whole family from
+    the same facts.  A switched matrix outside the pool is built by
+    ``apply_switch``, which validates it, and joins the memo.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  A report's
     ``wall_time_ms`` is the time spent in its own check, which includes any
     shared fact it is the first to need: the enumeration is charged to
     switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
-    K_A to increase-mechanism, and the zeroed-row ranks to ka-replay.
+    K_A of each class's first member to increase-mechanism, and the
+    zeroed-row ranks, and the left kernel and K_A of the other members, to
+    ka-replay.
 
     qr-relation reports a hypothesis its double count breaks, or the error
     of a failed replay its level-set filter reads, as a witness
@@ -1012,72 +1034,79 @@ def run_family_checks(
         clock = now
 
     memo = _Memo(pool)
+    classes: dict[tuple[tuple[int, ...], ...], list[BiregularMatrix]] = {}
+    for m in pool:
+        classes.setdefault(tuple(sorted(m.row_supports)), []).append(m)
     lap(delta)
     lo = (n - d) * d - (d - 1) * (d - 1)
     hi = (n - d) * d
-    for m in pool:
+    for members in classes.values():
+        m, w = members[0], len(members)
         f = memo.of(m)
-        counts.instances_checked += 1
+        counts.instances_checked += w
         try:
             _count_with_bounds(m, f.switches)
         except BoundViolation as exc:
-            _witness(counts, {"matrix": serialize(m), "error": str(exc)})
+            _witness(counts, {"matrix": serialize(m), "error": str(exc)}, w)
         else:
             for (i, k), q in _per_entry_counts(m, f.switches).items():
                 if not (lo <= q <= hi):
-                    _witness(counts, {"matrix": serialize(m), "entry": [i, k], "count": q})
+                    _witness(counts, {"matrix": serialize(m), "entry": [i, k], "count": q}, w)
         lap(counts)
 
         switched = memo.switched(f)
+        delta.instances_checked += w * len(switched)
         for sw, g in switched.items():
-            delta.instances_checked += 1
             step = g.rank - f.rank
             allowed = _predicted_deltas(f, sw)
             if step not in (-1, 0, 1):
-                _witness(delta, _switch_witness(m, sw, f"delta={step}"))
+                _witness(delta, _switch_witness(m, sw, f"delta={step}"), w)
             elif step not in allowed:
                 note = f"delta={step}, predicted {' or '.join(map(str, allowed))}"
-                _witness(delta, _switch_witness(m, sw, note))
+                _witness(delta, _switch_witness(m, sw, note), w)
         lap(delta)
 
+        f_inv.instances_checked += w * len(switched)
         for sw, g in switched.items():
-            f_inv.instances_checked += 1
             if _f_rows(f.dense, sw.i, sw.j) != _f_rows(g.dense, sw.i, sw.j):
-                _witness(f_inv, _switch_witness(m, sw, "F(A; i, j) changed"))
+                _witness(f_inv, _switch_witness(m, sw, "F(A; i, j) changed"), w)
         lap(f_inv)
 
         ker = f.right.vectors
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if ker else []
-        contain.instances_checked += len(pairs) or 1  # a full-rank matrix counts once
+        contain.instances_checked += w * (len(pairs) or 1)  # a full-rank matrix counts once
         for i, j in pairs:
             rows = _f_rows(f.dense, i, j)
             bad = [x for x in ker if any(sum(map(mul, row, x)) for row in rows)]
             if bad:
                 item = {"matrix": serialize(m), "pair": [i, j], "vector": format_vector(bad[0])}
-                _witness(contain, item)
+                _witness(contain, item, w)
         lap(contain)
 
         for x in (*ker, (1,) * n, tuple(range(n))):  # kernel, constant, distinct
-            x_bad.instances_checked += 1
+            x_bad.instances_checked += w
             try:
                 _count_x_bad(m, f.switches, x)
             except BoundViolation as exc:
-                _witness(x_bad, {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)})
+                item = {"matrix": serialize(m), "x": format_vector(x), "error": str(exc)}
+                _witness(x_bad, item, w)
         lap(x_bad)
 
         if f.rank < n:
-            mechanism.instances_checked += 1
+            mechanism.instances_checked += w
             for v in _mechanism(memo, f).violations:
-                _witness(mechanism, {"matrix": serialize(m), **v})
+                _witness(mechanism, {"matrix": serialize(m), **v}, w)
         lap(mechanism)
 
+    for m in pool:
+        f = memo.of(m)
         if f.rank < n:
             replay.instances_checked += 1
             try:
                 f.replay()
             except WitnessConstructionError as exc:
                 _witness(replay, {"matrix": serialize(m), "error": str(exc)})
-        lap(replay)
+    lap(replay)
 
     for r in range(1, n - 1):
         qr.instances_checked += 1

@@ -40,6 +40,7 @@ from dreglab import (
     rational_rank,
     replay_KA_bound,
     run_family_checks,
+    serialize,
     verify_increase_mechanism,
 )
 from dreglab import linalg, verifiers
@@ -492,12 +493,23 @@ def _rebuilt(a, sw):
     raise AssertionError(f"switched matrix rebuilt for {sw}")
 
 
+def _one_per_class(pool):
+    """The first member of each row multiset of ``pool``, in pool order."""
+    firsts = {}
+    for m in pool:
+        firsts.setdefault(tuple(sorted(m.row_supports)), m)
+    return list(firsts.values())
+
+
 @pytest.mark.parametrize("n, d, switchings", [(3, 2, 18), (4, 1, 144), (4, 2, 1152)])
 def test_each_switching_is_applied_once(n, d, switchings, monkeypatch):
-    # every check reads one switched matrix per deduped switching from the
-    # memo; over a whole family each result is a member, so none is rebuilt
+    # the checks read one switched matrix per deduped switching of the first
+    # member of each row multiset (3, 6 and 84 of them) from the memo; over a
+    # whole family each result is a member, so none is rebuilt.  rank-delta-law
+    # still counts every member's switchings
     pool = list(enumerate_all(n, d))
     assert sum(len(dedup_switches(enumerate_switches(m))) for m in pool) == switchings
+    firsts = _one_per_class(pool)
     real = verifiers._Memo.switch
     calls = []
 
@@ -508,7 +520,8 @@ def test_each_switching_is_applied_once(n, d, switchings, monkeypatch):
     monkeypatch.setattr(verifiers._Memo, "switch", counted)
     monkeypatch.setattr(verifiers, "apply_switch", _rebuilt)
     reports = run_family_checks(pool)
-    assert len(calls) == switchings
+    assert len(calls) == sum(len(dedup_switches(enumerate_switches(m))) for m in firsts)
+    assert len(calls) == {(3, 2): 3, (4, 1): 6, (4, 2): 84}[n, d]
     assert _check(reports, "rank-delta-law").instances_checked == switchings
 
 
@@ -541,16 +554,22 @@ def _multisets(a):
 
 
 def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
-    # all 90 members of (4,2) are singular: each is enumerated and given K_A
-    # once, although the mechanism, the replay and qr-relation's deloc_event
-    # all read K_A or the kernels.  Ranks and kernels take one Bareiss
-    # elimination per row multiset: 45 for 1,134 ranks and kernels
+    # all 90 members of (4,2) are singular, in 6 row multisets: the first
+    # member of each is enumerated once, and every member is given K_A and
+    # replayed once, although the mechanism, the replay and qr-relation's
+    # deloc_event all read K_A or the kernels.  Ranks and kernels take one
+    # Bareiss elimination per row multiset: 45 for 1,065 ranks and kernels
     pool = list(enumerate_all(4, 2))
     multisets = set().union(*map(_multisets, pool))
     assert len(multisets) == 45
-    calls = _counting(monkeypatch, ["enumerate_switches", "_int_echelon", "_ka_set"])
+    calls = _counting(monkeypatch, ["enumerate_switches", "_int_echelon", "_ka_set", "_replay"])
     reports = run_family_checks(pool)
-    assert calls == {"enumerate_switches": 90, "_int_echelon": len(multisets), "_ka_set": 90}
+    assert calls == {
+        "enumerate_switches": 6,
+        "_int_echelon": len(multisets),
+        "_ka_set": 90,
+        "_replay": 90,
+    }
     assert not any(rep.violations for rep in reports)
 
 
@@ -608,6 +627,63 @@ def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
     rep = _check(run_family_checks([BLOCK]), "rank-delta-law")
     assert rep.violations == rep.instances_checked == 16
     assert rep.witnesses[0]["note"] == "delta=0, predicted 1"
+
+
+def test_a_row_class_is_checked_once_and_weighted_by_its_members(monkeypatch):
+    # BLOCK, two row permutations of it and BLOCK again make one row multiset
+    # of weight 4: BLOCK alone is switched (16 deduped switchings, built by
+    # apply_switch since their results are not in the pool), and each of its
+    # 16 violations under a rank capped at 2 counts four times.  The
+    # witnesses are BLOCK's own
+    rows = BLOCK.row_supports
+    perms = [build(4, 2, [rows[s] for s in order]) for order in [(0, 2, 1, 3), (2, 0, 3, 1)]]
+    pool = [BLOCK, *perms, BLOCK]
+    assert len({m.row_supports for m in pool}) == 3 and len(_one_per_class(pool)) == 1
+    real_rank = verifiers._Facts.rank.func
+    monkeypatch.setattr(verifiers._Facts, "rank", property(lambda f: min(real_rank(f), 2)))
+    real = verifiers._Memo.switch
+    calls = []
+
+    def counted(memo, f, sw):
+        calls.append(f.a)
+        return real(memo, f, sw)
+
+    monkeypatch.setattr(verifiers._Memo, "switch", counted)
+    reports = run_family_checks(pool)
+    rep = _check(reports, "rank-delta-law")
+    assert rep.instances_checked == rep.violations == 4 * 16
+    assert calls == [BLOCK] * 16
+    assert len(rep.witnesses) == verifiers._MAX_WITNESSES
+    assert rep.witnesses[0] == {
+        "matrix": serialize(BLOCK),
+        "switch": list(dedup_switches(enumerate_switches(BLOCK))[0]),
+        "note": "delta=0, predicted 1",
+    }
+    assert all(w["matrix"] == serialize(BLOCK) for w in rep.witnesses)
+    assert _check(reports, "ka-replay").instances_checked == 4
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(1, n + 1)])
+def test_row_classes_count_what_every_member_would(n, d):
+    # a one-member pool has one class of weight 1, so summing its reports over
+    # the members gives the counts of a sweep that checks every member
+    pool = list(enumerate_all(n, d))
+    family = {r.check_name: r for r in run_family_checks(pool)}
+    alone = [{r.check_name: r for r in run_family_checks([m])} for m in pool]
+    for name in verifiers._CHECK_NAMES[:-1]:  # all but qr-relation, which needs the family
+        assert family[name].instances_checked == sum(a[name].instances_checked for a in alone), name
+        assert family[name].violations == sum(a[name].violations for a in alone), name
+
+
+def test_qr_relation_without_sources_reads_no_target(monkeypatch):
+    # at C = 1 no member of (4,2) passes the level-set event, so no rank-3
+    # target can have an edge, and none of them is switched to count it
+    pool = list(enumerate_all(4, 2))
+    memo = verifiers._Memo(pool)
+    calls = _counting(monkeypatch, ["enumerate_switches"])
+    stats = verifiers._qr_relation(memo, pool, 2, DelocParams())
+    assert stats.source_count == 0 and stats.edge_count == 0 and stats.double_count_ok
+    assert calls == {}
 
 
 def test_failed_replay_stops_qr_relation(monkeypatch):
