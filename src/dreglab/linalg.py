@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -404,20 +404,18 @@ def _certified_kernel(a: BiregularMatrix, vectors: list[list[int]], m: int) -> S
 # dropped, so the inner loops shrink as elimination proceeds.
 
 
-def _int_echelon(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[int], list[tuple[int, list[int]]]]:
+def _int_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """Fraction-free (Bareiss) echelon form of an integer matrix.
 
-    Returns ``(pivot_cols, pivot_rows)`` where ``pivot_rows[t]`` is a pair
-    ``(c, coeffs)`` with ``coeffs[u]`` the exact integer entry in column
-    ``c + u`` of the t-th echelon row.  All divisions are exact; the row
-    space (hence rank and kernel) of the input is preserved.
+    Returns the pivot rows: the t-th is a pair ``(c, coeffs)`` with c its
+    pivot column and ``coeffs[u]`` the exact integer entry in column
+    ``c + u`` of the t-th echelon row, so their number is the rank.  All
+    divisions are exact; the row space (hence rank and kernel) of the input
+    is preserved.
     """
     active = [list(row) for row in rows]
     ncols = len(rows[0]) if rows else 0
     prev = 1
-    pivot_cols: list[int] = []
     pivot_rows: list[tuple[int, list[int]]] = []
     for col in range(ncols):
         if not active:
@@ -446,17 +444,12 @@ def _int_echelon(
             else:
                 nxt.append([(piv * a - f * b) // prev for a, b in zip(row[1:], tail)])
         active = nxt
-        pivot_cols.append(col)
         pivot_rows.append((col, pivrow))
         prev = piv
-    return pivot_cols, pivot_rows
+    return pivot_rows
 
 
-def _kernel_from_echelon(
-    pivot_cols: Sequence[int],
-    pivot_rows: Sequence[tuple[int, Sequence[int]]],
-    ncols: int,
-) -> list[list[int]]:
+def _kernel_from_echelon(pivot_rows: Sequence[tuple[int, Sequence[int]]], ncols: int) -> list[list[int]]:
     """Back-substitute one integer kernel vector per free column.
 
     The vector for free column ``fc`` is the rational solution with
@@ -464,15 +457,14 @@ def _kernel_from_echelon(
     partial sum, the whole vector is scaled by ``|pivot / gcd(sum, pivot)|``
     so the division is exact.  :class:`SubspaceBasis` divides out the content.
     """
-    pivot_set = set(pivot_cols)
+    pivot_set = {c for c, _ in pivot_rows}
     basis: list[list[int]] = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         x = [0] * ncols
         x[fc] = 1
-        for t in range(len(pivot_cols) - 1, -1, -1):
-            pc, row = pivot_rows[t]
+        for pc, row in reversed(pivot_rows):
             # x[pc] is still 0, so the pivot term adds nothing to the sum
             s = sum(map(mul, row, x[pc:]))
             if s:
@@ -484,6 +476,32 @@ def _kernel_from_echelon(
                 x[pc] = -s // piv
         basis.append(x)
     return basis
+
+
+def _dense(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
+    """Dense n-column rows from supports; a column listed twice becomes a 2."""
+    dense = []
+    for support in rows:
+        row = [0] * n
+        for t in support:
+            row[t] += 1
+        dense.append(row)
+    return dense
+
+
+def _bareiss(
+    rows: Sequence[Sequence[int]], n: int, kernel: bool = False
+) -> tuple[int, SubspaceBasis | None]:
+    """Rank over Q of the n-column matrix with these row supports and, with
+    ``kernel``, the canonical basis of its right kernel (else None).
+
+    A support lists a column as often as the row's entry there, so the
+    merged row i + j of F(A; i, j) lists twice the columns rows i and j
+    share, and a zeroed row is ``()``.  One Bareiss elimination gives both.
+    """
+    pivot_rows = _int_echelon(_dense(rows, n))
+    basis = SubspaceBasis(n, _kernel_from_echelon(pivot_rows, n)) if kernel else None
+    return len(pivot_rows), basis
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -594,7 +612,7 @@ def rank_mod_p(a: BiregularMatrix, p: int) -> int:
 
 def rational_rank(a: BiregularMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    return len(_int_echelon(a.dense_rows())[0])
+    return _bareiss(a.row_supports, a.n)[0]
 
 
 def rank_exact(a: BiregularMatrix) -> RankReport:
@@ -663,13 +681,12 @@ def kernel(a: BiregularMatrix, side: str = "right") -> SubspaceBasis:
     if side not in ("right", "left"):
         raise ValueError(f'side must be "right" or "left", got {side!r}')
     m = a if side == "right" else a.transpose()
-    pivot_cols, pivot_rows = _int_echelon(m.dense_rows())
-    return SubspaceBasis(a.n, _kernel_from_echelon(pivot_cols, pivot_rows, a.n))
+    return _bareiss(m.row_supports, a.n, True)[1]
 
 
 def f_rows(a: BiregularMatrix, i: int, j: int) -> list[list[int]]:
-    """The n - 1 spanning rows of F(A; i, j): every row except i and j, then
-    row i + row j.
+    """The n - 1 spanning rows of F(A; i, j), dense: every row except i and
+    j, then row i + row j.
 
     A switching on rows i and j moves a one from column k to l in row i and
     from l to k in row j, so it leaves every one of these rows unchanged.
@@ -678,15 +695,14 @@ def f_rows(a: BiregularMatrix, i: int, j: int) -> list[list[int]]:
         raise IndexError(f"row indices ({i}, {j}) outside [0, {a.n})")
     if i == j:
         raise ValueError(f"F(A; i, j) needs two distinct rows, got i = j = {i}")
-    return _f_rows(a.dense_rows(), i, j)
+    return _dense(_f_supports(a.row_supports, i, j), a.n)
 
 
-def _f_rows(dense: Sequence[list[int]], i: int, j: int) -> list[list[int]]:
-    """:func:`f_rows` from the dense rows of A; the result shares those lists."""
-    rows = list(dense)
-    del rows[max(i, j)], rows[min(i, j)]
-    rows.append(list(map(add, dense[i], dense[j])))
-    return rows
+def _f_supports(rows: Sequence[tuple[int, ...]], i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`f_rows` as row supports: the rows other than i and j in order,
+    then the merged row i + j, which lists twice the columns they share."""
+    lo, hi = min(i, j), max(i, j)
+    return (*rows[:lo], *rows[lo + 1 : hi], *rows[hi + 1 :], tuple(sorted(rows[i] + rows[j])))
 
 
 def format_vector(x: Sequence[int | Fraction]) -> str:

@@ -59,16 +59,6 @@ class BiregularMatrix:
             raise IndexError(f"entry ({s}, {t}) outside [0, {self.n})^2")
         return 1 if t in self.row_supports[s] else 0
 
-    def dense_rows(self) -> list[list[int]]:
-        """Expand to a dense list-of-lists of 0/1 ints."""
-        rows = []
-        for support in self.row_supports:
-            row = [0] * self.n
-            for t in support:
-                row[t] = 1
-            rows.append(row)
-        return rows
-
     def transpose(self) -> "BiregularMatrix":
         """The transpose, which is again d-biregular."""
         cols: list[list[int]] = [[] for _ in range(self.n)]
@@ -171,10 +161,10 @@ def serialize(a: BiregularMatrix) -> str:
 def parse(text: str) -> BiregularMatrix:
     """Parse the text form back into a matrix.
 
-    Structural problems (bad token, wrong line count, unsorted indices,
-    missing trailing newline) raise :class:`ParseError` with line/position
-    information; degree and range violations surface as the corresponding
-    :func:`build` errors.
+    Structural problems (bad token, a column index outside [0, n), wrong
+    line count, unsorted indices, missing trailing newline) raise
+    :class:`ParseError` with line/position information; degree violations
+    surface as the corresponding :func:`build` errors.
     """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
@@ -198,11 +188,14 @@ def parse(text: str) -> BiregularMatrix:
         support: list[int] = []
         for pos, tok in enumerate(tokens):
             try:
-                support.append(int(tok))
+                t = int(tok)
             except ValueError as exc:
                 raise ParseError(
                     f"non-integer column index {tok!r}", line=s + 2, position=pos
                 ) from exc
+            if not 0 <= t < n:
+                raise ParseError(f"column index {t} outside [0, {n})", line=s + 2, position=pos)
+            support.append(t)
         for pos in range(1, len(support)):
             if support[pos] <= support[pos - 1]:
                 raise ParseError(

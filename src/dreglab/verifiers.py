@@ -21,10 +21,11 @@ computation on concrete matrices:
 * the double-counting claim and the explicit rank-class relation Q_r
   built from deduped switchings.
 
-F(A; i, j) is handled through its spanning rows (:func:`dreglab.linalg.f_rows`),
-never through a basis of F^perp: f-invariance compares the rows before and
-after a switching, kernel containment takes dot products with them, and K_A
-compares rank F with rank A.
+F(A; i, j) is handled through the supports of its spanning rows, the
+form that :func:`dreglab.linalg.f_rows` expands, never through a basis of
+F^perp: f-invariance compares the supports before and after a switching,
+kernel containment sums a vector over each support, and K_A compares rank F
+with rank A.
 
 A family sweep (:func:`run_family_checks`) reads one memo that lives for
 the call: per matrix its feasible switchings, its switched members, K_A
@@ -37,7 +38,8 @@ single-matrix functions are thin wrappers over the same private helpers,
 each on a memo of its one matrix, so every check has one implementation.
 
 Everything is exact: kernel vectors are the canonical integer bases of
-:mod:`dreglab.linalg`, and the questions asked of them (orthogonality to
+:mod:`dreglab.linalg`, replay witnesses are integer left-kernel vectors,
+and the questions asked of them (orthogonality to
 rows, x_k = x_l, level-set sizes) do not depend on how a vector is scaled.
 There is no tolerance anywhere.
 """
@@ -50,7 +52,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -65,9 +66,8 @@ from .errors import (
 from .linalg import (
     RATIONAL_THRESHOLD,
     SubspaceBasis,
-    _f_rows,
-    _int_echelon,
-    _kernel_from_echelon,
+    _bareiss,
+    _f_supports,
     format_vector,
     rational_rank,
 )
@@ -175,8 +175,8 @@ class DelocResult:
     theta: float
     C: Fraction
     vectors_checked: int
-    witness_vector: tuple[int | Fraction, ...] | None = None
-    witness_value: int | Fraction | None = None
+    witness_vector: tuple[int, ...] | None = None
+    witness_value: int | None = None
     witness_size: int | None = None
     witness_source: str | None = None
 
@@ -209,7 +209,9 @@ def _family(matrices: Iterable[BiregularMatrix]) -> list[BiregularMatrix]:
 def compute_KA(a: BiregularMatrix) -> frozenset[tuple[int, int]]:
     """K_A: the ordered pairs (i, j), i != j, with ker A = F(A; i, j)^perp.
 
-    Found by brute force as the pairs with rank F(A; i, j) == rank A.  Each
+    Found by brute force as the pairs with rank F(A; i, j) == rank A, F
+    ranked from the row supports of its spanning rows (the form
+    :func:`dreglab.linalg.f_rows` expands).  Each
     spanning row of F is a row of A or the sum of two rows, so F lies in the
     row space of A and ker A is contained in F^perp for every A; the
     kernel-containment check of :func:`run_family_checks` confirms this on
@@ -238,17 +240,12 @@ def compute_KA(a: BiregularMatrix) -> frozenset[tuple[int, int]]:
 
 
 def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
-    """K_A of the matrix of ``f``, from the ranks of F(A; i, j) and of A.
-
-    F(A; i, j) is read as row supports: the rows other than i and j, and the
-    merged row i + j, which lists twice any column the two rows share.
-    """
+    """K_A of the matrix of ``f``, from the ranks of F(A; i, j) and of A."""
     rows = f.a.row_supports
     pairs: set[tuple[int, int]] = set()
     for i in range(f.a.n):
         for j in range(i + 1, f.a.n):
-            merged = tuple(sorted(rows[i] + rows[j]))
-            if f.table.rank((*rows[:i], *rows[i + 1 : j], *rows[j + 1 :], merged)) == f.rank:
+            if f.table.rank(_f_supports(rows, i, j)) == f.rank:
                 pairs.add((i, j))
                 pairs.add((j, i))
     return frozenset(pairs)
@@ -259,11 +256,11 @@ def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
 
 class _Table:
     """Exact rank and right kernel of n-column matrices, one Bareiss
-    elimination per row multiset.
+    elimination (:func:`dreglab.linalg._bareiss`) per row multiset.
 
-    A matrix is given by its row supports, each listing a column as often as
-    the row's entry there: the merged row i + j of F(A; i, j) repeats the
-    columns rows i and j share, and a zeroed row is ``()``.  Permuting rows
+    A matrix is given by its row supports, as ``_bareiss`` reads them: the
+    merged row i + j of F(A; i, j) repeats the columns rows i and j share,
+    and a zeroed row is ``()``.  Permuting rows
     changes neither the rank nor {x : Bx = 0}, so both are kept under the
     sorted tuple of supports, and every matrix with the same multiset of
     rows reads one entry.  That covers a member, its switched results,
@@ -293,17 +290,7 @@ class _Table:
         key = tuple(sorted(rows))
         got = self._known.get(key)
         if got is None or (kernel and got[1] is None):
-            dense = [[0] * self.n for _ in key]
-            for row, support in zip(dense, key):
-                for t in support:
-                    row[t] += 1
-            pivot_cols, pivot_rows = _int_echelon(dense)
-            basis = (
-                SubspaceBasis(self.n, _kernel_from_echelon(pivot_cols, pivot_rows, self.n))
-                if kernel
-                else None
-            )
-            got = self._known[key] = (len(pivot_cols), basis)
+            got = self._known[key] = _bareiss(key, self.n, kernel)
         return got
 
 
@@ -337,10 +324,6 @@ class _Facts:
     def switches(self) -> list[Switch]:
         """Every feasible ordered switching, in enumeration order."""
         return list(enumerate_switches(self.a))
-
-    @cached_property
-    def dense(self) -> list[list[int]]:
-        return self.a.dense_rows()
 
     @cached_property
     def right(self) -> SubspaceBasis:
@@ -584,15 +567,16 @@ def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
 class ReplayWitness:
     """Witness constructed for one row i in the support of y.
 
-    For corank >= 2, ``vector`` is an integer left-kernel z with z_i = 0 and
-    ``partners`` = supp(z) (the set J(i)); for corank = 1 it is the
-    coefficient vector x = -y / y_i (so x_i = -1) and ``partners`` =
-    {j : x_j != -1}.  ``zeroed_row_rank`` is the rank of A with row i
-    replaced by zeros, which the proof asserts equals rank(A).
+    ``vector`` is an integer left-kernel vector.  For corank >= 2 it is a z
+    with z_i = 0, and ``partners`` = supp(z) (the set J(i)).  For corank = 1
+    it is y itself, and ``partners`` = {j : y_j != y_i}: the proof's
+    coefficient vector x = -y / y_i has x_i = -1, and x_j != -1 exactly when
+    y_j != y_i.  ``zeroed_row_rank`` is the rank of A with row i replaced by
+    zeros, which the proof asserts equals rank(A).
     """
 
     row: int
-    vector: tuple[int, ...] | tuple[Fraction, ...]
+    vector: tuple[int, ...]
     partners: tuple[int, ...]
     zeroed_row_rank: int
 
@@ -684,8 +668,8 @@ def _replay(f: _Facts) -> ReplayReport:
             partners = tuple(j for j in range(a.n) if z[j] != 0)
             vec = z
         else:
-            vec = tuple(Fraction(-v, y[i]) for v in y)
-            partners = tuple(j for j in range(a.n) if vec[j] != -1)
+            vec = y
+            partners = tuple(j for j in range(a.n) if y[j] != y[i])
         if not partners:
             raise WitnessConstructionError(f"no partner columns for row {i}")
         for j in partners:
@@ -736,7 +720,7 @@ def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
 
 def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
     theta = params.beta(f.a.n, f.a.d)
-    candidates: list[tuple[str, tuple[int | Fraction, ...]]] = []
+    candidates: list[tuple[str, tuple[int, ...]]] = []
     candidates.extend(("right-kernel-basis", v) for v in f.right.vectors)
     candidates.extend(("left-kernel-basis", v) for v in f.left.vectors)
     if f.right.dim > 0:
@@ -1006,7 +990,10 @@ def run_family_checks(
     ``apply_switch``, which validates it, and joins the memo.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
-    rank-one-update criterion predicts from the two kernels.  A report's
+    rank-one-update criterion predicts from the two kernels.  f-invariance
+    and kernel-containment read F(A; i, j) as the row supports that K_A
+    ranks: the first compares them before and after a switching, the second
+    sums each right-kernel vector over each support.  A report's
     ``wall_time_ms`` is the time spent in its own check, which includes any
     shared fact it is the first to need: the enumeration is charged to
     switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
@@ -1068,7 +1055,7 @@ def run_family_checks(
 
         f_inv.instances_checked += w * len(switched)
         for sw, g in switched.items():
-            if _f_rows(f.dense, sw.i, sw.j) != _f_rows(g.dense, sw.i, sw.j):
+            if _f_supports(m.row_supports, sw.i, sw.j) != _f_supports(g.a.row_supports, sw.i, sw.j):
                 _witness(f_inv, _switch_witness(m, sw, "F(A; i, j) changed"), w)
         lap(f_inv)
 
@@ -1076,8 +1063,8 @@ def run_family_checks(
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if ker else []
         contain.instances_checked += w * (len(pairs) or 1)  # a full-rank matrix counts once
         for i, j in pairs:
-            rows = _f_rows(f.dense, i, j)
-            bad = [x for x in ker if any(sum(map(mul, row, x)) for row in rows)]
+            rows = _f_supports(m.row_supports, i, j)
+            bad = [x for x in ker if any(sum(map(x.__getitem__, s)) for s in rows)]
             if bad:
                 item = {"matrix": serialize(m), "pair": [i, j], "vector": format_vector(bad[0])}
                 _witness(contain, item, w)

@@ -535,6 +535,16 @@ def test_rank_bad_file(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("token", ["5", "-1"])
+def test_rank_refuses_a_column_index_outside_the_range(token, tmp_path, capsys):
+    # a usage error with its line, not a traceback from build's IndexError
+    path = tmp_path / "m.txt"
+    path.write_text(f"2 1\n0\n{token}\n")
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line 3, token 0: column index {token} outside [0, 2)\n"
+
+
 def test_rank_missing_file(capsys):
     code, _, _ = run_cli(capsys, "rank", "/nonexistent/matrix.txt")
     assert code == 2

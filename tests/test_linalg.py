@@ -35,6 +35,11 @@ from dreglab.experiment import run_trial
 # ─── independent oracle: plain Fraction Gauss-Jordan elimination ───────────
 
 
+def dense_rows(a) -> list[list[int]]:
+    """``a`` as dense 0/1 rows, expanded here rather than by the code under test."""
+    return [[int(t in support) for t in range(a.n)] for support in a.row_supports]
+
+
 def oracle_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Nonzero rows of the reduced row echelon form, leading entries 1."""
     work = [[Fraction(v) for v in row] for row in rows]
@@ -112,7 +117,7 @@ FIXTURES = [
 
 def test_rational_rank_matches_oracle():
     for a in FIXTURES:
-        assert rational_rank(a) == oracle_rank(a.dense_rows()), a
+        assert rational_rank(a) == oracle_rank(dense_rows(a)), a
 
 
 def test_known_ranks():
@@ -128,7 +133,7 @@ def test_known_ranks():
 def test_rank_exact_consensus_and_report():
     for a in FIXTURES:
         rep = rank_exact(a)
-        assert rep.rank == oracle_rank(a.dense_rows())
+        assert rep.rank == oracle_rank(dense_rows(a))
         assert rep.corank == a.n - rep.rank
         assert rep.rationally_confirmed  # n is far below the rational cutoff
         # one prime runs at n <= 128, and its lifted kernel settles a deficient rank
@@ -217,14 +222,14 @@ def test_rank_mod_p_matches_oracle():
     cases += _stub_samples(9, 4, 30, 9)
     drops = 0
     for a in cases:
-        dense = a.dense_rows()
+        dense = dense_rows(a)
         exact = rational_rank(a)
         for p in (2, 3, 5, 97, *linalg._PRIMES):
             r = rank_mod_p(a, p)
             assert r == oracle_rank_mod_p(dense, p), (a, p)
             drops += r < exact
     # the cancellation path must be exercised: circulant(3, 2) drops mod 2
-    assert rank_mod_p(circulant(3, 2), 2) == oracle_rank_mod_p(circulant(3, 2).dense_rows(), 2) == 2
+    assert rank_mod_p(circulant(3, 2), 2) == oracle_rank_mod_p(dense_rows(circulant(3, 2)), 2) == 2
     assert drops > 0
 
 
@@ -268,7 +273,7 @@ def test_rank_mod_p_dense_finish_matches_sparse(monkeypatch):
             vectors = linalg._kernel_mod_p(echelon, a.n, p)
             assert vectors == linalg._kernel_mod_p(sparse, a.n, p)
             if a.n == 48:
-                assert len(echelon) == oracle_rank_mod_p(a.dense_rows(), p)
+                assert len(echelon) == oracle_rank_mod_p(dense_rows(a), p)
             if not log:
                 continue
             dense.add((a.n, p))
@@ -777,10 +782,10 @@ def test_kernel_matches_oracle_on_small_families():
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
             assert kernel(m, "right").vectors == integer_form(
-                oracle_nullspace(m.dense_rows(), n)
+                oracle_nullspace(dense_rows(m), n)
             ), m
             assert kernel(m, "left").vectors == integer_form(
-                oracle_nullspace(m.transpose().dense_rows(), n)
+                oracle_nullspace(dense_rows(m.transpose()), n)
             ), m
 
 
@@ -793,9 +798,9 @@ def test_kernel_matches_oracle_on_stub_samples(n, d):
         a = None
         while a is None:
             a = sample_stub(n, d, rng)
-        assert kernel(a, "right").vectors == integer_form(oracle_nullspace(a.dense_rows(), n))
+        assert kernel(a, "right").vectors == integer_form(oracle_nullspace(dense_rows(a), n))
         assert kernel(a, "left").vectors == integer_form(
-            oracle_nullspace(a.transpose().dense_rows(), n)
+            oracle_nullspace(dense_rows(a.transpose()), n)
         )
 
 
@@ -804,7 +809,7 @@ def test_f_perp_matches_oracle_on_small_families():
     # yields the oracle's nullspace on every pair
     for n, d in SMALL_FAMILIES:
         for m in enumerate_all(n, d):
-            dense = m.dense_rows()
+            dense = dense_rows(m)
             for i in range(n):
                 for j in range(n):
                     if i == j:
@@ -812,8 +817,7 @@ def test_f_perp_matches_oracle_on_small_families():
                     rows = [dense[s] for s in range(n) if s not in (i, j)]
                     rows.append([x + y for x, y in zip(dense[i], dense[j])])
                     assert f_rows(m, i, j) == rows
-                    pivot_cols, pivot_rows = linalg._int_echelon(rows)
-                    vectors = linalg._kernel_from_echelon(pivot_cols, pivot_rows, n)
+                    vectors = linalg._kernel_from_echelon(linalg._int_echelon(rows), n)
                     assert SubspaceBasis(n, vectors).vectors == integer_form(
                         oracle_nullspace(rows, n)
                     ), (m, i, j)
@@ -895,5 +899,5 @@ def test_random_members_rank_against_oracle(n, data):
     d = data.draw(st.integers(1, min(n, 3)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     a = draw_sample(n, d, SamplerConfig(max_rejections=10_000), np.random.default_rng(seed))
-    assert rational_rank(a) == oracle_rank(a.dense_rows())
+    assert rational_rank(a) == oracle_rank(dense_rows(a))
     assert rank_exact(a).rank == rational_rank(a)

@@ -28,7 +28,7 @@ from dreglab import (
 
 
 def dense(a: BiregularMatrix) -> np.ndarray:
-    return np.array(a.dense_rows())
+    return np.array([[int(t in support) for t in range(a.n)] for support in a.row_supports])
 
 
 def dense_ok(a: BiregularMatrix) -> bool:
@@ -171,6 +171,10 @@ def test_parse_rejections():
         parse("4 2\n1 0\n0 1\n2 3\n2 3\n")  # indices not increasing
     with pytest.raises(ParseError):
         parse("2 1\nx\n1\n")  # non-integer token
+    # a column index outside [0, n) is refused by parse itself, with its place
+    for token in ("5", "-1"):
+        with pytest.raises(ParseError, match=rf"^line 3, token 0: column index {token} outside \[0, 2\)$"):
+            parse(f"2 1\n0\n{token}\n")
 
 
 def test_parse_error_carries_location():

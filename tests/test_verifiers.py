@@ -121,8 +121,8 @@ def test_ka_none_on_invertible():
 
 def _f_perp(a, i, j):
     """F(A; i, j)^perp as the kernel of the Bareiss echelon of :func:`f_rows`."""
-    pivot_cols, pivot_rows = linalg._int_echelon(f_rows(a, i, j))
-    return SubspaceBasis(a.n, linalg._kernel_from_echelon(pivot_cols, pivot_rows, a.n))
+    echelon = linalg._int_echelon(f_rows(a, i, j))
+    return SubspaceBasis(a.n, linalg._kernel_from_echelon(echelon, a.n))
 
 
 def _ka_by_definition(a):
@@ -167,8 +167,20 @@ def _ka_by_closed_form(a):
     }
 
 
+def _singular_stubs(n, d, count, rng):
+    """The first ``count`` singular stub samples at (n, d) drawn from ``rng``."""
+    out = []
+    while len(out) < count:
+        a = draw_sample(n, d, SamplerConfig(), rng)
+        if rational_rank(a) < n:
+            out.append(a)
+    return out
+
+
 def test_ka_closed_form_matches_compute_KA():
-    # every member of every n <= 5 family, then seeded stub samples up to n = 20
+    # every member of every n <= 5 family, then seeded stub samples up to
+    # n = 20, then singular ones at (30,2) and (40,2), where compute_KA's
+    # n(n - 1)/2 ranks take about 0.2 and 0.5 s per sample
     members = [m for n in range(1, 6) for d in range(1, n + 1) for m in enumerate_all(n, d)]
     rng = np.random.default_rng(7)
     sizes = [(8, 2), (10, 2), (12, 3), (16, 4), (20, 2)]
@@ -176,6 +188,8 @@ def test_ka_closed_form_matches_compute_KA():
     assert len(members) == 4477
     assert sum(rational_rank(m) < m.n for m in stubs) >= 20
     assert max(m.n for m in stubs if rational_rank(m) < m.n) == 20
+    rng = np.random.default_rng(30)
+    stubs += _singular_stubs(30, 2, 4, rng) + _singular_stubs(40, 2, 2, rng)
     for a in members + stubs:
         assert compute_KA(a) == _ka_by_closed_form(a)
 
@@ -390,14 +404,16 @@ def test_qr_relation_stats_4_2():
     assert stats.r == 1
     assert stats.source_count == 0 and stats.edge_count == 0  # E_1 is empty
 
-    stats2 = qr_relation_stats(2, pool, DelocParams(C=F(100)))
-    assert stats2.source_count == 18
-    assert stats2.edge_count > 0
-    assert stats2.double_count_ok
-    # every source contributes its out-degree to the histogram
-    assert sum(mult for _, mult in stats2.out_degree_hist) == stats2.source_count
-    assert sum(deg * mult for deg, mult in stats2.out_degree_hist) == stats2.edge_count
-    assert sum(deg * mult for deg, mult in stats2.in_degree_hist) == stats2.edge_count
+    # the only relation with edges in any n <= 5 family: each of the 18
+    # rank-2 members passes the level-set filter (its replay vectors
+    # included) and has 16 rank-raising switchings, each of the 72 rank-3
+    # members is reached from 4 of them
+    for C in (F(10), F(100)):
+        stats2 = qr_relation_stats(2, pool, DelocParams(C=C))
+        assert (stats2.source_count, stats2.skipped_sources, stats2.edge_count) == (18, 0, 288)
+        assert stats2.out_degree_hist == ((16, 18),)
+        assert stats2.in_degree_hist == ((4, 72),)
+        assert stats2.double_count_ok
     with pytest.raises(ValueError):
         qr_relation_stats(3, pool, DelocParams())  # r must stay <= n-2
 
@@ -538,12 +554,17 @@ def _counting(monkeypatch, names):
     return calls
 
 
+def dense_rows(a):
+    """``a`` as dense 0/1 rows, expanded here rather than by the code under test."""
+    return [[int(t in support) for t in range(a.n)] for support in a.row_supports]
+
+
 def _multisets(a):
     """The row multisets whose rank or kernel a sweep reads for the singular
     ``a``: its rows, its columns (for the left kernel), F(a; i, j) for every
     pair, and ``a`` with row i zeroed for every i in the support of the
     replay's y.  Rows are dense tuples here, a multiset a frozen Counter."""
-    dense = [tuple(row) for row in a.dense_rows()]
+    dense = [tuple(row) for row in dense_rows(a)]
     y = kernel(a, "left").vectors[0]
     mats = [dense, list(zip(*dense))]
     for i, j in combinations(range(a.n), 2):
@@ -562,11 +583,11 @@ def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
     pool = list(enumerate_all(4, 2))
     multisets = set().union(*map(_multisets, pool))
     assert len(multisets) == 45
-    calls = _counting(monkeypatch, ["enumerate_switches", "_int_echelon", "_ka_set", "_replay"])
+    calls = _counting(monkeypatch, ["enumerate_switches", "_bareiss", "_ka_set", "_replay"])
     reports = run_family_checks(pool)
     assert calls == {
         "enumerate_switches": 6,
-        "_int_echelon": len(multisets),
+        "_bareiss": len(multisets),
         "_ka_set": 90,
         "_replay": 90,
     }
@@ -579,12 +600,12 @@ def test_partial_pool_builds_each_switched_matrix_once(monkeypatch):
     # one Bareiss elimination per row multiset among them and BLOCK's own
     results = [apply_switch(BLOCK, sw) for sw in dedup_switches(enumerate_switches(BLOCK))]
     multisets = _multisets(BLOCK) | {
-        frozenset(Counter(map(tuple, m.dense_rows())).items()) for m in results
+        frozenset(Counter(map(tuple, dense_rows(m))).items()) for m in results
     }
     assert len(multisets) == 7
-    calls = _counting(monkeypatch, ["apply_switch", "_int_echelon"])
+    calls = _counting(monkeypatch, ["apply_switch", "_bareiss"])
     reports = run_family_checks([BLOCK])
-    assert calls == {"apply_switch": 16, "_int_echelon": len(multisets)}
+    assert calls == {"apply_switch": 16, "_bareiss": len(multisets)}
     assert [rep.instances_checked for rep in reports] == [1, 16, 16, 6, 4, 1, 1, 2]
     assert not any(rep.violations or rep.witnesses for rep in reports)
 
@@ -610,12 +631,12 @@ def test_left_kernel_is_shared_by_columns_not_rows(monkeypatch):
     pa = build(4, 2, [BLOCK.row_supports[s] for s in (0, 2, 1, 3)])
     assert sorted(pa.row_supports) == sorted(BLOCK.row_supports)
     assert kernel(pa, "left") != kernel(BLOCK, "left")
-    calls = _counting(monkeypatch, ["_int_echelon"])
+    calls = _counting(monkeypatch, ["_bareiss"])
     memo = verifiers._Memo([BLOCK, pa])
     for m in (BLOCK, pa):
         f = memo.of(m)
         assert (f.rank, f.right, f.left) == (rational_rank(m), kernel(m), kernel(m, "left"))
-    assert calls == {"_int_echelon": 2}
+    assert calls == {"_bareiss": 2}
 
 
 def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
