@@ -121,14 +121,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # ka-replay still runs on every member of a family
+_VERIFY_N_MAX = 5  # qr-relation's level-set filter still replays every member of rank r
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > _VERIFY_N_MAX:
-        # fail fast: A_{6,2} already holds 67950 matrices.  Most checks run
-        # once per row multiset, but ka-replay runs on every member, and no
-        # n = 6 report checked member by member exists to compare against
+        # fail fast: A_{6,3} holds 297200 matrices, and qr-relation's level-set
+        # filter replays each of rank r and keeps its facts until the sweep ends
         raise SizeGuardError(
             f"verify sweeps are capped at n <= {_VERIFY_N_MAX}; got n_max={args.n_max}"
         )

@@ -161,10 +161,10 @@ def serialize(a: BiregularMatrix) -> str:
 def parse(text: str) -> BiregularMatrix:
     """Parse the text form back into a matrix.
 
-    Structural problems (bad token, a column index outside [0, n), wrong
-    line count, unsorted indices, missing trailing newline) raise
-    :class:`ParseError` with line/position information; degree violations
-    surface as the corresponding :func:`build` errors.
+    Every fault of the text raises :class:`ParseError`, with its place: a
+    missing trailing newline, a bad header or line count, a bad token, a
+    column index outside [0, n) or unsorted indices (line and token), a row
+    without d entries (line), and a column without d entries (its index).
     """
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline")
@@ -203,6 +203,11 @@ def parse(text: str) -> BiregularMatrix:
                     line=s + 2,
                     position=pos,
                 )
+        if len(support) != d:
+            raise ParseError(f"{len(support)} entries, expected {d}", line=s + 2)
         rows.append(tuple(support))
-    return build(n, d, rows)
+    try:
+        return build(n, d, rows)
+    except ColDegreeError as exc:  # the rows are well formed, so only a column can fail
+        raise ParseError(str(exc)) from None
 

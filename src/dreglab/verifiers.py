@@ -31,9 +31,9 @@ A family sweep (:func:`run_family_checks`) reads one memo that lives for
 the call: per matrix its feasible switchings, its switched members, K_A
 and the replay, each computed once.  Ranks and kernels come from a table
 inside the memo that runs one Bareiss elimination per row multiset, so
-the row- and column-permuted members of a family share them.  The checks
-whose counts a row permutation cannot change run once per row multiset,
-on its first member, and count for every member.  The
+the row- and column-permuted members of a family share them.  A row
+permutation changes the outcome of no per-matrix check, so each runs once
+per row multiset, on its first member, and counts for every member.  The
 single-matrix functions are thin wrappers over the same private helpers,
 each on a memo of its one matrix, so every check has one implementation.
 
@@ -304,8 +304,8 @@ class _Facts:
     the multiset of its columns (see :class:`_Table`), so facts that a row
     or column permutation cannot change are shared with every member that
     has them, while each member keeps its own switchings, K_A and replay.
-    A family sweep enumerates the switchings of each row multiset's first
-    member only, and gives every singular member its own K_A and replay.
+    A family sweep switches and replays each row multiset's first member;
+    qr-relation's level-set filter also replays its other members of rank r.
     No fact refers to another matrix's facts: the switched matrices are
     kept by :class:`_Memo`, and the table holds only ranks and kernels, so a
     memo holds no reference cycle and is freed as soon as its call returns.
@@ -662,11 +662,10 @@ def _replay(f: _Facts) -> ReplayReport:
                 "a combination of the others (y_i != 0)"
             )
         if corank >= 2:
-            z = _left_vector_vanishing_at(left.vectors, i)
-            if z[i] != 0:
+            vec = _left_vector_vanishing_at(left.vectors, i)
+            if vec[i] != 0:
                 raise WitnessConstructionError(f"constructed z has z_{i} != 0")
-            partners = tuple(j for j in range(a.n) if z[j] != 0)
-            vec = z
+            partners = tuple(j for j in range(a.n) if vec[j] != 0)
         else:
             vec = y
             partners = tuple(j for j in range(a.n) if y[j] != y[i])
@@ -981,13 +980,15 @@ def run_family_checks(
     and of K_A and permutes the coordinates of its left kernel, and leaves
     the rank, the right kernel and every rank step alone, so each of the
     first six checks counts the same instances and violations on every
-    member of a class.  Each runs once per class, on its first member, adds
-    weight times its instances and violations, and keeps that member's
-    witnesses.  ka-replay reads the first vector of the left kernel's
-    canonical basis, which a row permutation can change, so it runs on every
-    member in pool order.  qr-relation then runs on the whole family from
-    the same facts.  A switched matrix outside the pool is built by
-    ``apply_switch``, which validates it, and joins the memo.
+    member of a class.  So does ka-replay: a row permutation can change the
+    first vector y of a member's canonical left-kernel basis, but the proof
+    it replays holds for any nonzero left-kernel y, and replaying PA, of A's
+    class, from A's y permuted gives A's zeroed-row ranks, K_A and
+    witnesses, relabelled: A's outcome.  Each check runs once per class, on
+    its first member, adds weight times its instances and violations, and
+    keeps that member's witnesses.  qr-relation then runs on the whole
+    family from the same facts.  A switched matrix outside the pool is built
+    by ``apply_switch``, which validates it, and joins the memo.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  f-invariance
@@ -997,9 +998,9 @@ def run_family_checks(
     ``wall_time_ms`` is the time spent in its own check, which includes any
     shared fact it is the first to need: the enumeration is charged to
     switch-count-bounds, the ranks, lookups and kernels to rank-delta-law,
-    K_A of each class's first member to increase-mechanism, and the
-    zeroed-row ranks, and the left kernel and K_A of the other members, to
-    ka-replay.
+    K_A to increase-mechanism and the zeroed-row ranks to ka-replay, all of
+    each class's first member, and what the level-set filter reads of other
+    members to qr-relation.
 
     qr-relation reports a hypothesis its double count breaks, or the error
     of a failed replay its level-set filter reads, as a witness
@@ -1079,21 +1080,19 @@ def run_family_checks(
                 _witness(x_bad, item, w)
         lap(x_bad)
 
-        if f.rank < n:
-            mechanism.instances_checked += w
-            for v in _mechanism(memo, f).violations:
-                _witness(mechanism, {"matrix": serialize(m), **v}, w)
+        if f.rank == n:  # the mechanism and the replay speak of singular matrices only
+            continue
+        mechanism.instances_checked += w
+        for v in _mechanism(memo, f).violations:
+            _witness(mechanism, {"matrix": serialize(m), **v}, w)
         lap(mechanism)
 
-    for m in pool:
-        f = memo.of(m)
-        if f.rank < n:
-            replay.instances_checked += 1
-            try:
-                f.replay()
-            except WitnessConstructionError as exc:
-                _witness(replay, {"matrix": serialize(m), "error": str(exc)})
-    lap(replay)
+        replay.instances_checked += w
+        try:
+            f.replay()
+        except WitnessConstructionError as exc:
+            _witness(replay, {"matrix": serialize(m), "error": str(exc)}, w)
+        lap(replay)
 
     for r in range(1, n - 1):
         qr.instances_checked += 1

@@ -529,10 +529,17 @@ def test_row_and_column_rank_are_cross_checked(tmp_path, monkeypatch, capsys):
 
 
 def test_rank_bad_file(tmp_path, capsys):
+    # a degree fault is a usage error like any other fault of the file: a
+    # column by its index, a row by its line
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n0\n0\n")  # column degrees wrong
-    code, _, err = run_cli(capsys, "rank", str(path))
-    assert code == 1 and "error" in err
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: column 0: 2 entries, expected 1\n"
+    path.write_text("3 2\n0 1\n1\n0 2\n")  # row 1 has one entry
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: 1 entries, expected 2\n"
 
 
 @pytest.mark.parametrize("token", ["5", "-1"])

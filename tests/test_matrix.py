@@ -186,8 +186,13 @@ def test_parse_error_carries_location():
         pytest.fail("expected ParseError")
 
 
-def test_degree_errors_pass_through_parse():
-    with pytest.raises(ColDegreeError):
+def test_degree_errors_are_parse_errors():
+    # build's degree errors are refused by parse itself: a row with its line,
+    # a column by its index
+    with pytest.raises(ParseError, match=r"^line 3: 1 entries, expected 2$") as exc:
+        parse("3 2\n0 1\n1\n0 2\n")
+    assert exc.value.line == 3
+    with pytest.raises(ParseError, match=r"^column 0: 3 entries, expected 2$"):
         parse("3 2\n0 1\n0 1\n0 2\n")
 
 

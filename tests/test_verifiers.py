@@ -576,20 +576,24 @@ def _multisets(a):
 
 def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
     # all 90 members of (4,2) are singular, in 6 row multisets: the first
-    # member of each is enumerated once, and every member is given K_A and
-    # replayed once, although the mechanism, the replay and qr-relation's
-    # deloc_event all read K_A or the kernels.  Ranks and kernels take one
-    # Bareiss elimination per row multiset: 45 for 1,065 ranks and kernels
+    # member of each is enumerated, given K_A and replayed once, although the
+    # mechanism, the replay and qr-relation's deloc_event all read K_A or the
+    # kernels.  qr-relation's level-set filter replays the 18 rank-2 members
+    # too, 3 of them first members: 21 K_A and replays in all.  Ranks and
+    # kernels take one Bareiss elimination per row multiset, 45 of them
     pool = list(enumerate_all(4, 2))
-    multisets = set().union(*map(_multisets, pool))
+    replayed = {m.row_supports: m for m in pool if rational_rank(m) == 2}
+    replayed.update((m.row_supports, m) for m in _one_per_class(pool))
+    assert len(replayed) == 21
+    multisets = set().union(*map(_multisets, replayed.values()))
     assert len(multisets) == 45
     calls = _counting(monkeypatch, ["enumerate_switches", "_bareiss", "_ka_set", "_replay"])
     reports = run_family_checks(pool)
     assert calls == {
         "enumerate_switches": 6,
         "_bareiss": len(multisets),
-        "_ka_set": 90,
-        "_replay": 90,
+        "_ka_set": len(replayed),
+        "_replay": len(replayed),
     }
     assert not any(rep.violations for rep in reports)
 
@@ -650,16 +654,22 @@ def test_rank_delta_law_fires_on_a_wrong_exact_delta(monkeypatch):
     assert rep.witnesses[0]["note"] == "delta=0, predicted 1"
 
 
-def test_a_row_class_is_checked_once_and_weighted_by_its_members(monkeypatch):
-    # BLOCK, two row permutations of it and BLOCK again make one row multiset
-    # of weight 4: BLOCK alone is switched (16 deduped switchings, built by
-    # apply_switch since their results are not in the pool), and each of its
-    # 16 violations under a rank capped at 2 counts four times.  The
-    # witnesses are BLOCK's own
+def _block_class():
+    """BLOCK, two row permutations of it and BLOCK again: one row multiset
+    of weight 4."""
     rows = BLOCK.row_supports
     perms = [build(4, 2, [rows[s] for s in order]) for order in [(0, 2, 1, 3), (2, 0, 3, 1)]]
     pool = [BLOCK, *perms, BLOCK]
     assert len({m.row_supports for m in pool}) == 3 and len(_one_per_class(pool)) == 1
+    return pool
+
+
+def test_a_row_class_is_checked_once_and_weighted_by_its_members(monkeypatch):
+    # the class of weight 4: BLOCK alone is switched (16 deduped switchings,
+    # built by apply_switch since their results are not in the pool), and
+    # each of its 16 violations under a rank capped at 2 counts four times.
+    # The witnesses are BLOCK's own
+    pool = _block_class()
     real_rank = verifiers._Facts.rank.func
     monkeypatch.setattr(verifiers._Facts, "rank", property(lambda f: min(real_rank(f), 2)))
     real = verifiers._Memo.switch
@@ -682,6 +692,43 @@ def test_a_row_class_is_checked_once_and_weighted_by_its_members(monkeypatch):
     }
     assert all(w["matrix"] == serialize(BLOCK) for w in rep.witnesses)
     assert _check(reports, "ka-replay").instances_checked == 4
+
+
+def _refused(basis, i):
+    raise WitnessConstructionError("patched")
+
+
+def test_a_row_class_is_replayed_once_and_weighted_by_its_members(monkeypatch):
+    # the class of weight 4 again: when no left-kernel vector vanishes at a
+    # row, BLOCK alone is replayed, by ka-replay and not again by
+    # qr-relation's level-set filter, its failure counts four times, and the
+    # one witness is BLOCK's
+    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
+    real = verifiers._replay
+    replayed = []
+
+    def counted(f):
+        replayed.append(f.a)
+        return real(f)
+
+    monkeypatch.setattr(verifiers, "_replay", counted)
+    rep = _check(run_family_checks(_block_class()), "ka-replay")
+    assert replayed == [BLOCK]
+    assert rep.instances_checked == rep.violations == 4
+    assert rep.witnesses == [{"matrix": serialize(BLOCK), "error": "patched"}]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)])
+def test_every_singular_member_replays_alone(n, d):
+    # a sweep replays the first member of each row multiset from its own
+    # canonical y and counts it for the class; every singular member also
+    # replays from its own y, and the weighted count is theirs
+    pool = list(enumerate_all(n, d))
+    singular = [m for m in pool if rational_rank(m) < n]
+    for m in singular:
+        rep = replay_KA_bound(m)
+        assert rep.ka_size >= rep.bound > 0
+    assert _check(run_family_checks(pool), "ka-replay").instances_checked == len(singular)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(1, n + 1)])
@@ -708,19 +755,18 @@ def test_qr_relation_without_sources_reads_no_target(monkeypatch):
 
 
 def test_failed_replay_stops_qr_relation(monkeypatch):
-    # the 18 corank-2 members of (4,2) fail their replay; ka-replay records
-    # each failure, and qr-relation's level-set filter meets the kept error
-    # without replaying again.  The sweep reports it as a qr-relation
+    # the 18 corank-2 members of (4,2) fail their replay; ka-replay replays
+    # the first member of each of the 6 row multisets and counts a failure
+    # for every member of its class, and qr-relation's level-set filter
+    # meets the kept error of the first rank-2 member, the first of its
+    # class, without replaying again.  The sweep reports it as a qr-relation
     # witness at r = 2 and keeps its report; a direct qr_relation_stats
     # call raises it
-    def refused(basis, i):
-        raise WitnessConstructionError("patched")
-
-    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", refused)
+    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
     pool = list(enumerate_all(4, 2))
     calls = _counting(monkeypatch, ["_replay"])
     reports = run_family_checks(pool)
-    assert calls == {"_replay": 90}
+    assert calls == {"_replay": 6}
     replay, qr = _check(reports, "ka-replay"), _check(reports, "qr-relation")
     assert replay.violations == 18
     assert qr.instances_checked == 2 and qr.violations == 1
