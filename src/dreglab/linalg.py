@@ -66,6 +66,12 @@ RATIONAL_THRESHOLD = 128
 # bound on the rational rank.
 _PRIMES = (2**30 - 35, 2**61 - 1)
 
+# Miller-Rabin to the first 13 prime bases is exact below psi_13 ~ 3.3e24, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
+# 2017), so rank_mod_p refuses a larger modulus rather than guess.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 # Sparse elimination hands over to the dense finish at the first pivot whose
 # step would touch more than this many entries (see _rank_rows_mod_p).
 _DENSE_AFTER = 250
@@ -123,13 +129,17 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
     (LaMacchia & Odlyzko, CRYPTO 1990), in two phases.  The sparse phase
     keeps, for each column, the set of rows that are nonzero in it; columns
     are taken left to right, and the pivot is the candidate row with the
-    fewest nonzeros.  A pivot updates only the rows nonzero in its column,
-    and only at the pivot row's nonzero columns; entries that cancel are
-    removed.  Fill-in makes each such entry a dict operation of 250-400 ns,
-    so at the first pivot whose step would touch more than ``_DENSE_AFTER``
-    = 250 entries (candidate rows times pivot-row length) the live rows go
-    to :func:`_finish_dense`, when p^2 < 2^63 leaves its uint64 block room
-    for at least two unreduced updates; 2^61 - 1 stays sparse throughout.
+    fewest nonzeros, the first such in the set's order, as ``min`` with a
+    key picks it.  A column with one or two candidates, the common case,
+    picks that same row by unpacking the set, without a call of the key
+    function per candidate.  A pivot updates only the rows nonzero in its
+    column, and only at the pivot row's nonzero columns; entries that
+    cancel are removed.  Fill-in makes each such entry a dict operation of
+    250-400 ns, so at the first pivot whose step would touch more than
+    ``_DENSE_AFTER`` = 250 entries (candidate rows times pivot-row length)
+    the live rows go to :func:`_finish_dense`, when p^2 < 2^63 leaves its
+    uint64 block room for at least two unreduced updates; 2^61 - 1 stays
+    sparse throughout.
 
     The switch was measured on 2 cores (Python 3.11, numpy 2.4), one
     elimination modulo 2^30 - 35, medians over seeded samples: (256,3)
@@ -169,7 +179,14 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
         cand = col_rows[c]
         if not cand:
             continue
-        piv = min(cand, key=lambda s: len(rows[s]))
+        if len(cand) == 1:
+            (piv,) = cand
+        elif len(cand) == 2:
+            piv, other = cand
+            if len(rows[other]) < len(rows[piv]):
+                piv = other
+        else:
+            piv = min(cand, key=lambda s: len(rows[s]))
         pivrow = rows[piv]
         if len(cand) * len(pivrow) > limit:
             # every row still nonzero past column c is a live, non-pivot row
@@ -192,8 +209,9 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             f = row.pop(c)
             if record:
                 ops.append((piv, s, f))
+            get = row.get
             for col, v in update:
-                old = row.get(col)
+                old = get(col)
                 if old is None:  # fill-in: f * v is nonzero since p is prime
                     row[col] = f * v % p
                     col_rows[col].add(s)
@@ -288,7 +306,9 @@ def _kernel_mod_p(
 
     The vector for free column ``fc`` has x[fc] = 1 and x = 0 at every
     other free column; the pivot entries follow from the echelon, last
-    pivot first.
+    pivot first.  An update of one entry, most of them at d = 2, is that
+    entry's single product: the residue the sum over a one-item list gives,
+    without building the list.
     """
     steps = list(echelon)
     steps.reverse()
@@ -300,7 +320,11 @@ def _kernel_mod_p(
         x = [0] * ncols
         x[fc] = 1
         for c, update in steps:
-            x[c] = sum([v * x[col] for col, v in update]) % p
+            if len(update) == 1:
+                ((col, v),) = update
+                x[c] = v * x[col] % p
+            else:
+                x[c] = sum([v * x[col] for col, v in update]) % p
         basis.append(x)
     return basis
 
@@ -357,8 +381,16 @@ def _lift(x: list[int], m: int) -> list[int] | None:
     is scaled by the lcm of the b.  Returns None when some entry has no
     such fraction.  Entries 0 and 1 lift to themselves, so the free-column
     pattern of a :func:`_kernel_mod_p` vector survives.
+
+    When every entry lies within B of 0 or of m, as in most kernels of 0/1
+    matrices, each lifts to itself or to itself minus m over denominator 1,
+    so the lcm is 1 and that vector is returned at once: it is what the
+    entry-by-entry loop gives.
     """
     bound = isqrt(m // 2)
+    near = [u if u <= bound else u - m for u in x]
+    if min(near, default=0) >= -bound:
+        return near
     nums, dens = [], []
     for u in x:
         if u <= bound:
@@ -381,19 +413,38 @@ def _lift(x: list[int], m: int) -> list[int] | None:
     return [a * (den // b) for a, b in zip(nums, dens)]
 
 
-def _certified_kernel(a: BiregularMatrix, vectors: list[list[int]], m: int) -> SubspaceBasis | None:
-    """The kernel of ``a`` spanned by the lifts of ``vectors`` mod m, or None.
+def _certified_kernel(
+    a: BiregularMatrix, vectors: list[list[int]], m: int, left: bool = False
+) -> SubspaceBasis | None:
+    """The right kernel of ``a``, or with ``left`` its left kernel, spanned
+    by the lifts of ``vectors`` mod m; None if a lift fails its check.
 
-    Every lift must satisfy A x = 0 exactly over Z.  Each vector is 1 at
-    an index of its own and 0 at the others' (a free column, or a row that
-    never became a pivot), and a lift keeps that pattern, so they are
-    independent: together with a modular rank of n - len(vectors) they
-    prove both the rank and that they span the kernel.
+    Every lift x must satisfy A x = 0, or with ``left`` x^T A = 0, exactly
+    over Z.  Both checks read A's row supports.  A x = 0 sums x over each
+    row's support.  x^T A = 0 adds x_s to each column of row s's support
+    and asks every column's sum to be 0: those sums are the entries of
+    x^T A, so this is the right check of the transpose without building
+    it.  Each vector is 1 at an index of its own and 0 at the others' (a
+    free column, or a row that never became a pivot), and a lift keeps
+    that pattern, so they are independent: together with a modular rank
+    of n - len(vectors) they prove both the rank and that they span the
+    kernel.
     """
+    rows = a.row_supports
     lifted = []
     for x in vectors:
         y = _lift(x, m)
-        if y is None or any(sum(map(y.__getitem__, support)) for support in a.row_supports):
+        if y is None:
+            return None
+        if left:
+            sums = [0] * a.n
+            for v, support in zip(y, rows):
+                if v:
+                    for c in support:
+                        sums[c] += v
+            if any(sums):
+                return None
+        elif any(sum(map(y.__getitem__, support)) for support in rows):
             return None
         lifted.append(y)
     return SubspaceBasis(a.n, lifted)
@@ -603,10 +654,38 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def rank_mod_p(a: BiregularMatrix, p: int) -> int:
-    """Rank of ``a`` over GF(p).  Never exceeds the rational rank."""
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p < ``_MR_LIMIT``."""
     if p < 2:
-        raise ValueError(f"p must be a prime >= 2, got {p}")
+        return False
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def rank_mod_p(a: BiregularMatrix, p: int) -> int:
+    """Rank of ``a`` over GF(p).  Never exceeds the rational rank.
+
+    GF(p) needs p prime, so any other modulus is refused; so is one at or
+    above ``_MR_LIMIT``, where the primality test is no longer exact.
+    """
+    if not (p < _MR_LIMIT and _is_prime(p)):
+        raise ValueError(f"p must be a prime >= 2 and below {_MR_LIMIT}, got {p}")
     return len(_rank_rows_mod_p(a.row_supports, p))
 
 
@@ -643,7 +722,7 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
         if small:
             right = _certified_kernel(a, _kernel_mod_p(echelon, a.n, prime), prime)
             left = right and _certified_kernel(
-                a.transpose(), _left_kernel_mod_p(echelon, a.n), prime
+                a, _left_kernel_mod_p(echelon, a.n), prime, left=True
             )
             if left is not None:
                 return _report(a, r, _PRIMES[:used], right, left)

@@ -68,6 +68,7 @@ from .linalg import (
     SubspaceBasis,
     _bareiss,
     _f_supports,
+    _primitive,
     format_vector,
     rational_rank,
 )
@@ -605,15 +606,20 @@ def _left_vector_vanishing_at(
     ``basis[0]`` must be nonzero at i; it serves as the pivot that clears
     coordinate i from the others.  The combination exists whenever the basis
     has at least two vectors; deterministic via the canonical basis of the
-    eliminated set.
+    eliminated set.  At corank 2 that set is one vector, whose canonical
+    basis is the vector divided by its content with a positive lead, so it
+    is made so directly.
     """
     pivot = basis[0]
     p = pivot[i]
     reduced = [
-        tuple(p * wt - w[i] * pt for wt, pt in zip(w, pivot))
+        [p * wt - w[i] * pt for wt, pt in zip(w, pivot)]
         for w in basis[1:]
     ]
-    canon = SubspaceBasis(len(pivot), reduced).vectors
+    if len(reduced) == 1:
+        canon = [tuple(_primitive(reduced[0]))] if any(reduced[0]) else []
+    else:
+        canon = SubspaceBasis(len(pivot), reduced).vectors
     if not canon:
         raise WitnessConstructionError(
             f"no nonzero left-kernel vector vanishes at row {i}"

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -185,6 +185,35 @@ def test_rank_mod_p_never_exceeds_rational():
     assert rank_mod_p(circulant(3, 2), 2) == 2 < rational_rank(circulant(3, 2))
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 15, (2**31 - 1) ** 2])
+def test_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    # GF(p) needs p prime: mod 4 the elimination once answered 5 for
+    # circulant(6, 2), and mod 6 or 9 a pivot without an inverse raised
+    # from pow; every such modulus is refused before elimination
+    cases = [circulant(6, 2)] + _stub_samples(12, 3, 4, 12) + _stub_samples(16, 2, 4, 16)
+    for a in cases:
+        with pytest.raises(ValueError, match="p must be a prime >= 2"):
+            rank_mod_p(a, p)
+
+
+def test_rank_mod_p_accepts_primes_below_the_test_limit():
+    a = circulant(6, 2)
+    for p in (2, 3, 5, 97, 999_983, 1_000_003, *linalg._PRIMES):
+        assert rank_mod_p(a, p) == oracle_rank_mod_p(dense_rows(a), p)
+    # 2^89 - 1 is prime, but past the bound below which Miller-Rabin to
+    # bases 2..41 is exact, so it is refused rather than guessed
+    assert 2**89 - 1 > linalg._MR_LIMIT > linalg._PRIMES[1]
+    with pytest.raises(ValueError, match="p must be a prime >= 2"):
+        rank_mod_p(a, 2**89 - 1)
+    # the test against trial division, and the least strong pseudoprimes to
+    # the bases 2, 3, 5 and 7 (which a shorter base list would pass)
+    assert [q for q in range(200) if linalg._is_prime(q)] == [
+        q for q in range(2, 200) if all(q % r for r in range(2, isqrt(q) + 1))
+    ]
+    for q in (2047, 1_373_653, 25_326_001, 3_215_031_751, 3_825_123_056_546_413_051):
+        assert not linalg._is_prime(q)
+
+
 def oracle_rank_mod_p(rows, p) -> int:
     """Rank over GF(p) by plain dense Gauss-Jordan elimination."""
     work = [[v % p for v in row] for row in rows]
@@ -344,8 +373,8 @@ def _count_routes(monkeypatch):
         log.append("bareiss")
         return bareiss(rows)
 
-    def counted_certify(a, vectors, m):
-        basis = certify(a, vectors, m)
+    def counted_certify(a, vectors, m, left=False):
+        basis = certify(a, vectors, m, left)
         log.append(("lift", m, basis is not None))
         return basis
 
@@ -695,6 +724,85 @@ def test_dense_finish_delayed_reduction_is_exact(p):
     assert len(_reference_finish(worst, m, p)[0]) == m  # m - 1 updates
     if p == 2**30 - 35:
         assert every == 16 < m - 1
+
+
+def _euclid_lift(x, m):
+    """:func:`linalg._lift` without its fast path: every entry through the loop."""
+    bound = isqrt(m // 2)
+    nums, dens = [], []
+    for u in x:
+        if u <= bound:
+            nums.append(u)
+            dens.append(1)
+        elif m - u <= bound:
+            nums.append(u - m)
+            dens.append(1)
+        else:
+            r0, r1, t0, t1 = m, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound:
+                return None
+            nums.append(r1 if t1 > 0 else -r1)
+            dens.append(abs(t1))
+    den = lcm(*dens)
+    return [a * (den // b) for a, b in zip(nums, dens)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 101, *linalg._PRIMES])
+def test_lift_fast_path_is_the_euclid_loop(m):
+    # the fast path returns at once when every entry is within the bound
+    # of 0 or m; it must give what the entry-by-entry loop gives, on both
+    # sides of the bound, with denominators, and when no lift exists
+    bound = isqrt(m // 2)
+    rng = random.Random(m)
+    edges = [0, 1, bound, m - bound, m - 1]
+    vectors = [edges, [bound] * 3, [m - bound] * 3]
+    if bound + 1 < m - bound - 1:
+        vectors += [edges + [bound + 1], edges + [m - bound - 1]]
+    for _ in range(200):
+        vectors.append([rng.randrange(m) for _ in range(rng.randrange(1, 8))])
+        # small fractions a / b, a vector that needs the lcm of their denominators
+        small = max(1, isqrt(bound))
+        fracs = [(rng.randint(-small, small), rng.randint(1, small)) for _ in range(5)]
+        vectors.append([a * pow(b, -1, m) % m for a, b in fracs])
+        vectors.append([rng.choice(edges) for _ in range(6)])
+    lifts = [linalg._lift(x, m) for x in vectors]
+    assert lifts == [_euclid_lift(x, m) for x in vectors]
+    if m > 101:
+        assert linalg._lift(edges, m) == [0, 1, bound, -bound, -1]
+        half = pow(2, -1, m)  # -(m - 1) / 2 mod m, so 1/2 needs the lcm
+        assert linalg._lift([1, half], m) == [2, 1]
+        assert None in lifts  # random residues mostly have no lift
+        assert any(lift and max(map(abs, lift)) > bound for lift in lifts)
+
+
+def test_left_check_reads_the_row_supports():
+    # HALVES's right and left kernels differ: the left check must refuse
+    # the right kernel's vectors and accept the left kernel's, as the right
+    # check of the transpose does
+    right, left = kernel(HALVES), kernel(HALVES, "left")
+    assert right != left
+    p = linalg._PRIMES[0]
+
+    def residues(basis):
+        return [[v % p for v in row] for row in basis.vectors]
+
+    assert linalg._certified_kernel(HALVES, residues(right), p, left=True) is None
+    assert linalg._certified_kernel(HALVES, residues(left), p, left=True) == left
+    assert linalg._certified_kernel(HALVES, residues(right), p) == right
+    assert linalg._certified_kernel(HALVES, residues(left), p) is None
+    cases = FIXTURES + _singular_stub_samples(40, 2, 5, 42) + _singular_stub_samples(12, 3, 5, 12)
+    for a in cases:
+        if rational_rank(a) == a.n:
+            continue
+        for basis in (kernel(a), kernel(a, "left")):
+            vectors = residues(basis)
+            expected = linalg._certified_kernel(a.transpose(), vectors, p)
+            assert linalg._certified_kernel(a, vectors, p, left=True) == expected
+        assert expected == kernel(a, "left")
 
 
 def test_rank_exact_matches_rational_rank_on_grid_samples():
