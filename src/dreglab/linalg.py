@@ -209,9 +209,8 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             f = row.pop(c)
             if record:
                 ops.append((piv, s, f))
-            get = row.get
             for col, v in update:
-                old = get(col)
+                old = row.get(col)
                 if old is None:  # fill-in: f * v is nonzero since p is prime
                     row[col] = f * v % p
                     col_rows[col].add(s)
