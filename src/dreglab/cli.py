@@ -121,15 +121,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # qr-relation's level-set filter still replays every member of rank r
+_VERIFY_N_MAX = 5  # qr-relation's level-set filter replays every member of rank r
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > _VERIFY_N_MAX:
-        # fail fast: A_{6,3} holds 297200 matrices, and qr-relation's level-set
-        # filter replays each of rank r and keeps its facts until the sweep ends
+        # fail fast on time: at C = 1 every member of A_{6,3} of rank <= 4
+        # passes the level-set event (theta ~ 4.04), so qr-relation replays
+        # and switches about 146,000 sources, some 240 s
         raise SizeGuardError(
-            f"verify sweeps are capped at n <= {_VERIFY_N_MAX}; got n_max={args.n_max}"
+            f"verify sweeps are capped at n <= {_VERIFY_N_MAX}, because qr-relation "
+            f"replays every member of rank r (A(6,3) takes minutes); got n_max={args.n_max}"
         )
     if args.n_max < 1 or args.d_max < 1:
         raise ValueError(f"--n-max and --d-max must be >= 1, got {args.n_max} and {args.d_max}")

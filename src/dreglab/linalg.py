@@ -703,10 +703,11 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
     the next: the right kernel vectors of its echelon and then the left ones
     of its record (:func:`_left_kernel_mod_p`) are lifted and checked
     exactly, as A x = 0 and y^T A = 0.  Above the threshold two agreeing
-    modular ranks decide.  Bareiss is last: ``rational_rank``, and
-    ``kernel(a)`` with ``kernel(a, "left")``; it is authoritative, and a
-    modular rank above it raises :class:`ConsistencyError`, as does a left
-    kernel whose dimension differs from the corank.
+    modular ranks decide.  Bareiss is last: one elimination of A gives the
+    rank and, up to the threshold, the right kernel, and ``kernel(a,
+    "left")`` the left one; it is authoritative, and a modular rank above it
+    raises :class:`ConsistencyError`, as does a left kernel whose dimension
+    differs from the corank.
     """
     small = a.n <= RATIONAL_THRESHOLD
     ranks = []
@@ -728,13 +729,13 @@ def rank_exact(a: BiregularMatrix) -> RankReport:
     if not small and ranks[0] == ranks[1]:
         return RankReport(r, a.n - r, _PRIMES, False, None, None)
     top = max(ranks)
-    rank = rational_rank(a)
+    rank, right = _bareiss(a.row_supports, a.n, small)
     if rank < top:
         raise ConsistencyError(
             f"modular rank {top} exceeds rational rank {rank} (n={a.n}, d={a.d})"
         )
     if small and rank < a.n:
-        return _report(a, rank, _PRIMES, kernel(a), kernel(a, "left"))
+        return _report(a, rank, _PRIMES, right, kernel(a, "left"))
     return RankReport(rank, a.n - rank, _PRIMES, True, None, None)
 
 

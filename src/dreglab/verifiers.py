@@ -28,14 +28,18 @@ kernel containment sums a vector over each support, and K_A compares rank F
 with rank A.
 
 A family sweep (:func:`run_family_checks`) reads one memo that lives for
-the call: per matrix its feasible switchings, its switched members, K_A
-and the replay, each computed once.  Ranks and kernels come from a table
-inside the memo that runs one Bareiss elimination per row multiset, so
-the row- and column-permuted members of a family share them.  A row
-permutation changes the outcome of no per-matrix check, so each runs once
-per row multiset, on its first member, and counts for every member.  The
-single-matrix functions are thin wrappers over the same private helpers,
-each on a memo of its one matrix, so every check has one implementation.
+the call.  The memo owns the family's row classes, the members with the
+same rows up to order, and its rank census.  A row permutation changes
+the outcome of no per-matrix check, so each runs once per class, on its
+first member, and counts for every member.  The memo keeps facts for
+those first members only: feasible switchings, switched results, K_A and
+the replay, each computed once.  Any other member's facts, which
+qr-relation's level-set filter reads, are made when asked and dropped
+with their reader.  Ranks and kernels come from a table inside the memo
+that runs one Bareiss elimination per row multiset, so the row- and
+column-permuted members of a family share them.  The single-matrix
+functions are thin wrappers over the same private helpers, each on a
+memo of its one matrix, so every check has one implementation.
 
 Everything is exact: kernel vectors are the canonical integer bases of
 :mod:`dreglab.linalg`, replay witnesses are integer left-kernel vectors,
@@ -254,6 +258,8 @@ def _ka_set(f: "_Facts") -> frozenset[tuple[int, int]]:
 
 # ─── the family memo ────────────────────────────────────────────────────────
 
+_Rows = tuple[tuple[int, ...], ...]  # a matrix's row supports, or a sorted multiset of them
+
 
 class _Table:
     """Exact rank and right kernel of n-column matrices, one Bareiss
@@ -278,7 +284,7 @@ class _Table:
 
     def __init__(self, n: int):
         self.n = n
-        self._known: dict[tuple[tuple[int, ...], ...], tuple[int, SubspaceBasis | None]] = {}
+        self._known: dict[_Rows, tuple[int, SubspaceBasis | None]] = {}
 
     def rank(self, rows: Sequence[tuple[int, ...]]) -> int:
         return self.exact(rows)[0]
@@ -298,23 +304,24 @@ class _Table:
 class _Facts:
     """One matrix, with the facts the checks share about it.
 
-    Each fact is computed on first use and then kept, so every check of a
-    family reads the same switchings, kernels, K_A and replay, and none of
-    them is computed twice.  The rank and the right kernel are read from
+    Each fact is computed on first use and kept for as long as the facts
+    live, so every check that reads them reads the same switchings,
+    kernels, K_A and replay.  The rank and the right kernel are read from
     ``table`` under the multiset of the matrix's rows, the left kernel under
-    the multiset of its columns (see :class:`_Table`), so facts that a row
-    or column permutation cannot change are shared with every member that
-    has them, while each member keeps its own switchings, K_A and replay.
-    A family sweep switches and replays each row multiset's first member;
-    qr-relation's level-set filter also replays its other members of rank r.
-    No fact refers to another matrix's facts: the switched matrices are
-    kept by :class:`_Memo`, and the table holds only ranks and kernels, so a
-    memo holds no reference cycle and is freed as soon as its call returns.
+    the multiset of its columns (see :class:`_Table`), so what a row or
+    column permutation cannot change is shared with every matrix that has
+    it; the switchings, K_A and the replay are the matrix's own.
+    ``switched`` holds the facts of the matrix's switched results, and
+    ``members`` the family's members by row supports, to find them in.
+    Facts hold no memo and no other facts but their results, so they form no
+    reference cycle and are freed with their last reader.
     """
 
-    def __init__(self, a: BiregularMatrix, table: _Table):
+    def __init__(self, a: BiregularMatrix, table: _Table, members: Mapping[_Rows, BiregularMatrix]):
         self.a = a
         self.table = table
+        self.members = members
+        self._results: dict[Switch, _Facts] = {}
 
     @cached_property
     def rank(self) -> int:
@@ -325,6 +332,24 @@ class _Facts:
     def switches(self) -> list[Switch]:
         """Every feasible ordered switching, in enumeration order."""
         return list(enumerate_switches(self.a))
+
+    @cached_property
+    def switched(self) -> dict[Switch, "_Facts"]:
+        """Deduped switchings, sorted, each with the facts of its result."""
+        return {sw: self.result(sw) for sw in dedup_switches(self.switches)}
+
+    def result(self, sw: Switch) -> "_Facts":
+        """Facts after the canonical switching ``sw``, switched once however
+        often it is read.  Over a whole family the result is a member and is
+        looked up; outside ``members``, as from a partial pool, it is built by
+        :func:`apply_switch`, which validates it."""
+        g = self._results.get(sw)
+        if g is None:
+            bar = self.members.get(_switched_rows(self.a, sw))
+            if bar is None:
+                bar = apply_switch(self.a, sw)
+            g = self._results[sw] = _Facts(bar, self.table, self.members)
+        return g
 
     @cached_property
     def right(self) -> SubspaceBasis:
@@ -357,59 +382,36 @@ class _Facts:
 
 
 class _Memo:
-    """Facts about the members of one (n, d) family, kept for one call.
+    """One (n, d) family's row classes, and the facts kept about them, for
+    one call.
 
-    ``index`` maps each member's row supports to its :class:`_Facts`, and is
-    filled from the pool once.  ``table`` holds the ranks and kernels, which
-    members with the same rows or columns up to order share.  In a family
-    sweep only the first member of each row multiset, and the targets of
-    qr-relation when it has sources, are switched.
+    A row class is the pool's members with the same rows up to order.
+    ``classes`` lists, in order of first appearance, the facts of each
+    class's first member with the class's weight, its number of pool
+    members, duplicates included.  Those are the only facts the memo keeps:
+    :meth:`of` makes any other matrix's facts anew, and they are dropped
+    with their reader.  ``ranks`` is the census: each rank with the members
+    of that rank, in pool order.  ``table`` holds the ranks and kernels,
+    which members with the same rows or columns up to order share.
     """
 
     def __init__(self, pool: Sequence[BiregularMatrix]):
         self.table = _Table(pool[0].n)
-        self.index: dict[tuple[tuple[int, ...], ...], _Facts] = {}
-        self._switched: dict[tuple[tuple[int, ...], ...], dict[Switch, _Facts]] = {}
-        self._results: dict[tuple[tuple[tuple[int, ...], ...], Switch], _Facts] = {}
+        self.members = {m.row_supports: m for m in pool}
+        classes: dict[_Rows, list[BiregularMatrix]] = {}
         for m in pool:
-            if m.row_supports not in self.index:
-                self.index[m.row_supports] = _Facts(m, self.table)
+            classes.setdefault(tuple(sorted(m.row_supports)), []).append(m)
+        self.classes = [(_Facts(ms[0], self.table, self.members), len(ms)) for ms in classes.values()]
+        self._kept = {f.a.row_supports: f for f, _ in self.classes}
+        rank = {key: f.rank for key, (f, _) in zip(classes, self.classes)}
+        self.ranks: dict[int, list[BiregularMatrix]] = {}
+        for m in pool:
+            self.ranks.setdefault(rank[tuple(sorted(m.row_supports))], []).append(m)
 
     def of(self, a: BiregularMatrix) -> _Facts:
-        return self.index[a.row_supports]
-
-    def switched(self, f: _Facts) -> dict[Switch, _Facts]:
-        """Deduped switchings of ``f``'s matrix, sorted, each with the facts
-        of its result."""
-        out = self._switched.get(f.a.row_supports)
-        if out is None:
-            out = {sw: self.result(f, sw) for sw in dedup_switches(f.switches)}
-            self._switched[f.a.row_supports] = out
-        return out
-
-    def result(self, f: _Facts, sw: Switch) -> _Facts:
-        """Facts after the canonical switching ``sw`` of ``f``'s matrix,
-        switched once however often it is read."""
-        key = (f.a.row_supports, sw)
-        g = self._results.get(key)
-        if g is None:
-            g = self._results[key] = self.switch(f, sw)
-        return g
-
-    def switch(self, f: _Facts, sw: Switch) -> _Facts:
-        """Facts of ``f``'s matrix after the feasible switching ``sw``.
-
-        Switching preserves biregularity, so over a whole family the result
-        is a member and is looked up.  A result outside the memo, as from a
-        partial pool, is built by :func:`apply_switch`, which validates it,
-        and is then kept.
-        """
-        rows = _switched_rows(f.a, sw)
-        g = self.index.get(rows)
-        if g is None:
-            bar = apply_switch(f.a, sw)
-            g = self.index[rows] = _Facts(bar, self.table)
-        return g
+        """The kept facts of a class's first member, or new facts of ``a``."""
+        f = self._kept.get(a.row_supports)
+        return _Facts(a, self.table, self.members) if f is None else f
 
 
 # ─── switchings against a fixed matrix ──────────────────────────────────────
@@ -476,14 +478,13 @@ def rank_increasing_switchings(a: BiregularMatrix) -> list[Switch]:
     per canonical representative and both orders are emitted.
     """
     _guard(a.n)
-    memo = _Memo([a])
-    rising = _rank_increasing(memo, memo.of(a))
+    rising = _rank_increasing(_Memo([a]).of(a))
     return sorted(s for sw, _ in rising for s in (sw, sw.mirror()))
 
 
-def _rank_increasing(memo: _Memo, f: _Facts) -> list[tuple[Switch, _Facts]]:
+def _rank_increasing(f: _Facts) -> list[tuple[Switch, _Facts]]:
     """Deduped switchings of ``f`` that raise the rank by one, with their results."""
-    return [(sw, g) for sw, g in memo.switched(f).items() if g.rank == f.rank + 1]
+    return [(sw, g) for sw, g in f.switched.items() if g.rank == f.rank + 1]
 
 
 # ─── the increase mechanism ─────────────────────────────────────────────────
@@ -519,11 +520,10 @@ def verify_increase_mechanism(a: BiregularMatrix) -> MechanismReport:
     applied and ranked, each once per canonical switching.
     """
     _guard(a.n)
-    memo = _Memo([a])
-    return _mechanism(memo, memo.of(a))
+    return _mechanism(_Memo([a]).of(a))
 
 
-def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
+def _mechanism(f: _Facts) -> MechanismReport:
     a, r0 = f.a, f.rank
     corank = a.n - r0
     if corank == 0:
@@ -541,7 +541,7 @@ def _mechanism(memo: _Memo, f: _Facts) -> MechanismReport:
             if x[sw.k] == x[sw.l]:
                 x_bad += 1
                 continue
-            delta = memo.result(f, sw.canonical()).rank - r0
+            delta = f.result(sw.canonical()).rank - r0
             if delta == 1:
                 increased += 1
             else:
@@ -848,32 +848,28 @@ def qr_relation_stats(
     n = pool[0].n
     if not (1 <= r <= n - 2):
         raise ValueError(f"r must be in 1..{n - 2}, got {r}")
-    return _qr_relation(_Memo(pool), pool, r, params)
+    return _qr_relation(_Memo(pool), r, params)
 
 
-def _qr_relation(
-    memo: _Memo, pool: list[BiregularMatrix], r: int, params: DelocParams
-) -> QrStatsReport:
-    n, d = pool[0].n, pool[0].d
-    classes: dict[int, list[BiregularMatrix]] = {}
-    for m in pool:
-        classes.setdefault(memo.of(m).rank, []).append(m)
-    class_sizes = tuple(sorted((rk, len(ms)) for rk, ms in classes.items()))
+def _qr_relation(memo: _Memo, r: int, params: DelocParams) -> QrStatsReport:
+    first = memo.classes[0][0].a
+    n, d = first.n, first.d
+    class_sizes = tuple(sorted((rk, len(ms)) for rk, ms in memo.ranks.items()))
 
     theta = params.beta(n, d)
     sources: list[BiregularMatrix] = []
     skipped = 0
-    for m in classes.get(r, []):
+    for m in memo.ranks.get(r, []):
         if _deloc(memo.of(m), params).holds:
             sources.append(m)
         else:
             skipped += 1
 
-    # each result's rank is r + 1 by selection from the memo's one rank per matrix
+    # each result's rank is r + 1 by selection from the table's one rank per row multiset
     edges: list[tuple[BiregularMatrix, BiregularMatrix]] = []
     out_deg: dict[BiregularMatrix, int] = {}
     for m in sources:
-        results = [g.a for _, g in _rank_increasing(memo, memo.of(m))]
+        results = [g.a for _, g in _rank_increasing(memo.of(m))]
         if len(set(results)) != len(results):
             raise ConsistencyError(
                 "distinct canonical switchings produced identical matrices"
@@ -883,12 +879,11 @@ def _qr_relation(
 
     # each target's in-degree counted from its own side: the reverse of a
     # switching is a switching, so its switchings back to a source are its edges
-    facts = {memo.of(m) for m in sources}
-    targets = classes.get(r + 1, [])
+    starts = {m.row_supports for m in sources}
     # without a source no target has an edge, and its switchings need not be read
     t = {
-        bar: sum(g in facts for g in memo.switched(memo.of(bar)).values()) if facts else 0
-        for bar in targets
+        bar: sum(g.a.row_supports in starts for g in memo.of(bar).switched.values()) if starts else 0
+        for bar in memo.ranks.get(r + 1, [])
     }
     ok = double_count_check(edges, out_deg, t) and sum(out_deg.values()) == sum(t.values())
 
@@ -968,21 +963,21 @@ def run_family_checks(
     failed on a concrete instance.  Each report keeps the first
     ``_MAX_WITNESSES`` violating instances.
 
-    The checks read one memo that lives for this call.  It maps each
-    member's row supports to the member, and keeps, per matrix, its feasible
-    switchings (enumerated once), its deduped switchings with their switched
-    members (looked up, not rebuilt), K_A and the replay.  Ranks and kernels
-    sit in the memo's table, one Bareiss elimination per row multiset (a
-    sorted tuple of row supports), because each is invariant under a
+    The checks read one memo that lives for this call.  The memo groups the
+    pool into row classes by row multiset (a sorted tuple of row supports),
+    in order of first appearance; a class's weight is its number of pool
+    members, duplicates included.  It keeps facts for each class's first
+    member only: its feasible switchings (enumerated once), its deduped
+    switchings with their switched members (looked up, not rebuilt), K_A and
+    the replay.  Ranks and kernels sit in the memo's table, one Bareiss
+    elimination per row multiset, because each is invariant under a
     permutation: a rank and a right kernel {x : Ax = 0} under row
     permutations, so they are keyed by the rows; a left kernel under column
     permutations, so it is keyed by the columns.  Members that are row or
     column permutations of one another, the ranks of F(A; i, j) behind K_A
     and the zeroed-row ranks of the replay therefore share eliminations.
 
-    The pool falls into classes by row multiset, in order of first
-    appearance; a class's weight is its number of pool members, duplicates
-    included.  A row permutation relabels the rows of a member's switchings
+    A row permutation relabels the rows of a member's switchings
     and of K_A and permutes the coordinates of its left kernel, and leaves
     the rank, the right kernel and every rank step alone, so each of the
     first six checks counts the same instances and violations on every
@@ -993,8 +988,11 @@ def run_family_checks(
     witnesses, relabelled: A's outcome.  Each check runs once per class, on
     its first member, adds weight times its instances and violations, and
     keeps that member's witnesses.  qr-relation then runs on the whole
-    family from the same facts.  A switched matrix outside the pool is built
-    by ``apply_switch``, which validates it, and joins the memo.
+    family, grouped by the memo's rank census.  Its level-set filter reuses
+    a first member's kept replay, or its kept replay error, and makes any
+    other member's facts anew and drops them once read, as it does the
+    facts of the sources and targets it switches.  A switched matrix
+    outside the pool is built by ``apply_switch``, which validates it.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  f-invariance
@@ -1028,15 +1026,11 @@ def run_family_checks(
         clock = now
 
     memo = _Memo(pool)
-    classes: dict[tuple[tuple[int, ...], ...], list[BiregularMatrix]] = {}
-    for m in pool:
-        classes.setdefault(tuple(sorted(m.row_supports)), []).append(m)
     lap(delta)
     lo = (n - d) * d - (d - 1) * (d - 1)
     hi = (n - d) * d
-    for members in classes.values():
-        m, w = members[0], len(members)
-        f = memo.of(m)
+    for f, w in memo.classes:
+        m = f.a
         counts.instances_checked += w
         try:
             _count_with_bounds(m, f.switches)
@@ -1048,7 +1042,7 @@ def run_family_checks(
                     _witness(counts, {"matrix": serialize(m), "entry": [i, k], "count": q}, w)
         lap(counts)
 
-        switched = memo.switched(f)
+        switched = f.switched
         delta.instances_checked += w * len(switched)
         for sw, g in switched.items():
             step = g.rank - f.rank
@@ -1089,7 +1083,7 @@ def run_family_checks(
         if f.rank == n:  # the mechanism and the replay speak of singular matrices only
             continue
         mechanism.instances_checked += w
-        for v in _mechanism(memo, f).violations:
+        for v in _mechanism(f).violations:
             _witness(mechanism, {"matrix": serialize(m), **v}, w)
         lap(mechanism)
 
@@ -1103,7 +1097,7 @@ def run_family_checks(
     for r in range(1, n - 1):
         qr.instances_checked += 1
         try:
-            ok = _qr_relation(memo, pool, r, params).double_count_ok
+            ok = _qr_relation(memo, r, params).double_count_ok
         except (PreconditionError, WitnessConstructionError) as exc:
             _witness(qr, {"r": r, "error": str(exc)})
         else:

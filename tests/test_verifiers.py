@@ -1,5 +1,6 @@
 """Rank/switching interplay: K_A, x-badness, replay, deloc, double counting."""
 
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -469,12 +470,12 @@ def _check(reports, name):
 
 def test_f_invariance_fires_when_the_switch_is_wrong(monkeypatch):
     # a transposed result moves rows other than i and j, so F(A; i, j) changes
-    real = verifiers._Memo.switch
+    real = verifiers._switched_rows
 
-    def transposed(memo, f, sw):
-        return memo.of(real(memo, f, sw).a.transpose())
+    def transposed(a, sw):
+        return build(a.n, a.d, real(a, sw)).transpose().row_supports
 
-    monkeypatch.setattr(verifiers._Memo, "switch", transposed)
+    monkeypatch.setattr(verifiers, "_switched_rows", transposed)
     rep = _check(run_family_checks(list(enumerate_all(4, 2))), "f-invariance")
     assert rep.violations > 0
     assert rep.witnesses[0]["note"] == "F(A; i, j) changed"
@@ -520,20 +521,20 @@ def _one_per_class(pool):
 @pytest.mark.parametrize("n, d, switchings", [(3, 2, 18), (4, 1, 144), (4, 2, 1152)])
 def test_each_switching_is_applied_once(n, d, switchings, monkeypatch):
     # the checks read one switched matrix per deduped switching of the first
-    # member of each row multiset (3, 6 and 84 of them) from the memo; over a
-    # whole family each result is a member, so none is rebuilt.  rank-delta-law
-    # still counts every member's switchings
+    # member of each row multiset (3, 6 and 84 of them), kept with its facts;
+    # over a whole family each result is a member, so none is rebuilt.
+    # rank-delta-law still counts every member's switchings
     pool = list(enumerate_all(n, d))
     assert sum(len(dedup_switches(enumerate_switches(m))) for m in pool) == switchings
     firsts = _one_per_class(pool)
-    real = verifiers._Memo.switch
+    real = verifiers._switched_rows
     calls = []
 
-    def counted(memo, f, sw):
+    def counted(a, sw):
         calls.append(sw)
-        return real(memo, f, sw)
+        return real(a, sw)
 
-    monkeypatch.setattr(verifiers._Memo, "switch", counted)
+    monkeypatch.setattr(verifiers, "_switched_rows", counted)
     monkeypatch.setattr(verifiers, "apply_switch", _rebuilt)
     reports = run_family_checks(pool)
     assert len(calls) == sum(len(dedup_switches(enumerate_switches(m))) for m in firsts)
@@ -596,6 +597,36 @@ def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
         "_replay": len(replayed),
     }
     assert not any(rep.violations for rep in reports)
+
+
+def test_a_sweep_keeps_facts_per_row_class_not_per_member(monkeypatch):
+    # (5,2) has 2,040 members in 22 row classes, whose first members have
+    # 570 deduped switchings.  Facts are kept for those first members and
+    # their switched results only: any other member's facts are made when
+    # read and dropped with their reader, and none outlives the call
+    pool = list(enumerate_all(5, 2))
+    firsts = _one_per_class(pool)
+    switchings = sum(len(dedup_switches(enumerate_switches(m))) for m in firsts)
+    assert (len(pool), len(firsts), switchings) == (2040, 22, 570)
+    live = peak = 0
+
+    def dropped():
+        nonlocal live
+        live -= 1
+
+    real = verifiers._Facts.__init__
+
+    def counted(f, *args):
+        nonlocal live, peak
+        real(f, *args)
+        live += 1
+        peak = max(peak, live)
+        weakref.finalize(f, dropped)
+
+    monkeypatch.setattr(verifiers._Facts, "__init__", counted)
+    run_family_checks(pool)
+    assert 0 < peak <= len(firsts) + switchings
+    assert live == 0
 
 
 def test_partial_pool_builds_each_switched_matrix_once(monkeypatch):
@@ -672,14 +703,14 @@ def test_a_row_class_is_checked_once_and_weighted_by_its_members(monkeypatch):
     pool = _block_class()
     real_rank = verifiers._Facts.rank.func
     monkeypatch.setattr(verifiers._Facts, "rank", property(lambda f: min(real_rank(f), 2)))
-    real = verifiers._Memo.switch
+    real = verifiers._switched_rows
     calls = []
 
-    def counted(memo, f, sw):
-        calls.append(f.a)
-        return real(memo, f, sw)
+    def counted(a, sw):
+        calls.append(a)
+        return real(a, sw)
 
-    monkeypatch.setattr(verifiers._Memo, "switch", counted)
+    monkeypatch.setattr(verifiers, "_switched_rows", counted)
     reports = run_family_checks(pool)
     rep = _check(reports, "rank-delta-law")
     assert rep.instances_checked == rep.violations == 4 * 16
@@ -749,7 +780,7 @@ def test_qr_relation_without_sources_reads_no_target(monkeypatch):
     pool = list(enumerate_all(4, 2))
     memo = verifiers._Memo(pool)
     calls = _counting(monkeypatch, ["enumerate_switches"])
-    stats = verifiers._qr_relation(memo, pool, 2, DelocParams())
+    stats = verifiers._qr_relation(memo, 2, DelocParams())
     assert stats.source_count == 0 and stats.edge_count == 0 and stats.double_count_ok
     assert calls == {}
 
@@ -786,16 +817,16 @@ def test_qr_relation_fires_when_a_target_loses_a_switching(monkeypatch):
         (f.a, sw)
         for f in map(memo.of, pool)
         if f.rank == 3
-        for sw, g in memo.switched(f).items()
+        for sw, g in f.switched.items()
         if g.rank == 2 and verifiers._deloc(g, params).holds
     )
-    real = verifiers._Memo.switched
+    real = verifiers._Facts.switched.func
 
-    def lossy(memo, f):
-        out = real(memo, f)
+    def lossy(f):
+        out = real(f)
         return {sw: g for sw, g in out.items() if sw != lost} if f.a == victim else out
 
-    monkeypatch.setattr(verifiers._Memo, "switched", lossy)
+    monkeypatch.setattr(verifiers._Facts, "switched", property(lossy))
     rep = _check(run_family_checks(pool, params), "qr-relation")
     assert rep.instances_checked == 2
     assert rep.violations == 1 and rep.witnesses[0]["r"] == 2
