@@ -11,8 +11,8 @@ Runs pair up by workload and seed.  For every end-to-end metric that
 quartiles, the number of pairs, the pairs the change wins (ties count for
 neither side), and two verdicts: ``gain`` (over at least ten pairs, the
 change wins at least nine tenths of them and its median is better by more
-than the parent's interquartile range, and for ``peak_rss_mb`` or on
-grid-mcmc by at least 5%) and ``within_bound`` (the change's
+than the parent's interquartile range, and for ``peak_rss_mb`` by at
+least 5% and on grid-mcmc by at least 10%) and ``within_bound`` (the change's
 median is no worse than the parent's by more than the declared bound).  Each side also keeps
 the stamp of its first run (machine, versions, commit) and its failures.
 """
@@ -36,8 +36,9 @@ MIN_PAIRS = 10
 MIN_EFFECT = {"peak_rss_mb": 0.05}
 
 # the same, per workload.  grid-mcmc moves by about 5% with the checkout's
-# directory alone, the same commit in two directories
-MIN_WORKLOAD_EFFECT = {"grid-mcmc": 0.05}
+# directory alone, the same commit in two directories, and two rounds on
+# nearly the same change read +5.5% and then +1.3%, both on ten of ten pairs
+MIN_WORKLOAD_EFFECT = {"grid-mcmc": 0.10}
 
 
 def _runs(directory: Path) -> dict[tuple[str, int], dict]:

@@ -443,8 +443,13 @@ def _certified_kernel(
                         sums[c] += v
             if any(sums):
                 return None
-        elif any(sum(map(y.__getitem__, support)) for support in rows):
-            return None
+        else:
+            for support in rows:
+                s = 0
+                for c in support:
+                    s += y[c]
+                if s:
+                    return None
         lifted.append(y)
     return SubspaceBasis(a.n, lifted)
 

@@ -107,29 +107,39 @@ def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
     preserved automatically: every switching moves column k from row i to
     row j and column l the other way.  All ``4 * steps`` draws come from one
     ``integers`` call, so the walk's RNG use is fixed by ``steps`` alone.
+
+    Membership lives in an occupancy table, one ``bytearray(n)`` per row:
+    ``occ[i][c]`` is 1 iff row i holds column c, n^2 bytes in all.  A
+    feasibility test is two byte reads and an accepted move four byte
+    stores, where a set per row paid four ``remove``/``add`` method calls.
+    Bytes rather than a list of ints keep the table at n^2 bytes, not 8n^2,
+    so it stays in cache longer.  Walk alone, against sets per row: about
+    0.65-0.69 of the time at (32,8), 0.8 at (48,8) to (2048,8) and 0.93 at
+    (1024,5); from about n = 2048 with d = 3, and at (4096,8), the table
+    falls out of cache and the walk is 1.1-1.2x slower.
     """
     if steps <= 0:
         return
     n, d = len(rows), len(rows[0])
-    # The walk keeps a set per row, unlike BiregularMatrix: at d = 8 a set
-    # lookup beats scanning the row list, and the walk is most of a
-    # grid-mcmc trial.
-    sets = [set(r) for r in rows]
+    occ = [bytearray(n) for _ in range(n)]
+    for r, o in zip(rows, occ):
+        for c in r:
+            o[c] = 1
     draws = rng.integers(0, (n, d, n, d), size=(steps, 4))
     # four column lists: a list per proposal costs allocation and garbage collection
     for i, ki, j, lj in zip(*draws.T.tolist()):
         ri, rj = rows[i], rows[j]
         k = ri[ki]
         l = rj[lj]
-        si, sj = sets[i], sets[j]
-        if l in si or k in sj:
+        oi, oj = occ[i], occ[j]
+        if oi[l] or oj[k]:
             continue  # infeasible proposal: lazy step, stay in place
         ri[ki] = l
         rj[lj] = k
-        si.remove(k)
-        si.add(l)
-        sj.remove(l)
-        sj.add(k)
+        oi[k] = 0
+        oi[l] = 1
+        oj[l] = 0
+        oj[k] = 1
 
 
 def _draw(

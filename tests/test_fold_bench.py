@@ -47,15 +47,16 @@ def test_peak_rss_gain_needs_five_percent():
 HIGHER = {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
 
 
-def test_grid_mcmc_gain_needs_five_percent():
+def test_grid_mcmc_gain_needs_ten_percent():
     # grid-mcmc moves by about 5% between two checkout directories of one
-    # commit, so 4% on ten of ten pairs is no gain there, and 6% is; the
-    # same 4% is a gain on grid-kernel
+    # commit, and two rounds on nearly the same change read +5.5% and then
+    # +1.3%, both on ten of ten pairs; so 9% on ten of ten pairs is no gain
+    # there, and 11% is; the same 9% is a gain on grid-kernel
     parent = [88.0 + 0.05 * k for k in range(10)]
-    plus = {f: [f * v for v in parent] for f in (1.04, 1.06)}
-    four = fold_bench._compare(HIGHER, parent, plus[1.04], "grid-mcmc")
-    assert four["wins"] == four["pairs"] == 10
-    assert four["change"]["median"] > four["parent"]["median"] + four["parent"]["iqr"]
-    assert not four["gain"] and four["within_bound"]
-    assert fold_bench._compare(HIGHER, parent, plus[1.06], "grid-mcmc")["gain"]
-    assert fold_bench._compare(HIGHER, parent, plus[1.04], "grid-kernel")["gain"]
+    plus = {f: [f * v for v in parent] for f in (1.09, 1.11)}
+    nine = fold_bench._compare(HIGHER, parent, plus[1.09], "grid-mcmc")
+    assert nine["wins"] == nine["pairs"] == 10
+    assert nine["change"]["median"] > nine["parent"]["median"] + nine["parent"]["iqr"]
+    assert not nine["gain"] and nine["within_bound"]
+    assert fold_bench._compare(HIGHER, parent, plus[1.11], "grid-mcmc")["gain"]
+    assert fold_bench._compare(HIGHER, parent, plus[1.09], "grid-kernel")["gain"]

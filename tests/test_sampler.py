@@ -298,3 +298,49 @@ def test_sampled_matrices_are_pinned():
             h.update(serialize(draw_sample(n, d, cfg, rng)).encode())
             h.update(f"next {rng.integers(1 << 62)}\n".encode())
     assert h.hexdigest() == _PINNED_DIGEST
+
+
+def _set_walk_oracle(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
+    """The walk with a set per row: the same draws, accept rule and slot order."""
+    if steps <= 0:
+        return
+    n, d = len(rows), len(rows[0])
+    sets = [set(r) for r in rows]
+    for i, ki, j, lj in rng.integers(0, (n, d, n, d), size=(steps, 4)).tolist():
+        k, l = rows[i][ki], rows[j][lj]
+        if l in sets[i] or k in sets[j]:
+            continue
+        rows[i][ki], rows[j][lj] = l, k
+        sets[i].remove(k)
+        sets[i].add(l)
+        sets[j].remove(l)
+        sets[j].add(k)
+
+
+def _assert_walk_matches_oracle(n: int, d: int, steps: int, seed: int) -> list[list[int]]:
+    start = [list(r) for r in circulant(n, d).row_supports]
+    got, want = [list(r) for r in start], [list(r) for r in start]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sampler._walk(got, steps, rng)
+    _set_walk_oracle(want, steps, oracle_rng)
+    assert got == want
+    assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_walk_matches_set_per_row_oracle(n, data):
+    d = data.draw(st.integers(1, n))
+    steps = data.draw(st.integers(0, 300))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    _assert_walk_matches_oracle(n, d, steps, seed)
+
+
+@pytest.mark.parametrize(
+    "n, d, steps, seed", [(512, 8, 2000, 3), (9, 1, 300, 4), (1, 1, 50, 5), (7, 7, 300, 6)]
+)
+def test_walk_matches_set_per_row_oracle_at_fixed_sizes(n, d, steps, seed):
+    rows = _assert_walk_matches_oracle(n, d, steps, seed)
+    if d == n:  # every proposal is refused: the walk stays at the start
+        assert rows == [list(r) for r in circulant(n, d).row_supports]
