@@ -113,10 +113,11 @@ def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:
     feasibility test is two byte reads and an accepted move four byte
     stores, where a set per row paid four ``remove``/``add`` method calls.
     Bytes rather than a list of ints keep the table at n^2 bytes, not 8n^2,
-    so it stays in cache longer.  Walk alone, against sets per row: about
-    0.65-0.69 of the time at (32,8), 0.8 at (48,8) to (2048,8) and 0.93 at
-    (1024,5); from about n = 2048 with d = 3, and at (4096,8), the table
-    falls out of cache and the walk is 1.1-1.2x slower.
+    so it stays in cache longer.  Walk alone, against a set per row, on a
+    core with 2 MB of L2: 0.68 of the time at (32,8) and 0.8-0.9 at (48,8)
+    to (1024,8), (1024,5) and (1024,3).  At n = 2048 the table outgrows
+    that cache and the two are about even; at n = 4096 the walk is
+    1.1-1.16x slower.
     """
     if steps <= 0:
         return
