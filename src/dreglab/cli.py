@@ -121,17 +121,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # qr-relation's level-set filter replays every member of rank r
+_VERIFY_N_MAX = 5  # for (6,3): qr-relation replays every member there that passes the event
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > _VERIFY_N_MAX:
-        # fail fast on time: at C = 1 every member of A_{6,3} of rank <= 4
-        # passes the level-set event (theta ~ 4.04), so qr-relation replays
-        # and switches about 146,000 sources, some 240 s
+        # fail fast on time.  The level-set filter replays a member only when
+        # its basis vectors pass the event, which at C = 1 every member of
+        # A_{6,3} of rank <= 4 does (theta ~ 4.04), so qr-relation replays
+        # and switches about 146,000 sources there, some 240 s
         raise SizeGuardError(
-            f"verify sweeps are capped at n <= {_VERIFY_N_MAX}, because qr-relation "
-            f"replays every member of rank r (A(6,3) takes minutes); got n_max={args.n_max}"
+            f"verify sweeps are capped at n <= {_VERIFY_N_MAX}, because at n = 6 qr-relation "
+            "replays every member of A(6,3) of rank <= 4, which passes the level-set event, "
+            f"and takes minutes; got n_max={args.n_max}"
         )
     if args.n_max < 1 or args.d_max < 1:
         raise ValueError(f"--n-max and --d-max must be >= 1, got {args.n_max} and {args.d_max}")

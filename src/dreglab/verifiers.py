@@ -174,7 +174,12 @@ class DelocParams:
 
 @dataclass(frozen=True)
 class DelocResult:
-    """Outcome of the level-set event on the certified vector subset."""
+    """Outcome of the level-set event on the certified vector subset.
+
+    ``vectors_checked`` counts the vectors read before the event was
+    decided: every certified vector when it holds, and the witness's
+    1-based position in checking order when it fails.
+    """
 
     holds: bool
     theta: float
@@ -712,30 +717,39 @@ def _replay(f: _Facts) -> ReplayReport:
 def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
     """Level-set bound over the certified subset of kernel vectors.
 
-    Checks every canonical basis vector of both kernels and, when the
-    matrix is singular, the proof-constructed vectors from
-    :func:`replay_KA_bound`.  The underlying event quantifies over all
-    (infinitely many, once corank >= 2) kernel vectors; this checks the
-    finite subset the proofs consume, which is why reports label it a
-    certified subset.
+    Checks, in this order, every canonical basis vector of the right kernel
+    and then of the left kernel and, when the matrix is singular, the
+    proof-constructed vectors from :func:`replay_KA_bound`: its y, then its
+    witnesses row by row.  It stops at the first vector whose largest level
+    set exceeds theta, so the left kernel is computed only when every right
+    basis vector holds, and the replay only when both bases hold; a replay
+    that would fail raises only when it is reached.  The underlying event
+    quantifies over all (infinitely many, once corank >= 2) kernel vectors;
+    this checks the finite subset the proofs consume, which is why reports
+    label it a certified subset.
     """
     _guard(a.n)
     return _deloc(_Memo([a]).of(a), params)
 
 
-def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
-    theta = params.beta(f.a.n, f.a.d)
-    candidates: list[tuple[str, tuple[int, ...]]] = []
-    candidates.extend(("right-kernel-basis", v) for v in f.right.vectors)
-    candidates.extend(("left-kernel-basis", v) for v in f.left.vectors)
+def _deloc_candidates(f: _Facts) -> Iterable[tuple[str, tuple[int, ...]]]:
+    """The certified vectors of ``f`` with their sources, in checking order.
+
+    A generator, so that the left kernel and the replay are read only once
+    every earlier vector has been yielded."""
+    yield from (("right-kernel-basis", v) for v in f.right.vectors)
+    yield from (("left-kernel-basis", v) for v in f.left.vectors)
     if f.right.dim > 0:
         replay = f.replay()
-        candidates.append(("replay-y", replay.y))
-        candidates.extend(
-            (f"replay-row-{w.row}", w.vector) for w in replay.witnesses
-        )
+        yield "replay-y", replay.y
+        yield from ((f"replay-row-{w.row}", w.vector) for w in replay.witnesses)
 
-    for source, vec in candidates:
+
+def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
+    theta = params.beta(f.a.n, f.a.d)
+    checked = 0
+    for source, vec in _deloc_candidates(f):
+        checked += 1
         profile = level_sets(vec)
         if profile.max_size > theta:
             value = next(
@@ -745,15 +759,13 @@ def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
                 holds=False,
                 theta=theta,
                 C=params.C,
-                vectors_checked=len(candidates),
+                vectors_checked=checked,
                 witness_vector=vec,
                 witness_value=value,
                 witness_size=profile.max_size,
                 witness_source=source,
             )
-    return DelocResult(
-        holds=True, theta=theta, C=params.C, vectors_checked=len(candidates)
-    )
+    return DelocResult(holds=True, theta=theta, C=params.C, vectors_checked=checked)
 
 
 # ─── double counting and the rank-class relation ────────────────────────────
@@ -988,11 +1000,14 @@ def run_family_checks(
     witnesses, relabelled: A's outcome.  Each check runs once per class, on
     its first member, adds weight times its instances and violations, and
     keeps that member's witnesses.  qr-relation then runs on the whole
-    family, grouped by the memo's rank census.  Its level-set filter reuses
-    a first member's kept replay, or its kept replay error, and makes any
-    other member's facts anew and drops them once read, as it does the
-    facts of the sources and targets it switches.  A switched matrix
-    outside the pool is built by ``apply_switch``, which validates it.
+    family, grouped by the memo's rank census.  Its level-set filter
+    decides each member of rank r lazily, as :func:`deloc_event` does: it
+    reads the member's left kernel only when every right basis vector
+    leaves the event open, and its replay only when both bases do.  A replay
+    it reads is a first member's kept replay, or its kept replay error, or
+    another member's, made anew and dropped once read, as are the facts of
+    the sources and targets it switches.  A switched matrix outside the
+    pool is built by ``apply_switch``, which validates it.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  f-invariance
@@ -1008,7 +1023,9 @@ def run_family_checks(
 
     qr-relation reports a hypothesis its double count breaks, or the error
     of a failed replay its level-set filter reads, as a witness
-    ``{"r", "error"}``, so the sweep still returns every report.
+    ``{"r", "error"}``, so the sweep still returns every report.  A replay
+    the filter does not need, because an earlier vector already broke the
+    event, is not read, and its failure is ka-replay's alone.
     """
     params = params or DelocParams()
     pool = _family(matrices)

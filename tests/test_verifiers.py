@@ -2,6 +2,7 @@
 
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -85,10 +86,100 @@ def test_deloc_params():
 def test_deloc_event_block_fails_with_witness():
     res = deloc_event(BLOCK, DelocParams())
     assert not res.holds and not bool(res)
+    # the first right basis vector decides the event, so nothing else is read
+    assert res.vectors_checked == 1 and res.witness_source == "right-kernel-basis"
     assert res.witness_size == 2
     assert res.theta == pytest.approx(4 * np.log(2) ** 2 / np.log(4))
     # the witness is a genuine kernel vector with a level set of that size
     assert res.witness_vector in kernel(BLOCK, "right").vectors + kernel(BLOCK, "left").vectors
+
+
+def _eager_deloc(f, params):
+    """The level-set filter that lists every certified vector of ``f``, with
+    both kernels and the replay, before it checks any: the reference for the
+    lazy ``verifiers._deloc``.  Returns the result and the witness's 1-based
+    position in the list (None when the event holds)."""
+    theta = params.beta(f.a.n, f.a.d)
+    candidates = []
+    candidates.extend(("right-kernel-basis", v) for v in f.right.vectors)
+    candidates.extend(("left-kernel-basis", v) for v in f.left.vectors)
+    if f.right.dim > 0:
+        replay = f.replay()
+        candidates.append(("replay-y", replay.y))
+        candidates.extend((f"replay-row-{w.row}", w.vector) for w in replay.witnesses)
+
+    for position, (source, vec) in enumerate(candidates, 1):
+        profile = level_sets(vec)
+        if profile.max_size > theta:
+            value = next(val for val, size in profile.by_value if size == profile.max_size)
+            result = verifiers.DelocResult(
+                holds=False,
+                theta=theta,
+                C=params.C,
+                vectors_checked=len(candidates),
+                witness_vector=vec,
+                witness_value=value,
+                witness_size=profile.max_size,
+                witness_source=source,
+            )
+            return result, position
+    return verifiers.DelocResult(True, theta, params.C, len(candidates)), None
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)])
+def test_lazy_deloc_matches_the_eager_reference(n, d):
+    # stopping at the first vector that breaks the event changes no outcome
+    # and no witness; vectors_checked is the full count when the event holds
+    # and the witness's position when it fails
+    pool = list(enumerate_all(n, d))
+    memo = verifiers._Memo(pool)
+    for m in pool:
+        for params in (DelocParams(), DelocParams(C=F(10)), DelocParams(C=F(100))):
+            lazy = verifiers._deloc(memo.of(m), params)
+            eager, position = _eager_deloc(memo.of(m), params)
+            assert replace(lazy, vectors_checked=0) == replace(eager, vectors_checked=0)
+            assert lazy.vectors_checked == (eager.vectors_checked if eager.holds else position)
+
+
+_PAIRED = build(6, 2, [(0, 1), (0, 2), (1, 3), (4, 5), (2, 3), (4, 5)])
+_SPREAD = build(6, 3, [(0, 1, 2), (0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)])
+
+
+def _counting_left(monkeypatch):
+    """Count the left kernels computed, one per facts object that reads one."""
+    read = []
+    real = verifiers._Facts.left.func
+
+    def counted(f):
+        read.append(f)
+        return real(f)
+
+    monkeypatch.setattr(verifiers._Facts, "left", property(counted))
+    return lambda: len(set(map(id, read)))
+
+
+@pytest.mark.parametrize(
+    "a, C, source, position, lefts, replays",
+    [
+        (_PAIRED, F(5, 4), "right-kernel-basis", 2, 0, 0),
+        (_SPREAD, F(1, 2), "left-kernel-basis", 3, 1, 0),
+        (_SPREAD, F(3, 4), "replay-row-2", 7, 1, 1),
+    ],
+)
+def test_lazy_deloc_stops_at_a_later_witness(a, C, source, position, lefts, replays, monkeypatch):
+    # at n <= 5 every failure is on the first vector; at n = 6 a small C
+    # breaks the event on a later right basis vector, a left basis vector or
+    # a replay witness.  The left kernel is read only when the right basis
+    # holds, and the replay only when both bases do
+    params = DelocParams(C=C)
+    eager, at = _eager_deloc(verifiers._Memo([a]).of(a), params)
+    assert (eager.witness_source, at) == (source, position)
+    calls = _counting(monkeypatch, ["_replay"])
+    left_reads = _counting_left(monkeypatch)
+    lazy = deloc_event(a, params)
+    assert replace(lazy, vectors_checked=0) == replace(eager, vectors_checked=0)
+    assert lazy.vectors_checked == position
+    assert (left_reads(), calls["_replay"]) == (lefts, replays)
 
 
 def test_deloc_event_invertible_matrix_holds():
@@ -579,15 +670,16 @@ def test_one_enumeration_rank_and_ka_per_matrix(monkeypatch):
     # all 90 members of (4,2) are singular, in 6 row multisets: the first
     # member of each is enumerated, given K_A and replayed once, although the
     # mechanism, the replay and qr-relation's deloc_event all read K_A or the
-    # kernels.  qr-relation's level-set filter replays the 18 rank-2 members
-    # too, 3 of them first members: 21 K_A and replays in all.  Ranks and
-    # kernels take one Bareiss elimination per row multiset, 45 of them
+    # kernels.  At C = 1 qr-relation's level-set filter decides each of the
+    # 18 rank-2 members on its first right basis vector, so it replays none
+    # of them and reads no other member's left kernel: 6 K_A and replays in
+    # all.  Ranks and kernels take one Bareiss elimination per row
+    # multiset, 42 of them
     pool = list(enumerate_all(4, 2))
-    replayed = {m.row_supports: m for m in pool if rational_rank(m) == 2}
-    replayed.update((m.row_supports, m) for m in _one_per_class(pool))
-    assert len(replayed) == 21
-    multisets = set().union(*map(_multisets, replayed.values()))
-    assert len(multisets) == 45
+    replayed = _one_per_class(pool)
+    assert len(replayed) == 6
+    multisets = set().union(*map(_multisets, replayed))
+    assert len(multisets) == 42
     calls = _counting(monkeypatch, ["enumerate_switches", "_bareiss", "_ka_set", "_replay"])
     reports = run_family_checks(pool)
     assert calls == {
@@ -776,23 +868,47 @@ def test_row_classes_count_what_every_member_would(n, d):
 
 def test_qr_relation_without_sources_reads_no_target(monkeypatch):
     # at C = 1 no member of (4,2) passes the level-set event, so no rank-3
-    # target can have an edge, and none of them is switched to count it
+    # target can have an edge, and none of them is switched to count it.
+    # Each of the 18 rank-2 members fails on its first right basis vector,
+    # so none is replayed, given K_A or asked for its left kernel either,
+    # where reading every member's candidates first made 18 of each
     pool = list(enumerate_all(4, 2))
     memo = verifiers._Memo(pool)
-    calls = _counting(monkeypatch, ["enumerate_switches"])
+    calls = _counting(monkeypatch, ["enumerate_switches", "_replay", "_ka_set"])
+    left_reads = _counting_left(monkeypatch)
     stats = verifiers._qr_relation(memo, 2, DelocParams())
     assert stats.source_count == 0 and stats.edge_count == 0 and stats.double_count_ok
-    assert calls == {}
+    assert stats.skipped_sources == 18
+    assert calls == {} and left_reads() == 0
 
 
 def test_failed_replay_stops_qr_relation(monkeypatch):
     # the 18 corank-2 members of (4,2) fail their replay; ka-replay replays
     # the first member of each of the 6 row multisets and counts a failure
-    # for every member of its class, and qr-relation's level-set filter
-    # meets the kept error of the first rank-2 member, the first of its
-    # class, without replaying again.  The sweep reports it as a qr-relation
-    # witness at r = 2 and keeps its report; a direct qr_relation_stats
-    # call raises it
+    # for every member of its class.  At C = 100 every rank-2 member's basis
+    # vectors pass the event, so qr-relation's level-set filter needs the
+    # replay, and meets the kept error of the first rank-2 member, the
+    # first of its class, without replaying again.  The sweep reports it as
+    # a qr-relation witness at r = 2 and keeps its report; a direct
+    # qr_relation_stats call raises it
+    monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
+    pool, params = list(enumerate_all(4, 2)), DelocParams(C=F(100))
+    calls = _counting(monkeypatch, ["_replay"])
+    reports = run_family_checks(pool, params)
+    assert calls == {"_replay": 6}
+    replay, qr = _check(reports, "ka-replay"), _check(reports, "qr-relation")
+    assert replay.violations == 18
+    assert qr.instances_checked == 2 and qr.violations == 1
+    assert qr.witnesses == [{"r": 2, "error": "patched"}]
+    with pytest.raises(WitnessConstructionError, match="patched"):
+        qr_relation_stats(2, pool, params)
+
+
+def test_failed_replay_the_filter_does_not_need_is_ka_replays_alone(monkeypatch):
+    # at C = 1 every rank-2 member of (4,2) fails the event on its first
+    # right basis vector, so qr-relation's level-set filter never reads a
+    # replay: the 6 replays are ka-replay's, which counts 18 failures, and
+    # qr-relation reports none
     monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
     pool = list(enumerate_all(4, 2))
     calls = _counting(monkeypatch, ["_replay"])
@@ -800,10 +916,8 @@ def test_failed_replay_stops_qr_relation(monkeypatch):
     assert calls == {"_replay": 6}
     replay, qr = _check(reports, "ka-replay"), _check(reports, "qr-relation")
     assert replay.violations == 18
-    assert qr.instances_checked == 2 and qr.violations == 1
-    assert qr.witnesses == [{"r": 2, "error": "patched"}]
-    with pytest.raises(WitnessConstructionError, match="patched"):
-        qr_relation_stats(2, pool, DelocParams())
+    assert qr.instances_checked == 2 and qr.violations == 0 and qr.witnesses == []
+    assert qr_relation_stats(2, pool, DelocParams()).skipped_sources == 18
 
 
 def test_qr_relation_fires_when_a_target_loses_a_switching(monkeypatch):
