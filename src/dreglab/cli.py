@@ -121,7 +121,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # for (6,3): qr-relation replays every member there that passes the event
+_VERIFY_N_MAX = 5  # (6,3) alone needs the cap: see _cmd_verify
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -129,7 +129,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # fail fast on time.  The level-set filter replays a member only when
         # its basis vectors pass the event, which at C = 1 every member of
         # A_{6,3} of rank <= 4 does (theta ~ 4.04), so qr-relation replays
-        # and switches about 146,000 sources there, some 240 s
+        # and switches about 146,000 sources there, some 240 s; (6,2) at
+        # C = 1 takes about 2 s
         raise SizeGuardError(
             f"verify sweeps are capped at n <= {_VERIFY_N_MAX}, because at n = 6 qr-relation "
             "replays every member of A(6,3) of rank <= 4, which passes the level-set event, "

@@ -123,7 +123,7 @@ def _eager_deloc(f, params):
                 witness_source=source,
             )
             return result, position
-    return verifiers.DelocResult(True, theta, params.C, len(candidates)), None
+    return verifiers.DelocResult(holds=True, theta=theta, C=params.C, vectors_checked=len(candidates)), None
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)])
@@ -870,8 +870,7 @@ def test_qr_relation_without_sources_reads_no_target(monkeypatch):
     # at C = 1 no member of (4,2) passes the level-set event, so no rank-3
     # target can have an edge, and none of them is switched to count it.
     # Each of the 18 rank-2 members fails on its first right basis vector,
-    # so none is replayed, given K_A or asked for its left kernel either,
-    # where reading every member's candidates first made 18 of each
+    # so none is replayed, given K_A or asked for its left kernel either
     pool = list(enumerate_all(4, 2))
     memo = verifiers._Memo(pool)
     calls = _counting(monkeypatch, ["enumerate_switches", "_replay", "_ka_set"])
