@@ -121,41 +121,29 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # ─── verify ──────────────────────────────────────────────────────────────────
 
 
-_VERIFY_N_MAX = 5  # (6,3) alone needs the cap: see _cmd_verify
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max > _VERIFY_N_MAX:
-        # fail fast on time.  The level-set filter replays a member only when
-        # its basis vectors pass the event, which at C = 1 every member of
-        # A_{6,3} of rank <= 4 does (theta ~ 4.04), so qr-relation replays
-        # and switches about 146,000 sources there, some 240 s; (6,2) at
-        # C = 1 takes about 2 s
-        raise SizeGuardError(
-            f"verify sweeps are capped at n <= {_VERIFY_N_MAX}, because at n = 6 qr-relation "
-            "replays every member of A(6,3) of rank <= 4, which passes the level-set event, "
-            f"and takes minutes; got n_max={args.n_max}"
-        )
     if args.n_max < 1 or args.d_max < 1:
         raise ValueError(f"--n-max and --d-max must be >= 1, got {args.n_max} and {args.d_max}")
+    params = DelocParams(C=args.C)
+    # every family's enumeration is started, and so size-guarded, before the first one runs
+    pools = [
+        (n, d, enumerate_all(n, d)) for n in range(1, args.n_max + 1) for d in range(1, min(n, args.d_max) + 1)
+    ]
     families = []
     total_violations = 0
-    params = DelocParams(C=args.C)
-    for n in range(1, args.n_max + 1):
-        for d in range(1, min(n, args.d_max) + 1):
-            start = time.perf_counter()
-            pool = list(enumerate_all(n, d))
-            reports = run_family_checks(pool, params)
-            elapsed = int((time.perf_counter() - start) * 1000)
-            total_violations += sum(rep.violations for rep in reports)
-            families.append(
-                {
-                    "n": n,
-                    "d": d,
-                    "wall_time_ms": elapsed,
-                    "checks": [rep.to_dict() for rep in reports],
-                }
-            )
+    for n, d, members in pools:
+        start = time.perf_counter()
+        reports = run_family_checks(members, params)
+        elapsed = int((time.perf_counter() - start) * 1000)
+        total_violations += sum(rep.violations for rep in reports)
+        families.append(
+            {
+                "n": n,
+                "d": d,
+                "wall_time_ms": elapsed,
+                "checks": [rep.to_dict() for rep in reports],
+            }
+        )
     payload = {"families": families, "total_violations": total_violations}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATIONS

@@ -33,9 +33,10 @@ same rows up to order, and its rank census.  A row permutation changes
 the outcome of no per-matrix check, so each runs once per class, on its
 first member, and counts for every member.  The memo keeps facts for
 those first members only: feasible switchings, switched results, K_A and
-the replay, each computed once.  Any other member's facts, which
-qr-relation's level-set filter reads, are made when asked and dropped
-with their reader.  Ranks and kernels come from a table inside the memo
+the replay, each computed once; qr-relation reads the switched results of
+the other members there, relabelled.  Their other facts, which its
+level-set filter reads, are made when asked and dropped with their
+reader.  Ranks and kernels come from a table inside the memo
 that runs one Bareiss elimination per row multiset, so the row- and
 column-permuted members of a family share them.  The single-matrix
 functions are thin wrappers over the same private helpers, each on a
@@ -56,6 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -76,7 +78,7 @@ from .linalg import (
     format_vector,
     rational_rank,
 )
-from .matrix import BiregularMatrix, serialize
+from .matrix import BiregularMatrix, build, serialize
 from .switching import (
     Switch,
     _count_with_bounds,
@@ -317,7 +319,8 @@ class _Facts:
     column permutation cannot change is shared with every matrix that has
     it; the switchings, K_A and the replay are the matrix's own.
     ``switched`` holds the facts of the matrix's switched results, and
-    ``members`` the family's members by row supports, to find them in.
+    ``members`` the family's members by row supports, to find them in; a
+    sweep switches its classes' first members only (:meth:`_Memo.first_of`).
     Facts hold no memo and no other facts but their results, so they form no
     reference cycle and are freed with their last reader.
     """
@@ -394,29 +397,44 @@ class _Memo:
     ``classes`` lists, in order of first appearance, the facts of each
     class's first member with the class's weight, its number of pool
     members, duplicates included.  Those are the only facts the memo keeps:
-    :meth:`of` makes any other matrix's facts anew, and they are dropped
-    with their reader.  ``ranks`` is the census: each rank with the members
-    of that rank, in pool order.  ``table`` holds the ranks and kernels,
-    which members with the same rows or columns up to order share.
+    :meth:`of` makes any other matrix's facts anew, dropped with their
+    reader, and :meth:`first_of` relabels a class's kept facts for a member.
+    ``ranks`` is the census: each rank with the members of that rank, in
+    pool order.  ``table`` holds the ranks and kernels, which members with
+    the same rows or columns up to order share.
     """
 
     def __init__(self, pool: Sequence[BiregularMatrix]):
         self.table = _Table(pool[0].n)
         self.members = {m.row_supports: m for m in pool}
-        classes: dict[_Rows, list[BiregularMatrix]] = {}
-        for m in pool:
-            classes.setdefault(tuple(sorted(m.row_supports)), []).append(m)
-        self.classes = [(_Facts(ms[0], self.table, self.members), len(ms)) for ms in classes.values()]
-        self._kept = {f.a.row_supports: f for f, _ in self.classes}
-        rank = {key: f.rank for key, (f, _) in zip(classes, self.classes)}
+        self._firsts: dict[_Rows, _Facts] = {}  # row multiset -> its first member's facts
+        weights: Counter[_Rows] = Counter()
         self.ranks: dict[int, list[BiregularMatrix]] = {}
         for m in pool:
-            self.ranks.setdefault(rank[tuple(sorted(m.row_supports))], []).append(m)
+            key = tuple(sorted(m.row_supports))
+            f = self._firsts.get(key)
+            if f is None:
+                f = self._firsts[key] = _Facts(m, self.table, self.members)
+            weights[key] += 1
+            self.ranks.setdefault(f.rank, []).append(m)
+        self.classes = [(f, weights[key]) for key, f in self._firsts.items()]
 
     def of(self, a: BiregularMatrix) -> _Facts:
         """The kept facts of a class's first member, or new facts of ``a``."""
-        f = self._kept.get(a.row_supports)
-        return _Facts(a, self.table, self.members) if f is None else f
+        f = self._firsts.get(tuple(sorted(a.row_supports)))
+        return f if f is not None and f.a == a else _Facts(a, self.table, self.members)
+
+    def first_of(self, m: BiregularMatrix) -> tuple[_Facts, tuple[int, ...]]:
+        """The kept facts of the first member A of ``m``'s class, and a row
+        permutation pi with ``m.row_supports[s] == A.row_supports[pi[s]]``:
+        m = PA and a switching commutes with P, so m's switched results are
+        A's with their rows permuted by pi.  Repeated rows of A may be matched
+        either way, since either gives m."""
+        f = self._firsts[tuple(sorted(m.row_supports))]
+        slots: dict[tuple[int, ...], list[int]] = {}
+        for s, row in enumerate(f.a.row_supports):
+            slots.setdefault(row, []).append(s)
+        return f, tuple(slots[row].pop(0) for row in m.row_supports)
 
 
 # ─── switchings against a fixed matrix ──────────────────────────────────────
@@ -483,13 +501,8 @@ def rank_increasing_switchings(a: BiregularMatrix) -> list[Switch]:
     per canonical representative and both orders are emitted.
     """
     _guard(a.n)
-    rising = _rank_increasing(_Memo([a]).of(a))
-    return sorted(s for sw, _ in rising for s in (sw, sw.mirror()))
-
-
-def _rank_increasing(f: _Facts) -> list[tuple[Switch, _Facts]]:
-    """Deduped switchings of ``f`` that raise the rank by one, with their results."""
-    return [(sw, g) for sw, g in f.switched.items() if g.rank == f.rank + 1]
+    f = _Memo([a]).of(a)
+    return sorted(s for sw, g in f.switched.items() if g.rank == f.rank + 1 for s in (sw, sw.mirror()))
 
 
 # ─── the increase mechanism ─────────────────────────────────────────────────
@@ -719,11 +732,11 @@ def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
 
     Checks, in this order, every canonical basis vector of the right kernel
     and then of the left kernel and, when the matrix is singular, the
-    proof-constructed vectors from :func:`replay_KA_bound`: its y, then its
-    witnesses row by row.  It stops at the first vector whose largest level
-    set exceeds theta, so the left kernel is computed only when every right
-    basis vector holds, and the replay only when both bases hold; a replay
-    that would fail raises only when it is reached.  The underlying event
+    proof-constructed witnesses from :func:`replay_KA_bound`, row by row
+    (its y is the first left basis vector).  It stops at the first vector
+    whose largest level set exceeds theta, so the left kernel is computed
+    only when every right basis vector holds, and the replay only when both
+    bases hold; a replay that would fail raises only when it is reached.  The underlying event
     quantifies over all (infinitely many, once corank >= 2) kernel vectors;
     this checks the finite subset the proofs consume, which is why reports
     label it a certified subset.
@@ -740,9 +753,7 @@ def _deloc_candidates(f: _Facts) -> Iterable[tuple[str, tuple[int, ...]]]:
     yield from (("right-kernel-basis", v) for v in f.right.vectors)
     yield from (("left-kernel-basis", v) for v in f.left.vectors)
     if f.right.dim > 0:
-        replay = f.replay()
-        yield "replay-y", replay.y
-        yield from ((f"replay-row-{w.row}", w.vector) for w in replay.witnesses)
+        yield from ((f"replay-row-{w.row}", w.vector) for w in f.replay().witnesses)
 
 
 def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
@@ -852,9 +863,11 @@ def qr_relation_stats(
     switchings are verified to give distinct results, and the exact
     degree maps are fed through :func:`double_count_check`: out-degrees
     from the sources' switchings, in-degrees from the targets' own
-    switchings back to a source.  ``double_count_ok`` also requires the two
-    totals to be equal; a hypothesis the in-degrees break raises
-    :class:`PreconditionError`.
+    switchings back to a source.  Each row class is switched once, at its
+    first member A: a member PA reads A's switched results with the rows
+    permuted by P, each looked up among the members.  ``double_count_ok``
+    also requires the two totals to be equal; a hypothesis the in-degrees
+    break raises :class:`PreconditionError`.
     """
     pool = _family(matrices)
     n = pool[0].n
@@ -877,11 +890,17 @@ def _qr_relation(memo: _Memo, r: int, params: DelocParams) -> QrStatsReport:
         else:
             skipped += 1
 
-    # each result's rank is r + 1 by selection from the table's one rank per row multiset
+    def switched_to(m: BiregularMatrix, rank: int) -> list[_Rows]:
+        """Rows of ``m``'s switched results of rank ``rank``: its class's first member's, relabelled."""
+        f, pi = memo.first_of(m)
+        permute = itemgetter(*pi)  # n >= 3 here, so it returns a tuple
+        return [permute(g.a.row_supports) for g in f.switched.values() if g.rank == rank]
+
     edges: list[tuple[BiregularMatrix, BiregularMatrix]] = []
     out_deg: dict[BiregularMatrix, int] = {}
     for m in sources:
-        results = [g.a for _, g in _rank_increasing(memo.of(m))]
+        # found among the members, so that no edge holds a copy
+        results = [memo.members.get(rows) or build(n, d, rows) for rows in switched_to(m, r + 1)]
         if len(set(results)) != len(results):
             raise ConsistencyError(
                 "distinct canonical switchings produced identical matrices"
@@ -890,11 +909,11 @@ def _qr_relation(memo: _Memo, r: int, params: DelocParams) -> QrStatsReport:
         edges.extend((m, bar) for bar in results)
 
     # each target's in-degree counted from its own side: the reverse of a
-    # switching is a switching, so its switchings back to a source are its edges
+    # switching is a switching, so its switchings back to a (rank-r) source are its edges
     starts = {m.row_supports for m in sources}
     # without a source no target has an edge, and its switchings need not be read
     t = {
-        bar: sum(g.a.row_supports in starts for g in memo.of(bar).switched.values()) if starts else 0
+        bar: sum(rows in starts for rows in switched_to(bar, r)) if starts else 0
         for bar in memo.ranks.get(r + 1, [])
     }
     ok = double_count_check(edges, out_deg, t) and sum(out_deg.values()) == sum(t.values())
@@ -975,39 +994,32 @@ def run_family_checks(
     failed on a concrete instance.  Each report keeps the first
     ``_MAX_WITNESSES`` violating instances.
 
-    The checks read one memo that lives for this call.  The memo groups the
-    pool into row classes by row multiset (a sorted tuple of row supports),
-    in order of first appearance; a class's weight is its number of pool
-    members, duplicates included.  It keeps facts for each class's first
-    member only: its feasible switchings (enumerated once), its deduped
-    switchings with their switched members (looked up, not rebuilt), K_A and
-    the replay.  Ranks and kernels sit in the memo's table, one Bareiss
-    elimination per row multiset, because each is invariant under a
-    permutation: a rank and a right kernel {x : Ax = 0} under row
-    permutations, so they are keyed by the rows; a left kernel under column
-    permutations, so it is keyed by the columns.  Members that are row or
-    column permutations of one another, the ranks of F(A; i, j) behind K_A
-    and the zeroed-row ranks of the replay therefore share eliminations.
+    The checks read one memo that lives for this call (:class:`_Memo`).  It
+    groups the pool into row classes by row multiset, in order of first
+    appearance, a class weighing its number of pool members, duplicates
+    included, and keeps facts for each class's first member only.  Ranks and
+    kernels sit in its table (:class:`_Table`), one Bareiss elimination per
+    row multiset, so members that are row or column permutations of one
+    another, the ranks of F(A; i, j) behind K_A and the zeroed-row ranks of
+    the replay share eliminations.
 
-    A row permutation relabels the rows of a member's switchings
-    and of K_A and permutes the coordinates of its left kernel, and leaves
-    the rank, the right kernel and every rank step alone, so each of the
-    first six checks counts the same instances and violations on every
-    member of a class.  So does ka-replay: a row permutation can change the
-    first vector y of a member's canonical left-kernel basis, but the proof
-    it replays holds for any nonzero left-kernel y, and replaying PA, of A's
-    class, from A's y permuted gives A's zeroed-row ranks, K_A and
-    witnesses, relabelled: A's outcome.  Each check runs once per class, on
-    its first member, adds weight times its instances and violations, and
-    keeps that member's witnesses.  qr-relation then runs on the whole
-    family, grouped by the memo's rank census.  Its level-set filter
-    decides each member of rank r lazily, as :func:`deloc_event` does: it
-    reads the member's left kernel only when every right basis vector
-    leaves the event open, and its replay only when both bases do.  A replay
-    it reads is a first member's kept replay, or its kept replay error, or
-    another member's, made anew and dropped once read, as are the facts of
-    the sources and targets it switches.  A switched matrix outside the
-    pool is built by ``apply_switch``, which validates it.
+    A row permutation relabels the rows of a member's switchings and of K_A
+    and permutes the coordinates of its left kernel, and leaves the rank,
+    the right kernel and every rank step alone, so each of the first six
+    checks counts the same instances and violations on every member of a
+    class.  So does ka-replay: the proof it replays holds for any nonzero
+    left-kernel y, and replaying PA, of A's class, from A's y permuted gives
+    A's outcome, relabelled.  Each check runs once per class, on its first
+    member, adds weight times its instances and violations, and keeps that
+    member's witnesses.  qr-relation then runs on the whole family, grouped
+    by the memo's rank census.  Its level-set filter decides each member of
+    rank r lazily, as :func:`deloc_event` does, and reads a first member's
+    kept replay, or its kept replay error, or another member's, made anew
+    and dropped once read.  The relation itself switches no member: each
+    source and target reads its switched results from its class's first
+    member, relabelled.  A switched matrix outside the pool is built and
+    validated, by ``apply_switch`` for a first member and by ``build`` for a
+    relabelled result.
 
     rank-delta-law asserts |delta| <= 1 and the exact delta that Meyer's
     rank-one-update criterion predicts from the two kernels.  f-invariance

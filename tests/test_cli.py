@@ -351,6 +351,24 @@ def test_verify_size_guard(capsys):
     assert code == 3 and "guard" in err.lower()
 
 
+def test_verify_guards_every_family_before_the_first_runs(monkeypatch, capsys):
+    # (7,2) is past the enumeration's guard, so the sweep stops before (1,1)
+    def ran(*args):
+        raise AssertionError("a family ran")
+
+    monkeypatch.setattr(cli, "run_family_checks", ran)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "7", "--d-max", "2")
+    assert code == 3 and out == "" and "guard" in err.lower()
+
+
+def test_verify_sweeps_n6(capsys):
+    # verify has no cap of its own: n = 6 runs wherever the enumeration does
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "6", "--d-max", "1")
+    assert code == 0
+    families = json.loads(out)["families"]
+    assert [(f["n"], f["d"]) for f in families] == [(n, 1) for n in range(1, 7)]
+
+
 # ─── sampler-test ────────────────────────────────────────────────────────────
 
 

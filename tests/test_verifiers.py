@@ -1,5 +1,6 @@
 """Rank/switching interplay: K_A, x-badness, replay, deloc, double counting."""
 
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +10,8 @@ from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dreglab import (
     BoundViolation,
@@ -95,8 +98,8 @@ def test_deloc_event_block_fails_with_witness():
 
 
 def _eager_deloc(f, params):
-    """The level-set filter that lists every certified vector of ``f``, with
-    both kernels and the replay, before it checks any: the reference for the
+    """The level-set filter that lists every certified vector of ``f``, both
+    kernel bases and the replay's row witnesses, before it checks any: the reference for the
     lazy ``verifiers._deloc``.  Returns the result and the witness's 1-based
     position in the list (None when the event holds)."""
     theta = params.beta(f.a.n, f.a.d)
@@ -105,7 +108,6 @@ def _eager_deloc(f, params):
     candidates.extend(("left-kernel-basis", v) for v in f.left.vectors)
     if f.right.dim > 0:
         replay = f.replay()
-        candidates.append(("replay-y", replay.y))
         candidates.extend((f"replay-row-{w.row}", w.vector) for w in replay.witnesses)
 
     for position, (source, vec) in enumerate(candidates, 1):
@@ -163,7 +165,7 @@ def _counting_left(monkeypatch):
     [
         (_PAIRED, F(5, 4), "right-kernel-basis", 2, 0, 0),
         (_SPREAD, F(1, 2), "left-kernel-basis", 3, 1, 0),
-        (_SPREAD, F(3, 4), "replay-row-2", 7, 1, 1),
+        (_SPREAD, F(3, 4), "replay-row-2", 6, 1, 1),
     ],
 )
 def test_lazy_deloc_stops_at_a_later_witness(a, C, source, position, lefts, replays, monkeypatch):
@@ -851,6 +853,9 @@ def test_every_singular_member_replays_alone(n, d):
     for m in singular:
         rep = replay_KA_bound(m)
         assert rep.ka_size >= rep.bound > 0
+        # the replay's y is the first left basis vector, which the level-set
+        # event reads before any replay vector
+        assert rep.y == kernel(m, "left").vectors[0]
     assert _check(run_family_checks(pool), "ka-replay").instances_checked == len(singular)
 
 
@@ -920,15 +925,17 @@ def test_failed_replay_the_filter_does_not_need_is_ka_replays_alone(monkeypatch)
 
 
 def test_qr_relation_fires_when_a_target_loses_a_switching(monkeypatch):
-    # in-degrees are counted from each rank-3 member's own switchings back to
-    # a source, so one member that forgets such a switching breaks the double
-    # count at r = 2; in-degrees read off the edge list could not disagree.
-    # C = 100 lets all 18 rank-2 members through the event, as sources
+    # in-degrees are counted from each rank-3 member's switchings back to a
+    # source, so a class whose first member forgets such a switching breaks
+    # the double count at r = 2; in-degrees read off the edge list could not
+    # disagree.  The victim is a class's first member, since every member
+    # reads its switchings from there.  C = 100 lets all 18 rank-2 members
+    # through the event, as sources
     pool = list(enumerate_all(4, 2))
     memo, params = verifiers._Memo(pool), DelocParams(C=F(100))
     victim, lost = next(
         (f.a, sw)
-        for f in map(memo.of, pool)
+        for f, _ in memo.classes
         if f.rank == 3
         for sw, g in f.switched.items()
         if g.rank == 2 and verifiers._deloc(g, params).holds
@@ -945,6 +952,107 @@ def test_qr_relation_fires_when_a_target_loses_a_switching(monkeypatch):
     assert rep.violations == 1 and rep.witnesses[0]["r"] == 2
     with pytest.raises(PreconditionError, match="exceeds t"):
         qr_relation_stats(2, pool, params)
+
+
+def _member_qr_relation(memo, r, params):
+    """qr-relation switching every source and target member itself: the
+    reference for ``verifiers._qr_relation``, which reads each member's
+    switched results from its class's first member."""
+    first = memo.classes[0][0].a
+    n, d = first.n, first.d
+    class_sizes = tuple(sorted((rk, len(ms)) for rk, ms in memo.ranks.items()))
+    theta = params.beta(n, d)
+    sources = [m for m in memo.ranks.get(r, []) if verifiers._deloc(memo.of(m), params).holds]
+    skipped = len(memo.ranks.get(r, [])) - len(sources)
+    edges, out_deg = [], {}
+    for m in sources:
+        f = memo.of(m)
+        results = [g.a for g in f.switched.values() if g.rank == f.rank + 1]
+        if len(set(results)) != len(results):
+            raise verifiers.ConsistencyError("distinct canonical switchings produced identical matrices")
+        out_deg[m] = len(results)
+        edges.extend((m, bar) for bar in results)
+    starts = {m.row_supports for m in sources}
+    t = {
+        bar: sum(g.a.row_supports in starts for g in memo.of(bar).switched.values()) if starts else 0
+        for bar in memo.ranks.get(r + 1, [])
+    }
+    ok = double_count_check(edges, out_deg, t) and sum(out_deg.values()) == sum(t.values())
+    in_deg = Counter(bar for _, bar in edges)
+    return verifiers.QrStatsReport(
+        n=n,
+        d=d,
+        r=r,
+        theta=theta,
+        C=params.C,
+        class_sizes=class_sizes,
+        source_count=len(sources),
+        skipped_sources=skipped,
+        edge_count=len(edges),
+        out_degree_hist=tuple(sorted(Counter(out_deg.values()).items())),
+        in_degree_hist=tuple(sorted(Counter(in_deg.values()).items())),
+        asymptotic_out_lower=n * (n - 3 * theta) * d * d / 2,
+        asymptotic_in_upper=3 * n * theta * d * d / 2,
+        double_count_ok=ok,
+    )
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 6) for d in range(1, n + 1)])
+def test_qr_relation_by_class_matches_the_member_by_member_reference(n, d):
+    # every field of every report, on the enumerated pool and on a shuffled
+    # one, whose classes have other first members and so other relabellings
+    family = list(enumerate_all(n, d))
+    for pool in (family, random.Random(n * 10 + d).sample(family, len(family))):
+        for C in (1, 10, 100):
+            params = DelocParams(C=F(C))
+            for r in range(1, n - 1):
+                by_class = verifiers._qr_relation(verifiers._Memo(pool), r, params)
+                assert by_class == _member_qr_relation(verifiers._Memo(pool), r, params), (r, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_relabelled_results_are_the_permuted_members_own(n, data):
+    # PA's switched results are A's with their rows permuted by first_of's
+    # pi: the same multiset as switching PA by its own deduped switchings
+    d = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    a = draw_sample(n, d, SamplerConfig(kind="mcmc"), np.random.default_rng(seed))
+    order = data.draw(st.permutations(range(n)))
+    pa = build(n, d, [a.row_supports[s] for s in order])
+    f, pi = verifiers._Memo([a, pa]).first_of(pa)
+    assert f.a is a and [a.row_supports[p] for p in pi] == list(pa.row_supports)
+    relabelled = Counter(tuple(g.a.row_supports[p] for p in pi) for g in f.switched.values())
+    own = Counter(apply_switch(pa, sw).row_supports for sw in dedup_switches(enumerate_switches(pa)))
+    assert relabelled == own
+
+
+def test_qr_relation_switches_only_first_members(monkeypatch):
+    # (4,2) at C = 100: all 18 rank-2 members are sources with real edges,
+    # yet the sweep enumerates switchings once per row class, 6 times in all
+    pool = list(enumerate_all(4, 2))
+    assert len(_one_per_class(pool)) == 6
+    calls = _counting(monkeypatch, ["enumerate_switches"])
+    reports = run_family_checks(pool, DelocParams(C=F(100)))
+    assert calls == {"enumerate_switches": 6}
+    assert not any(rep.violations for rep in reports)
+    assert verifiers._qr_relation(verifiers._Memo(pool), 2, DelocParams(C=F(100))).edge_count == 288
+
+
+def test_qr_relation_on_a_partial_pool_fails_as_the_reference_does():
+    # without the rank-3 members of one row class, edges reach targets that
+    # have no upper bound, and both ways of switching say which one first
+    family = list(enumerate_all(4, 2))
+    lost = next(f for f, _ in verifiers._Memo(family).classes if f.rank == 3)
+    key = sorted(lost.a.row_supports)
+    pool = [m for m in family if sorted(m.row_supports) != key]
+    params = DelocParams(C=F(100))
+    with pytest.raises(PreconditionError) as reference:
+        _member_qr_relation(verifiers._Memo(pool), 2, params)
+    with pytest.raises(PreconditionError) as by_class:
+        verifiers._qr_relation(verifiers._Memo(pool), 2, params)
+    assert str(by_class.value) == str(reference.value)
+    assert "has no upper bound" in str(reference.value)
 
 
 def test_all_ones_no_switches_everything_trivial():
