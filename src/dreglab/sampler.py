@@ -89,12 +89,13 @@ def sample_stub(n: int, d: int, rng: np.random.Generator) -> BiregularMatrix | N
 
     Out-stub a (of row a // d) is matched to in-stub perm[a] (of column
     perm[a] // d); the draw is rejected iff some row hits a column twice.
+    An accepted draw goes to :func:`build` as its sorted array.
     """
     perm = rng.permutation(n * d)
     cols = np.sort((perm // d).reshape(n, d), axis=1)
     if d > 1 and bool((cols[:, 1:] == cols[:, :-1]).any()):
         return None
-    return build(n, d, cols.tolist())
+    return build(n, d, cols)
 
 
 def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:

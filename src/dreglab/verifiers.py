@@ -180,7 +180,9 @@ class DelocResult:
 
     ``vectors_checked`` counts the vectors read before the event was
     decided: every certified vector when it holds, and the witness's
-    1-based position in checking order when it fails.
+    1-based position in checking order when it fails.  It is 0 when
+    theta >= n: no level set of an n-vector exceeds n, so the event holds
+    without a kernel, a replay or a vector being read.
     """
 
     holds: bool
@@ -736,7 +738,8 @@ def deloc_event(a: BiregularMatrix, params: DelocParams) -> DelocResult:
     (its y is the first left basis vector).  It stops at the first vector
     whose largest level set exceeds theta, so the left kernel is computed
     only when every right basis vector holds, and the replay only when both
-    bases hold; a replay that would fail raises only when it is reached.  The underlying event
+    bases hold; a replay that would fail raises only when it is reached.
+    When theta is capped at n it reads nothing and holds.  The underlying event
     quantifies over all (infinitely many, once corank >= 2) kernel vectors;
     this checks the finite subset the proofs consume, which is why reports
     label it a certified subset.
@@ -758,6 +761,8 @@ def _deloc_candidates(f: _Facts) -> Iterable[tuple[str, tuple[int, ...]]]:
 
 def _deloc(f: _Facts, params: DelocParams) -> DelocResult:
     theta = params.beta(f.a.n, f.a.d)
+    if theta >= f.a.n:  # no level set exceeds n, so no vector need be read
+        return DelocResult(holds=True, theta=theta, C=params.C, vectors_checked=0)
     checked = 0
     for source, vec in _deloc_candidates(f):
         checked += 1

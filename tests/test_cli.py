@@ -327,16 +327,17 @@ def test_rank_refuses_a_bad_header(text, tmp_path, monkeypatch, capsys):
 
 def test_verify_keeps_its_report_when_a_replay_fails(monkeypatch, tmp_path, capsys):
     # a failed replay is a witness of ka-replay and of qr-relation, not an
-    # error that ends the sweep before its report is written.  At C = 100
-    # the rank-2 members of (4,2) pass the event on their basis vectors, so
-    # qr-relation's level-set filter reads their replays
+    # error that ends the sweep before its report is written.  At C = 2
+    # (theta ~ 2.77 < n = 4) the rank-2 members of (4,2) pass the event on
+    # their basis vectors, so qr-relation's level-set filter reads their
+    # replays; at theta = n it would read nothing
     def refused(basis, i):
         raise WitnessConstructionError("patched")
 
     monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", refused)
     out = tmp_path / "verify.json"
     code, _, err = run_cli(
-        capsys, "verify", "--n-max", "4", "--d-max", "2", "--C", "100", "--out", str(out)
+        capsys, "verify", "--n-max", "4", "--d-max", "2", "--C", "2", "--out", str(out)
     )
     assert code == 1 and err == ""
     family = json.loads(out.read_text())["families"][-1]

@@ -727,6 +727,92 @@ def test_dense_finish_delayed_reduction_is_exact(p):
         assert every == 16 < m - 1
 
 
+def _per_row_block(rows, c0, ncols, identity=False):
+    """:func:`linalg._dense_block` as one assignment per row: the reference."""
+    m = ncols - c0
+    block = np.zeros((len(rows), m + len(rows) * identity), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        block[i, [col - c0 for col in row]] = list(row.values())
+    if identity:
+        block[:, m:] = np.eye(len(rows), dtype=np.uint64)
+    return block
+
+
+def _flatnonzero_finish(block, m, p, swaps):
+    """:func:`linalg._finish_dense` with ``np.flatnonzero`` and ``np.multiply.outer``:
+    the reference.  Appends each swap's ``(top, k)`` to ``swaps``."""
+    rows = len(block)
+    every = ((1 << 64) - p) // (p - 1) ** 2
+    pivots = []
+    top = pending = 0
+    for j in range(m):
+        if top == rows:
+            break
+        column = block[top:, j]
+        column %= p
+        nonzero = np.flatnonzero(column)
+        if not nonzero.size:
+            continue
+        k = top + int(nonzero[0])
+        if k != top:
+            swaps.append((top, k))
+            block[[top, k]] = block[[k, top]]
+        update = block[top, j + 1 :]
+        update %= p
+        update *= p - pow(int(block[top, j]), -1, p)
+        update %= p
+        below = block[top + 1 :, j + 1 :]
+        below += np.multiply.outer(block[top + 1 :, j], update)
+        pending += 1
+        if pending == every:
+            below %= p
+            pending = 0
+        pivots.append(j)
+        top += 1
+    return pivots
+
+
+def test_dense_hand_over_and_finish_match_their_references():
+    # the scatter into the block and the finish on column views give the
+    # per-row block and the flatnonzero finish bit for bit: the same uint64
+    # entries, reduced or not, and the same pivots.  The pinned samples
+    # rarely swap rows, so random blocks cover swaps, all-zero columns,
+    # more rows than columns and the identity beside the block, and a few
+    # hold entries anywhere below 2^64, where updates wrap the same way
+    rng = np.random.default_rng(2008)
+    seen = {"swap": 0, "zero column": 0, "tall": 0, "identity": 0, "wide entries": 0}
+    for case in range(400):
+        p = (2, 3, 97, 2**30 - 35)[case % 4]
+        h, m, c0 = (int(v) for v in rng.integers(1, 24, size=3))
+        density = rng.uniform(0.05, 0.9)
+        wide = case % 10 == 9
+        rows = []
+        for _ in range(h):
+            cols = np.flatnonzero(rng.random(m) < density) + c0
+            top = 1 << 64 if wide else p
+            vals = rng.integers(1, top, size=len(cols), dtype=np.uint64)
+            rows.append(dict(zip(cols.tolist(), vals.tolist())))
+        if m > 1 and case % 3 == 0:
+            gone = c0 + int(rng.integers(m))
+            for row in rows:
+                row.pop(gone, None)
+        identity = case % 2 == 1
+        block = linalg._dense_block(rows, c0, c0 + m, identity=identity)
+        reference = _per_row_block(rows, c0, c0 + m, identity=identity)
+        assert block.dtype == reference.dtype == np.uint64
+        assert np.array_equal(block, reference)
+        seen["zero column"] += any(not (block[:, j] % p).any() for j in range(m))
+        swaps = []
+        expected = _flatnonzero_finish(reference, m, p, swaps)
+        assert linalg._finish_dense(block, m, p) == expected
+        assert np.array_equal(block, reference)
+        seen["swap"] += bool(swaps)
+        seen["tall"] += h > m
+        seen["identity"] += identity
+        seen["wide entries"] += wide
+    assert min(seen.values()) >= 20, seen
+
+
 def _euclid_lift(x, m):
     """:func:`linalg._lift` without its fast path: every entry through the loop."""
     bound = isqrt(m // 2)

@@ -1,6 +1,7 @@
 """Construction, validation, and serialization of d-biregular 0/1 matrices."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -142,6 +143,98 @@ def test_build_rejects_bad_rows():
     # row sums fine, column sums off
     with pytest.raises(ColDegreeError):
         build(3, 2, [[0, 1], [0, 1], [0, 2]])
+
+
+def _permuted_circulant(n, d, seed, dtype):
+    """The (n, d) circulant with rows and columns permuted at random, as a
+    sorted (n, d) array: a valid input made without :func:`build`."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    offsets = np.arange(d)
+    return np.sort(cols[(rows[:, None] + offsets) % n], axis=1).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.int64, np.int32, np.uint64, np.uint8]),
+)
+def test_build_array_path_equals_list_path(n, data, seed, dtype):
+    # a valid sorted array, checked in bulk from 32 entries on, gives the
+    # list path's matrix, with rows of Python ints
+    d = data.draw(st.integers(1, n))
+    arr = _permuted_circulant(n, d, seed, dtype)
+    a = build(n, d, arr)
+    assert a == build(n, d, arr.tolist())
+    assert all(type(t) is int for row in a.row_supports for t in row)
+    assert dense_ok(a)
+
+
+def _fault(name, n):
+    """The (n, 2) circulant, rows [0 1] [1 2] ... [0 n-1], as an array with
+    one fault put in."""
+    arr = np.array(circulant(n, 2).row_supports)
+    if name == "index n":
+        arr[1, 1] = n
+    elif name == "negative index":
+        arr[0, 0] = -1
+    elif name == "repeated index":
+        arr[1] = [1, 1]
+    elif name == "n - 1 rows":
+        arr = arr[:-1]
+    elif name == "d + 1 columns":
+        arr = np.hstack([arr, (arr[:, -1:] + 1) % n])
+    elif name == "float array":
+        arr = arr.astype(float)
+    elif name == "column with d + 1 entries":
+        arr[2] = [0, 1]
+    return arr
+
+
+@pytest.mark.parametrize("n", [5, 16])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "index n",
+        "negative index",
+        "repeated index",
+        "n - 1 rows",
+        "d + 1 columns",
+        "float array",
+        "column with d + 1 entries",
+    ],
+)
+def test_build_array_faults_raise_what_lists_raise(name, n):
+    # an array that fails the bulk checks (n = 16: 32 entries), or is too
+    # small for them (n = 5), goes through the per-row loop as lists, so it
+    # raises the list call's exception with its message
+    arr = _fault(name, n)
+    with pytest.raises(Exception) as by_list:
+        build(n, 2, arr.tolist())
+    with pytest.raises(Exception) as by_array:
+        build(n, 2, arr)
+    assert type(by_array.value) is type(by_list.value)
+    assert str(by_array.value) == str(by_list.value)
+
+
+def test_build_accepts_an_unsorted_array():
+    arr = _permuted_circulant(12, 4, 7, np.int64)[:, ::-1]
+    assert build(12, 4, arr) == build(12, 4, arr.tolist()) == build(12, 4, arr[:, ::-1])
+
+
+def test_hash_is_the_fields_hash_across_pickling():
+    # the hash is kept on first use; it stays the hash of the fields, for a
+    # matrix pickled before its first hash and for one pickled after
+    for a in (circulant(7, 3), draw_sample(40, 3, SamplerConfig(), np.random.default_rng(3))):
+        fresh = pickle.loads(pickle.dumps(a))
+        assert hash(a) == hash((a.n, a.d, a.row_supports))
+        again = pickle.loads(pickle.dumps(a))
+        for b in (fresh, again):
+            assert b == a
+            assert hash(b) == hash((b.n, b.d, b.row_supports)) == hash(a)
+        assert len({a, fresh, again}) == 1
 
 
 def test_golden_serialization():

@@ -132,7 +132,8 @@ def _eager_deloc(f, params):
 def test_lazy_deloc_matches_the_eager_reference(n, d):
     # stopping at the first vector that breaks the event changes no outcome
     # and no witness; vectors_checked is the full count when the event holds
-    # and the witness's position when it fails
+    # and the witness's position when it fails, and 0 when theta is capped
+    # at n, where the event holds before any vector is read
     pool = list(enumerate_all(n, d))
     memo = verifiers._Memo(pool)
     for m in pool:
@@ -140,7 +141,10 @@ def test_lazy_deloc_matches_the_eager_reference(n, d):
             lazy = verifiers._deloc(memo.of(m), params)
             eager, position = _eager_deloc(memo.of(m), params)
             assert replace(lazy, vectors_checked=0) == replace(eager, vectors_checked=0)
-            assert lazy.vectors_checked == (eager.vectors_checked if eager.holds else position)
+            if params.beta(n, d) >= n:
+                assert lazy.vectors_checked == 0
+            else:
+                assert lazy.vectors_checked == (eager.vectors_checked if eager.holds else position)
 
 
 _PAIRED = build(6, 2, [(0, 1), (0, 2), (1, 3), (4, 5), (2, 3), (4, 5)])
@@ -191,8 +195,9 @@ def test_deloc_event_invertible_matrix_holds():
 
 
 def test_deloc_generous_constant_holds():
+    # theta is capped at n = 4, which no level set exceeds: nothing is read
     res = deloc_event(BLOCK, DelocParams(C=F(100)))
-    assert res.holds and res.theta == 4.0 and res.vectors_checked > 0
+    assert res.holds and res.theta == 4.0 and res.vectors_checked == 0
 
 
 # ─── K_A and the replay bound ────────────────────────────────────────────────
@@ -889,14 +894,14 @@ def test_qr_relation_without_sources_reads_no_target(monkeypatch):
 def test_failed_replay_stops_qr_relation(monkeypatch):
     # the 18 corank-2 members of (4,2) fail their replay; ka-replay replays
     # the first member of each of the 6 row multisets and counts a failure
-    # for every member of its class.  At C = 100 every rank-2 member's basis
-    # vectors pass the event, so qr-relation's level-set filter needs the
-    # replay, and meets the kept error of the first rank-2 member, the
+    # for every member of its class.  At C = 2 (theta ~ 2.77 < n = 4) every
+    # rank-2 member's basis vectors pass the event, so qr-relation's
+    # level-set filter needs the replay (at theta = n it reads nothing), and meets the kept error of the first rank-2 member, the
     # first of its class, without replaying again.  The sweep reports it as
     # a qr-relation witness at r = 2 and keeps its report; a direct
     # qr_relation_stats call raises it
     monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
-    pool, params = list(enumerate_all(4, 2)), DelocParams(C=F(100))
+    pool, params = list(enumerate_all(4, 2)), DelocParams(C=F(2))
     calls = _counting(monkeypatch, ["_replay"])
     reports = run_family_checks(pool, params)
     assert calls == {"_replay": 6}
