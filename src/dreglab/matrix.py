@@ -91,7 +91,7 @@ class BiregularMatrix:
 
 
 # Entries from which build checks an (n, d) array in bulk: its numpy calls
-# cost about 8 us, more than the per-row loop below about 32 entries.
+# cost about 10 us, more than the per-row loop below about 32 entries.
 _BULK_MIN = 32
 
 
@@ -105,18 +105,20 @@ def build(n: int, d: int, rows: Iterable[Iterable[int]] | np.ndarray) -> Biregul
 
     ``rows`` is either an iterable of rows or an (n, d) integer ndarray.
     From ``_BULK_MIN`` entries on, the array is checked in bulk, with a
-    handful of numpy calls: every row strictly increasing, no index
-    negative, and every column d times by ``np.bincount``, which leaves no
-    index at n or above.  A stub draw hands over its sorted array, and
-    ``build`` then takes 37 us where ``tolist()`` and the loop took 96 us
-    at (128,3), and 38 us where they took 199 us at (256,3) (one core,
-    Python 3.11, numpy 2.4).  A smaller array, or one that fails a bulk
-    check or is not an (n, d) integer array, goes through the per-row loop
-    as its ``tolist()``: a fault raises what the same rows as lists raise,
-    and a valid array with unsorted rows is accepted.  Either way the rows
-    come out as tuples of Python ints.  The loop takes 4.7 us at (4,2),
-    less than the bulk checks' numpy calls; enumeration, ``parse``, the
-    walk and the switchings hand over lists.
+    handful of numpy calls: every row
+    strictly increasing, its first and last entries in [0, n), and every
+    column d times by ``np.bincount``.  A stub draw hands over its sorted
+    array, and ``build`` then takes 25 us where ``tolist()`` and the loop
+    took 107-117 us at (128,3), and 41 us where they took 237-258 us at
+    (256,3) (one Xeon core, Python 3.11, numpy 2.4).  A smaller array, or
+    one that fails a bulk check or is not an (n, d) integer array, goes
+    through the per-row loop as its ``tolist()``: a fault raises what the
+    same rows as lists raise, and a valid array with unsorted rows is
+    accepted.  Either way the rows come out as tuples of Python ints.  The
+    loop takes 4.6 us at (4,2), where the bulk checks take 9.7 us, and the
+    300,000 small stub draws of the sampler-exactness criterion took about
+    1 s longer in bulk.  Enumeration, ``parse``, the walk and the
+    switchings hand over lists.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -128,8 +130,10 @@ def build(n: int, d: int, rows: Iterable[Iterable[int]] | np.ndarray) -> Biregul
             and rows.shape == (n, d)
             and rows.dtype.kind in "iu"
             and (rows[:, 1:] > rows[:, :-1]).all()
-            and rows.min() >= 0
-            # n bins of d each hold all n * d entries, so none is n or more
+            # rows strictly increase, so their ends bound every index, and
+            # bincount below allocates n bins, not one per value up to a stray
+            and rows[:, 0].min() >= 0
+            and rows[:, -1].max() < n
             and (np.bincount(rows.ravel().astype(np.intp, copy=False), minlength=n) == d).all()
         ):
             return BiregularMatrix(n, d, tuple(map(tuple, rows.tolist())))

@@ -178,6 +178,11 @@ def _fault(name, n):
     arr = np.array(circulant(n, 2).row_supports)
     if name == "index n":
         arr[1, 1] = n
+    elif name == "index 2^40":
+        arr[1, 1] = 1 << 40
+    elif name == "uint64 index 2^64 - 1":
+        arr = arr.astype(np.uint64)
+        arr[1, 1] = (1 << 64) - 1
     elif name == "negative index":
         arr[0, 0] = -1
     elif name == "repeated index":
@@ -198,6 +203,8 @@ def _fault(name, n):
     "name",
     [
         "index n",
+        "index 2^40",
+        "uint64 index 2^64 - 1",
         "negative index",
         "repeated index",
         "n - 1 rows",
@@ -209,7 +216,8 @@ def _fault(name, n):
 def test_build_array_faults_raise_what_lists_raise(name, n):
     # an array that fails the bulk checks (n = 16: 32 entries), or is too
     # small for them (n = 5), goes through the per-row loop as lists, so it
-    # raises the list call's exception with its message
+    # raises the list call's exception with its message.  A stray index far
+    # above n is caught before bincount sizes its bins
     arr = _fault(name, n)
     with pytest.raises(Exception) as by_list:
         build(n, 2, arr.tolist())

@@ -896,8 +896,9 @@ def test_failed_replay_stops_qr_relation(monkeypatch):
     # the first member of each of the 6 row multisets and counts a failure
     # for every member of its class.  At C = 2 (theta ~ 2.77 < n = 4) every
     # rank-2 member's basis vectors pass the event, so qr-relation's
-    # level-set filter needs the replay (at theta = n it reads nothing), and meets the kept error of the first rank-2 member, the
-    # first of its class, without replaying again.  The sweep reports it as
+    # level-set filter needs the replay (at theta = n it reads nothing), and
+    # meets the kept error of the first rank-2 member, the first of its
+    # class, without replaying again.  The sweep reports it as
     # a qr-relation witness at r = 2 and keeps its report; a direct
     # qr_relation_stats call raises it
     monkeypatch.setattr(verifiers, "_left_vector_vanishing_at", _refused)
