@@ -105,10 +105,9 @@ def build(n: int, d: int, rows: Iterable[Iterable[int]] | np.ndarray) -> Biregul
 
     ``rows`` is either an iterable of rows or an (n, d) integer ndarray.
     From ``_BULK_MIN`` entries on, the array is checked in bulk, with a
-    handful of numpy calls: every row
-    strictly increasing, its first and last entries in [0, n), and every
-    column d times by ``np.bincount``.  A stub draw hands over its sorted
-    array, and ``build`` then takes 25 us where ``tolist()`` and the loop
+    handful of numpy calls: every row strictly increasing, its first and
+    last entries in [0, n), and every column d times by ``np.bincount``.
+    A stub draw hands over its sorted array, and ``build`` then takes 25 us where ``tolist()`` and the loop
     took 107-117 us at (128,3), and 41 us where they took 237-258 us at
     (256,3) (one Xeon core, Python 3.11, numpy 2.4).  A smaller array, or
     one that fails a bulk check or is not an (n, d) integer array, goes
