@@ -132,10 +132,29 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
     are taken left to right, and the pivot is the candidate row with the
     fewest nonzeros, the first such in the set's order, as ``min`` with a
     key picks it.  A column with one or two candidates, the common case,
-    picks that same row by unpacking the set, without a call of the key
+    picks that same row by unpacking the set, and one with more by a plain
+    scan that keeps the first strictly shorter row, without a call of a key
     function per candidate.  A pivot updates only the rows nonzero in its
     column, and only at the pivot row's nonzero columns; entries that
-    cancel are removed.  Fill-in makes each such entry a dict operation of
+    cancel are removed.
+
+    Ones get fast paths.  Entries always lie in [1, p - 1], so a pivot
+    entry of 1 needs no inverse: its scale is p - 1 and each update
+    coefficient is p - v.  A row whose entry in the pivot column is 1 adds
+    the update without the multiply.  Modulo 2^30 - 35, 80-87% of the
+    sparse pivots are 1 at d = 3, and 44-54% of the multipliers; at (40,2)
+    79% and 76%.  Against an inverse per pivot, a multiply per entry and
+    ``min`` with a key, this took an elimination (interleaved, best of 7,
+    summed over seeded samples on 2 cores, Python 3.11) to 0.88-0.89 of
+    its time at (128,3), 0.91-0.92 at (256,3), 0.89 at (40,2) and 0.92-0.93
+    at (48,8) mcmc; the pivot paths alone gave 0.91-0.92, 0.94, 0.90-0.91
+    and 0.96.  Against this loop, building the update with ``zip`` and
+    ``map`` took 1.01-1.11 of its time, discarding over the pivot row's
+    keys 1.00-1.01 and binding ``sparse.append`` once 0.97-1.01.  Row
+    dicts keep their insertion order and ``col_rows`` its add and discard
+    history, so every echelon is the one the plain loop gives.
+
+    Fill-in makes each updated entry a dict operation of
     250-400 ns, so at the first pivot whose step would touch more than
     ``_DENSE_AFTER`` = 250 entries (candidate rows times pivot-row length)
     the live rows go to :func:`_finish_dense`, when p^2 < 2^63 leaves its
@@ -186,8 +205,12 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             piv, other = cand
             if len(rows[other]) < len(rows[piv]):
                 piv = other
-        else:
-            piv = min(cand, key=lambda s: len(rows[s]))
+        else:  # the first strictly shortest row, the one min(key=len) picks
+            best = inf
+            for s in cand:
+                size = len(rows[s])
+                if size < best:
+                    piv, best = s, size
         pivrow = rows[piv]
         if len(cand) * len(pivrow) > limit:
             # every row still nonzero past column c is a live, non-pivot row
@@ -198,11 +221,17 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             echelon.live, echelon.live_rows = live, live_rows
             return echelon
         cand.discard(piv)
-        # row s becomes row s + f * update, where f is row s's entry in c
-        ninv = p - pow(pivrow.pop(c), -1, p)
+        # row s becomes row s + f * update, where f is row s's entry in c;
+        # entries lie in [1, p - 1], so a unit pivot scales v to p - v
+        x = pivrow.pop(c)
+        if x == 1:
+            ninv = p - 1
+            update = [(col, p - v) for col, v in pivrow.items()]
+        else:
+            ninv = p - pow(x, -1, p)
+            update = [(col, v * ninv % p) for col, v in pivrow.items()]
         if record:
             scale[piv] = ninv
-        update = [(col, v * ninv % p) for col, v in pivrow.items()]
         for col, _ in update:
             col_rows[col].discard(piv)
         for s in cand:
@@ -210,6 +239,20 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             f = row.pop(c)
             if record:
                 ops.append((piv, s, f))
+            if f == 1:  # the same loop as below, without the multiply
+                for col, v in update:
+                    old = row.get(col)
+                    if old is None:
+                        row[col] = v
+                        col_rows[col].add(s)
+                    else:
+                        new = (old + v) % p
+                        if new:
+                            row[col] = new
+                        else:
+                            del row[col]
+                            col_rows[col].discard(s)
+                continue
             for col, v in update:
                 old = row.get(col)
                 if old is None:  # fill-in: f * v is nonzero since p is prime

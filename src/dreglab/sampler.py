@@ -24,6 +24,7 @@ construction-time validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -84,18 +85,38 @@ class SamplerConfig:
             _require_int("burn_in_steps", self.burn_in_steps, 0)
 
 
+@lru_cache(maxsize=16)
+def _row_offsets(n: int, d: int) -> np.ndarray:
+    """``row * n`` for each of the n * d out-stubs, row = stub // d; read-only."""
+    offsets = np.arange(n * d) // d * n
+    offsets.flags.writeable = False
+    return offsets
+
+
 def sample_stub(n: int, d: int, rng: np.random.Generator) -> BiregularMatrix | None:
     """One configuration-model draw; ``None`` when a multi-edge came up.
 
     Out-stub a (of row a // d) is matched to in-stub perm[a] (of column
     perm[a] // d); the draw is rejected iff some row hits a column twice.
-    An accepted draw goes to :func:`build` as its sorted array.
+    Each stub's key ``column + row * n`` is unique to its (row, column)
+    pair, and one flat sort of the keys orders them by row and, within a
+    row, by column.  So a row hits a column twice iff two adjacent keys
+    are equal, and an accepted draw's keys mod n, as an (n, d) array, are
+    each row's columns in increasing order: the array a row-wise
+    ``np.sort(axis=1)`` gave, which goes to :func:`build`.  The only random
+    draw is the ``permutation``.  One flat sort of n * d keys against n
+    sorts of d took a draw from 16.9 to 12.4 us at (128,3) and from 28.3
+    to 20.3 us at (256,3) (one core, Python 3.11, numpy 2.4; best of 5
+    runs of 3,000 draws); the cached offsets are 2.5 us of that at (128,3).
     """
-    perm = rng.permutation(n * d)
-    cols = np.sort((perm // d).reshape(n, d), axis=1)
-    if d > 1 and bool((cols[:, 1:] == cols[:, :-1]).any()):
+    keys = rng.permutation(n * d)
+    keys //= d
+    keys += _row_offsets(n, d)
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
         return None
-    return build(n, d, cols)
+    keys %= n
+    return build(n, d, keys.reshape(n, d))
 
 
 def _walk(rows: list[list[int]], steps: int, rng: np.random.Generator) -> None:

@@ -31,7 +31,7 @@ from dreglab import (
     sample_stub,
 )
 from dreglab import linalg
-from dreglab.experiment import run_trial
+from dreglab.experiment import run_trial, trial_rng
 
 # ─── independent oracle: plain Fraction Gauss-Jordan elimination ───────────
 
@@ -354,6 +354,35 @@ def test_eliminations_and_reports_are_pinned():
                 h.update(repr((e.sparse, e.ops, e.scale, e.c0, e.pivots, e.live, live_rows, block)).encode())
             h.update(repr(rank_exact(a)).encode())
     assert h.hexdigest() == _PINNED_ECHELON_DIGEST
+
+
+# Larger samples, drawn for master seed 5 from the stub sampler at d = 3 and
+# from the walk at d = 8, where the dense block holds more of an elimination
+# and 2^61 - 1 runs sparse on up to 1024 rows.  The digest was computed before
+# the sparse phase gained its unit fast paths and the stub draw its one flat
+# sort, in the same form as the one above, whose samples stay as they are
+_PINNED_LARGE = (
+    ("stub_rejection", 512, 3, 3),
+    ("stub_rejection", 1024, 3, 1),
+    ("mcmc", 128, 8, 3),
+    ("mcmc", 256, 8, 2),
+)
+_PINNED_LARGE_DIGEST = "8d3198bc5d374297756dd32ebbf6574d44191dafa62e8bbac7387796930e0ce7"
+
+
+def test_larger_eliminations_and_reports_are_pinned():
+    h = hashlib.sha256()
+    for kind, n, d, count in _PINNED_LARGE:
+        config = SamplerConfig(kind=kind)
+        for t in range(count):
+            a = draw_sample(n, d, config, trial_rng(5, n, d, t))
+            for p in linalg._PRIMES:
+                e = linalg._rank_rows_mod_p(a.row_supports, p, True)
+                block = None if e.block is None else e.block.tolist()
+                live_rows = [sorted(row.items()) for row in e.live_rows]
+                h.update(repr((e.sparse, e.ops, e.scale, e.c0, e.pivots, e.live, live_rows, block)).encode())
+            h.update(repr(rank_exact(a)).encode())
+    assert h.hexdigest() == _PINNED_LARGE_DIGEST
 
 
 def _count_routes(monkeypatch):
@@ -811,6 +840,116 @@ def test_dense_hand_over_and_finish_match_their_references():
         seen["identity"] += identity
         seen["wide entries"] += wide
     assert min(seen.values()) >= 20, seen
+
+
+def _keyed_rank_rows(rows, p, record, seen):
+    """:func:`linalg._rank_rows_mod_p` with an inverse per pivot, a multiply
+    per entry and ``min`` with a key: the reference.  Counts in ``seen`` the
+    pivots other than 1, the multipliers other than 1 and the cancelled
+    entries."""
+    ncols = len(rows)
+    rows = [dict.fromkeys(support, 1) for support in rows]
+    col_rows = [set() for _ in range(ncols)]
+    for s, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(s)
+    ops, scale = ([], {}) if record else (None, None)
+    echelon = linalg._Echelon(p, [], ops, scale)
+    limit = linalg._DENSE_AFTER if p * p < 1 << 63 else float("inf")
+    for c in range(ncols):
+        cand = col_rows[c]
+        if not cand:
+            continue
+        if len(cand) == 1:
+            (piv,) = cand
+        elif len(cand) == 2:
+            piv, other = cand
+            if len(rows[other]) < len(rows[piv]):
+                piv = other
+        else:
+            piv = min(cand, key=lambda s: len(rows[s]))
+        pivrow = rows[piv]
+        if len(cand) * len(pivrow) > limit:
+            live = sorted(set().union(*col_rows[c:]))
+            live_rows = [rows[s] for s in live]
+            echelon.c0, echelon.block = c, linalg._dense_block(live_rows, c, ncols)
+            echelon.pivots = linalg._finish_dense(echelon.block, ncols - c, p)
+            echelon.live, echelon.live_rows = live, live_rows
+            return echelon
+        cand.discard(piv)
+        x = pivrow.pop(c)
+        seen["pivot"] += x != 1
+        ninv = p - pow(x, -1, p)
+        if record:
+            scale[piv] = ninv
+        update = [(col, v * ninv % p) for col, v in pivrow.items()]
+        for col, _ in update:
+            col_rows[col].discard(piv)
+        for s in cand:
+            row = rows[s]
+            f = row.pop(c)
+            seen["multiplier"] += f != 1
+            if record:
+                ops.append((piv, s, f))
+            for col, v in update:
+                old = row.get(col)
+                if old is None:
+                    row[col] = f * v % p
+                    col_rows[col].add(s)
+                else:
+                    new = (old + f * v) % p
+                    if new:
+                        row[col] = new
+                    else:
+                        seen["cancel"] += 1
+                        del row[col]
+                        col_rows[col].discard(s)
+        echelon.sparse.append((c, update))
+    return echelon
+
+
+def _echelon_fields(e):
+    """Every field of an :class:`linalg._Echelon`, row dicts in insertion order."""
+    block = None if e.block is None else e.block.tolist()
+    live_rows = [list(row.items()) for row in e.live_rows]
+    return (e.p, e.sparse, e.ops, e.scale, e.c0, e.pivots, block, e.live, live_rows)
+
+
+_SPARSE_PRIMES = (2, 3, 5, 7, 2**30 - 35, 2**61 - 1)
+
+
+def _assert_sparse_phase_matches(a, seen):
+    for p in _SPARSE_PRIMES:
+        for record in (True, False):
+            expected = _echelon_fields(_keyed_rank_rows(a.row_supports, p, record, seen))
+            assert _echelon_fields(linalg._rank_rows_mod_p(a.row_supports, p, record)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_sparse_phase_matches_the_keyed_reference(n, data):
+    # the unit-pivot and unit-multiplier fast paths and the pivot scan give
+    # the reference's echelon bit for bit, dense block included; small
+    # primes reach pivots and multipliers other than 1 and cancellations
+    kind = data.draw(st.sampled_from(["stub_rejection", "mcmc"]))
+    d = data.draw(st.integers(1, min(n, 8 if kind == "mcmc" else 3)))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    a = draw_sample(n, d, SamplerConfig(kind=kind), np.random.default_rng(seed))
+    _assert_sparse_phase_matches(a, {"pivot": 0, "multiplier": 0, "cancel": 0})
+
+
+def test_sparse_phase_reference_reaches_every_path():
+    # seeded draws on which the comparison above takes every branch the
+    # fast paths skip, and hands some eliminations to the dense block
+    seen = {"pivot": 0, "multiplier": 0, "cancel": 0}
+    mcmc = SamplerConfig(kind="mcmc")
+    rng = np.random.default_rng(64)
+    cases = [draw_sample(n, d, mcmc, rng) for n, d in ((64, 8), (48, 6), (32, 5), (9, 4))]
+    cases += _stub_samples(64, 3, 2, 64) + _stub_samples(30, 2, 2, 30) + [circulant(3, 2)]
+    for a in cases:
+        _assert_sparse_phase_matches(a, seen)
+    assert min(seen.values()) >= 20, seen
+    assert any(linalg._rank_rows_mod_p(a.row_supports, 7).block is not None for a in cases)
 
 
 def _euclid_lift(x, m):

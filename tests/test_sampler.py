@@ -267,6 +267,34 @@ def test_same_seed_same_draws():
     assert a == b
 
 
+def _row_sorted_stub(n, d, rng):
+    """:func:`sampler.sample_stub` with a row-wise sort: the reference."""
+    perm = rng.permutation(n * d)
+    cols = np.sort((perm // d).reshape(n, d), axis=1)
+    if d > 1 and bool((cols[:, 1:] == cols[:, :-1]).any()):
+        return None
+    return build(n, d, cols)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 1), (7, 2), (40, 2), (128, 3), (12, 5), (30, 6)])
+def test_flat_sorted_stub_draw_is_the_row_sorted_one(n, d):
+    # draw for draw the same matrix or the same rejection, and the same RNG
+    # state after it; d = 1 never rejects, and n * d below build's bulk
+    # threshold takes its per-row loop
+    rng, reference_rng = np.random.default_rng(n * d), np.random.default_rng(n * d)
+    accepted = 0
+    for _ in range(300):
+        got = sample_stub(n, d, rng)
+        expected = _row_sorted_stub(n, d, reference_rng)
+        assert got == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        accepted += got is not None
+    if d <= 3:
+        assert accepted > 0
+    if d == 1:
+        assert accepted == 300
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_stub_draws_are_members(n, data):
