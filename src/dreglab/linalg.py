@@ -74,8 +74,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Sparse elimination hands over to the dense finish at the first pivot whose
-# step would touch more than this many entries (see _rank_rows_mod_p).
-_DENSE_AFTER = 250
+# step would touch more than this many entries, or more than this many per
+# column left (see _rank_rows_mod_p).
+_DENSE_AFTER = (250, 4)
 
 
 # ─── elimination cores ──────────────────────────────────────────────────────
@@ -194,7 +195,7 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
             col_rows[c].add(s)
     ops, scale = ([], {}) if record else (None, None)
     echelon = _Echelon(p, [], ops, scale)
-    limit = _DENSE_AFTER if p * p < 1 << 63 else inf
+    limit, per_column = _DENSE_AFTER if p * p < 1 << 63 else (inf, inf)
     for c in range(ncols):
         cand = col_rows[c]
         if not cand:
@@ -212,7 +213,8 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
                 if size < best:
                     piv, best = s, size
         pivrow = rows[piv]
-        if len(cand) * len(pivrow) > limit:
+        work = len(cand) * len(pivrow)
+        if work > limit or work > per_column * (ncols - c):
             # every row still nonzero past column c is a live, non-pivot row
             live = sorted(set().union(*col_rows[c:]))
             live_rows = [rows[s] for s in live]
