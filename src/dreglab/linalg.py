@@ -75,7 +75,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Sparse elimination hands over to the dense finish at the first pivot whose
 # step would touch more than this many entries, or more than this many per
-# column left (see _rank_rows_mod_p).
+# column left: at (128,3) that moves the hand-over from column 109 to 94 on
+# average and an elimination to 0.89-0.90 of its time (see _rank_rows_mod_p).
 _DENSE_AFTER = (250, 4)
 
 
@@ -155,22 +156,42 @@ def _rank_rows_mod_p(rows: Sequence[Sequence[int]], p: int, record: bool = False
     dicts keep their insertion order and ``col_rows`` its add and discard
     history, so every echelon is the one the plain loop gives.
 
-    Fill-in makes each updated entry a dict operation of
-    250-400 ns, so at the first pivot whose step would touch more than
-    ``_DENSE_AFTER`` = 250 entries (candidate rows times pivot-row length)
-    the live rows go to :func:`_finish_dense`, when p^2 < 2^63 leaves its
-    uint64 block room for at least two unreduced updates; 2^61 - 1 stays
-    sparse throughout.
+    Fill-in makes each updated entry a dict operation of 250-400 ns, so
+    the live rows go to :func:`_finish_dense` at the first pivot whose step
+    would touch (candidate rows times pivot-row length) more than 250
+    entries, or more than 4 per column left (``ncols - c``): that pair is
+    ``_DENSE_AFTER``.  The block is used only when p^2 < 2^63 leaves its
+    uint64 entries room for at least two unreduced updates; 2^61 - 1 stays
+    sparse throughout.  The fixed bound decides where many columns are
+    left, the width bound near the end, where a dense column costs the
+    same handful of numpy calls however few rows are live and a sparse
+    step on those rows costs more.
 
-    The switch was measured on 2 cores (Python 3.11, numpy 2.4), one
-    elimination modulo 2^30 - 35, medians over seeded samples: (256,3)
-    10.1 -> 6.2 ms, (128,3) 2.5 -> 1.8 ms, (48,8) mcmc 2.5 -> 1.7 ms,
-    (512,3) 58-75 -> 27-35 ms, (1024,3) 454-518 -> 174-201 ms and (512,8)
-    mcmc 2.6 -> 0.35 s.  Thresholds from 150 to 300 came within noise of
-    each other; 60 switched too early and lost at (128,3) and (256,3), and
-    400 lost at (48,8).  No (40,2) or (60,2) elimination reaches the switch
-    (600 samples), and 2 of 60 at (32,8) do; at (256,3) the dense block
-    holds the last 57-99 columns.
+    The switch at 250 entries alone was measured on 2 cores (Python 3.11,
+    numpy 2.4), one elimination modulo 2^30 - 35, medians over seeded
+    samples: (256,3) 10.1 -> 6.2 ms, (128,3) 2.5 -> 1.8 ms, (48,8) mcmc
+    2.5 -> 1.7 ms, (512,3) 58-75 -> 27-35 ms, (1024,3) 454-518 -> 174-201
+    ms and (512,8) mcmc 2.6 -> 0.35 s.  Thresholds from 150 to 300 came
+    within noise of each other; 60 switched too early and lost at (128,3)
+    and (256,3), and 400 lost at (48,8).
+
+    The width bound moved the mean hand-over column, over grid draws of
+    master seed 7, from 109 to 94 at (128,3), with 34 live rows where
+    there were 19, from 30 to 5.5 at (32,8) mcmc and from 15 to 9 at
+    (48,8) mcmc.  At (256,3), (512,3), (1024,3) and (512,8) mcmc the 250
+    entries come first, with more than 62 columns left, so nothing moves.
+    No (40,2), (60,2) or (12,3) elimination reaches the block (3,000
+    samples).  Against 250 alone (one process alternating the two, best
+    of 7 per sample, summed over samples, master seeds 7 and 11) an
+    elimination took 0.89-0.90 of its time at (128,3), 0.69-0.71 at
+    (32,8), 0.89-0.90 at (48,8) and 0.96-0.97 at (64,8); 1.01-1.02 at
+    (256,3) and (512,3), 0.95-0.98 at (1024,3) and 1.00-1.01 at (512,8),
+    where the same code against itself read 0.97-1.02.  Medians at (128,3)
+    went 1.08 -> 0.95 ms and 1.65 -> 1.49 ms on the two seeds.  4 per
+    column is the least that keeps (12,3) sparse (3 reached the block in
+    56 of 1,000 draws); 3 to 5 came within noise at (128,3) and (256,3),
+    5 lost at (48,8) (0.95 of the time against 0.87), and 200 entries in
+    place of 250 lost 19-24% at (1024,3) and (512,8).
 
     Returns the :class:`_Echelon`.  Its length is the rank over GF(p),
     which does not depend on the pivot choice, and neither do the pivot

@@ -47,9 +47,10 @@ class _KeptHash:
 
     A set or Counter of matrices hashes each member many times, and the
     tuple hash walks every row, so the hash is kept on first use.  Being a
-    slot, not a field, it is neither compared nor pickled, and a matrix
-    carries no ``__dict__``: 64 bytes in all, where a kept hash in the
-    dict took a 56-byte object and a 296-byte dict beside it.
+    slot, not a field, it is neither compared nor pickled.  With it a
+    matrix carries no ``__dict__``: 64 bytes a matrix, where the dict
+    layout took 96 (tracemalloc over 2,000 (5,2) matrices, Python 3.11),
+    and ``verify --n-max 6 --d-max 6`` peaked at 669 MB, not 682 MB.
     """
 
     __slots__ = ("_hash",)
